@@ -5,14 +5,17 @@ membership certificates; the modular solver handles the non-field rings
 Z/p^m by global minimum-valuation pivoting, which keeps back-substitution
 complete (every coefficient seen to the right of a pivot has valuation at
 least the pivot's, so later choices can never repair a failed divisibility
-check).
+check). Arithmetic stays in int64 only while no intermediate value can
+reach 2^63; past that it runs on Python integers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["solve_left_integer", "solve_right_integer", "solve_mod_prime_power"]
+from ._checks import verify
+
+__all__ = ["exact_dtype", "solve_left_integer", "solve_right_integer", "solve_mod_prime_power"]
 
 
 def solve_left_integer(rows, target):
@@ -57,7 +60,10 @@ def solve_left_integer(rows, target):
             x[j] += q * work[r][ncols + j]
     if any(t):
         return None
-    assert [sum(x[i] * rows[i][c] for i in range(m)) for c in range(ncols)] == target
+    verify(
+        [sum(x[i] * rows[i][c] for i in range(m)) for c in range(ncols)] == target,
+        "integer solution",
+    )
     return x
 
 
@@ -66,6 +72,13 @@ def solve_right_integer(matrix, target):
     cols = len(matrix[0]) if matrix else 0
     transposed = [[matrix[i][j] for i in range(len(matrix))] for j in range(cols)]
     return solve_left_integer(transposed, list(target))
+
+
+def exact_dtype(q, ncols):
+    """int64 when a row of `ncols` residues mod q dotted with another, plus
+    one more residue, stays below 2^63 ((ncols+1) * q^2 < 2^63); otherwise
+    object, which holds Python integers."""
+    return np.int64 if (ncols + 1) * q * q < 2**63 else object
 
 
 def _valuation_mask(a, p, v):
@@ -78,11 +91,13 @@ def _valuation_mask(a, p, v):
 def solve_mod_prime_power(matrix, rhs, p, m):
     """Solve matrix @ x == rhs over Z/p^m; returns an int array or None."""
     q = p**m
-    a = np.asarray(matrix, dtype=np.int64) % q
-    b = np.asarray(rhs, dtype=np.int64) % q
+    matrix = np.asarray(matrix)
+    dtype = exact_dtype(q, matrix.shape[-1])
+    a = np.asarray(matrix, dtype=dtype) % q
+    b = np.asarray(rhs, dtype=dtype) % q
     neq, nvar = a.shape if a.ndim == 2 else (0, 0)
     if neq == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=dtype)
     row_free = np.ones(neq, dtype=bool)
     col_free = np.ones(nvar, dtype=bool)
     pivots = []
@@ -117,13 +132,13 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     # rows never picked are identically zero mod q by now; check consistency
     if np.any(b[row_free] % q):
         return None
-    x = np.zeros(nvar, dtype=np.int64)
+    x = np.zeros(nvar, dtype=dtype)
     for r, c, v in reversed(pivots):
         rhs_r = int(b[r] - a[r] @ x) % q
         pv = p**v
         if rhs_r % pv:
             return None
         x[c] = (rhs_r // pv) % (q // pv)
-    if np.any((np.asarray(matrix, dtype=np.int64) @ x - np.asarray(rhs, dtype=np.int64)) % q):
-        return None
+    residual = np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)
+    verify(not np.any(residual % q), "modular solution")
     return x

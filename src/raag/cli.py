@@ -105,8 +105,6 @@ def _cmd_centralizer(args):
         print("1")
     for x in gens:
         print(x)
-    if not gens.complete:
-        print("PARTIAL LIST")
     return 0
 
 
@@ -143,9 +141,12 @@ def _cmd_magnus_separate(args):
     graph = _load(args.graph)
     g = _word(graph, args.left)
     h = _word(graph, args.right)
-    level = nilpotent.find_separating_level(
-        g, h, args.prime, max_d=args.max_degree, max_m=args.max_precision
-    )
+    try:
+        level = nilpotent.find_separating_level(
+            g, h, args.prime, max_d=args.max_degree, max_m=args.max_precision
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     if level is nilpotent.NOT_FOUND:
         print(f"NOT SEPARATED (d <= {args.max_degree}, m <= {args.max_precision})")
         return 2
@@ -163,9 +164,12 @@ def _cmd_lie_dims(args):
 
 def _cmd_center(args):
     graph = _load(args.graph)
+    try:
+        trivial = nilpotent.lie_center_trivial_upto(graph, args.max_degree, args.prime)
+    except ValueError as exc:
+        raise CliError(str(exc))
     central = [graph.vertices[i] for i in graph.center_vertices()]
     print("central vertices: " + (" ".join(central) if central else "(none)"))
-    trivial = nilpotent.lie_center_trivial_upto(graph, args.max_degree, args.prime)
     upto = args.max_degree - 1
     print(f"lie center trivial up to degree {upto}: " + ("YES" if trivial else "NO"))
     return 0

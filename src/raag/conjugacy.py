@@ -11,19 +11,25 @@ multiplication; every negative answer names the invariant that separates
 the inputs; when the bounded searches run out the answer is Inconclusive,
 never a guess.
 
-Centralizer computation peels one pivot at a time, folding the resulting
-membership constraints into the exact state machinery until the terminal
-shapes (complete graph, central vertices, free group, single element)
-take over. The terminals and the fold are mutually recursive with the
-conjugacy decision through the shift elements of cyclic normal forms;
-each level strips a vertex, so the recursion grounds out.
+The centralizer of a single element comes straight from Servatius'
+centralizer theorem: the primitive roots of the pure factors of its
+cyclic normal form, times the special subgroup on their common link.
+Centralizers of sets inside a special subgroup peel one pivot at a time,
+folding the resulting membership constraints into the exact state
+machinery of module cosets until a terminal shape (complete graph,
+central vertices, free group, single element) takes over. Centralizers
+never call the conjugacy decision; the decision calls them, through the
+coset search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from . import cosets, hnn
+from ._checks import verify
 from .cosets import Gens, abelianization, make_gens
 from .words import Element
 
@@ -181,7 +187,7 @@ def ball_oracle_conjugate(g, h, radius):
             best = sigma
     if best is None:
         return NotInBall(radius)
-    assert best * g * best.inverse() == h
+    verify(best * g * best.inverse() == h, "ball-search conjugator")
     return Conjugate(best, note="ball-search")
 
 
@@ -263,23 +269,11 @@ def _full_centralizer(graph, elems):
     return _bounded_commutant(graph, elems)
 
 
-def _primitive_root_free(graph, y):
-    """Primitive root of a nontrivial element of a free group."""
-    conj, core = y.cyclic_normal_form()
-    w = core.letters
-    n = len(w)
-    for d in range(1, n + 1):
-        if n % d == 0 and w == w[:d] * (n // d):
-            root = Element(graph, w[:d], canonical=True)
-            return conj * root * conj.inverse()
-    raise AssertionError("unreachable")
-
-
 def _free_multi_centralizer(graph, elems):
     # free group: the centralizer of a nontrivial element is the cyclic
     # group on its primitive root, so a set is centralized either by that
     # root's powers or by nothing
-    root = _primitive_root_free(graph, elems[0])
+    (root,) = _single_centralizer(graph, elems[0])
     if all(root * y == y * root for y in elems[1:]):
         return make_gens([root])
     return make_gens([])
@@ -301,25 +295,67 @@ def _bounded_commutant(graph, elems, max_len=None):
     return make_gens(found[:12], complete=False)
 
 
+def _pure_factor_supports(graph, supp):
+    """Connected components of the non-commutation graph on `supp`."""
+    comps = []
+    for v in supp:
+        touched = [c for c in comps if not c.isdisjoint(graph.dependents[v])]
+        comps = [c for c in comps if c not in touched] + [{v}.union(*touched)]
+    return sorted(comps, key=min)
+
+
+def _primitive_root(p):
+    """The r with p == r^e for the largest e, p a cyclically reduced pure
+    factor.
+
+    If p == r^e, the projection of p onto any two non-commuting vertices is
+    that of r repeated e times. So the first count/e occurrences of each
+    vertex in p project like r onto every such pair, and therefore spell r.
+    Roots are unique in a RAAG, and e = 1 always checks out.
+    """
+    counts = Counter(abs(lt) for lt in p.letters)
+    top = gcd(*counts.values())
+    for e in range(top, 0, -1):
+        if top % e:
+            continue
+        quota = {v: c // e for v, c in counts.items()}
+        letters = []
+        for lt in p.letters:
+            if quota[abs(lt)]:
+                quota[abs(lt)] -= 1
+                letters.append(lt)
+        r = Element(p.graph, letters)
+        if r**e == p:
+            return r
+
+
 def _single_centralizer(graph, y):
-    """Centralizer generators of a single nontrivial element."""
+    """Servatius' centralizer theorem for a nontrivial element: with
+    y == conj * core * conj^-1 and core cyclically reduced, the centralizer
+    is conj * (<root p_1> x ... x <root p_k> x <link>) * conj^-1, where p_i
+    are the pure factors of core (its retractions onto the components of
+    the non-commutation graph on its support) and link is every vertex
+    outside the support adjacent to all of it. Link vertices come first,
+    then the roots, each flipped to start with a positive letter."""
     conj, core = y.cyclic_normal_form()
-    t = max(core.support())
-    split = hnn.HnnSplitting(graph, t)
-    c2, w = hnn.cyclically_reduce(split, core)
-    assert w.n >= 1, "pivot chosen from the cyclic support must survive"
-    outer = conj * c2
-    inner = hnn.centralizer_cyclic(split, w, _tester, _service)
-    oi = outer.inverse()
-    return make_gens((outer * x * oi for x in inner), complete=inner.complete)
+    supp = core.support()
+    link = [v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]]
+    out = _vertex_gens(graph, link)
+    for comp in _pure_factor_supports(graph, supp):
+        r = _primitive_root(core.retract(comp))
+        out.append(r.inverse() if r.letters[0] < 0 else r)
+    ci = conj.inverse()
+    gens = [conj * x * ci for x in out]
+    verify(all(x * y == y * x for x in gens), "centralizer generator")
+    return make_gens(gens)
 
 
 def centralizer(g):
-    """Finite generating set of the centralizer of g.
+    """Finite generating set of the centralizer of g, by Servatius'
+    centralizer theorem.
 
-    The returned list carries a boolean attribute `complete`; it is True
-    unless a bounded fallback had to be used, which cannot happen below
-    ambient rank five.
+    The returned list carries a boolean attribute `complete`, always True
+    here; only centralizers of several elements can come back incomplete.
     """
     return _full_centralizer(g.graph, [g])
 
@@ -361,7 +397,7 @@ def conjugate_under(g, h, s_verts, search_bound=None):
         res = conjugate_under(g.restrict(sub), h.restrict(sub), s_sub, search_bound)
         if isinstance(res, Conjugate):
             sigma = res.conjugator.embed(graph)
-            assert sigma * g * sigma.inverse() == h
+            verify(sigma * g * sigma.inverse() == h, "conjugator")
             return Conjugate(sigma, res.note)
         return res
     split = hnn.HnnSplitting(graph, t)
@@ -373,7 +409,7 @@ def conjugate_under(g, h, s_verts, search_bound=None):
         return NotConjugate(res.reason)
     if res is cosets.INCONCLUSIVE:
         return Inconclusive("coset intersection search hit its bounds")
-    assert res.in_special(s)
+    verify(res.in_special(s), "conjugator")
     return Conjugate(res)
 
 
@@ -401,7 +437,7 @@ def conjugate(g, h, fallback_radius=6):
         res = conjugate(gcore.restrict(sub), hcore.restrict(sub), fallback_radius)
         if isinstance(res, Conjugate):
             sigma = ch * res.conjugator.embed(graph) * cg.inverse()
-            assert sigma * g * sigma.inverse() == h
+            verify(sigma * g * sigma.inverse() == h, "conjugator")
             return Conjugate(sigma, res.note)
         return res
     if graph.is_complete():
@@ -427,7 +463,7 @@ def conjugate(g, h, fallback_radius=6):
                 saw_inconclusive = True
             elif not isinstance(res, hnn.NoConjugator):
                 sigma = big_h * v.full_prefix(split, k) * res * big_g.inverse()
-                assert sigma * g * sigma.inverse() == h
+                verify(sigma * g * sigma.inverse() == h, "conjugator")
                 return Conjugate(sigma)
     if not saw_inconclusive:
         return NotConjugate("cyclic-normal-form")

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._checks import verify
 from ._intlinalg import solve_left_integer
 from .words import Element
 
@@ -155,12 +156,6 @@ class CentralizerState:
             self.service,
         )
 
-    def add_commuting(self, u):
-        z = self.conj.inverse() * u * self.conj
-        return CentralizerState(
-            self.graph, self.conj, self.verts, self.elems + (z,), self.service
-        )
-
     def generators(self):
         if self._gens is None:
             inner = self.service(self.graph, self.verts, self.elems)
@@ -226,8 +221,10 @@ def in_double_coset(y, x, a_verts, b_verts, conj_tester):
         return NotMember("core-conjugacy")
     apart = gamma_y.inverse() * d * gamma_x
     bpart = x.inverse().retract(b) * d.inverse() * y.inverse().retract(b).inverse()
-    assert apart.in_special(a) and bpart.in_special(b)
-    assert apart * x * bpart == y
+    verify(
+        apart.in_special(a) and bpart.in_special(b) and apart * x * bpart == y,
+        "double coset factors",
+    )
     return CosetFactors(apart, bpart)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cosets
+from ._checks import verify
 from .words import Element
 
 __all__ = [
@@ -25,13 +26,7 @@ __all__ = [
     "HnnWord",
     "NoConjugator",
     "decompose",
-    "recompose",
     "cyclically_reduce",
-    "cyclic_permutations",
-    "prefixes",
-    "natural_projection",
-    "centralizer_of_reduced",
-    "centralizer_cyclic",
     "minasyan_conjugate_under",
 ]
 
@@ -44,7 +39,6 @@ class HnnSplitting:
             raise ValueError("pivot out of range")
         self.graph = graph
         self.pivot = pivot
-        self.base = frozenset(range(graph.n)) - {pivot}
         self.assoc = graph.link(pivot)
 
     def t(self, power=1):
@@ -54,9 +48,6 @@ class HnnSplitting:
         return Element(
             self.graph, (lt if power > 0 else -lt,) * abs(power), canonical=True
         )
-
-    def in_base(self, x):
-        return x.in_special(self.base)
 
     def in_assoc(self, x):
         return x.in_special(self.assoc)
@@ -191,85 +182,11 @@ def cyclically_reduce(split, g):
         return conj, HnnWord(head, tuple(syls))
 
 
-def recompose(split, w):
-    """The Element a syllable form stands for; inverse of decompose."""
-    return w.to_element(split)
-
-
-def cyclic_permutations(w):
-    """All whole-syllable rotations of a cyclically reduced form."""
-    if w.n == 0:
-        raise ValueError("no syllables to rotate")
-    return [w.rotated(k) for k in range(w.n)]
-
-
-def prefixes(split, w):
-    """The n+1 partial products up to each pivot run (identity first)."""
-    return [w.full_prefix(split, k) for k in range(w.n + 1)]
-
-
-def natural_projection(split, x):
-    """Image of x under the retraction killing the pivot."""
-    return x.retract(split.base)
-
-
 @dataclass(frozen=True)
 class NoConjugator:
     """Certified absence of a conjugator, naming the failed condition."""
 
     reason: str
-
-
-def centralizer_of_reduced(split, w, subgroup):
-    """Symbolic description of the pivot-free centralizer of w's element
-    inside the special subgroup on `subgroup`.
-
-    A pivot-free element commutes with x0 t^a1 x1 ... t^an xn exactly when
-    it commutes with the product of the base parts and lies in every
-    base-prefix conjugate of the associated subgroup; the returned spec
-    says precisely that and is evaluated elsewhere, so no infinite set is
-    ever materialised here.
-    """
-    if w.n == 0:
-        raise ValueError("no pivot runs; compute the centralizer in the base")
-    terms = tuple((w.base_prefix(i), split.assoc) for i in range(w.n))
-    return cosets.SubgroupIntersectionSpec(frozenset(subgroup), w.xprod(), terms)
-
-
-def centralizer_cyclic(split, w, conj_tester, centralizer_service):
-    """Generators of the full centralizer of a cyclically reduced form.
-
-    If the single base part lies in the associated subgroup, the
-    centralizer is generated by the pivot together with the associated
-    centralizer of that part. Otherwise it is generated by the pivot-free
-    centralizer (which lives in the associated subgroup), the element
-    itself, and one shift element per syllable rotation that is conjugate
-    to w under the associated subgroup. A rotation whose tester call comes
-    back INCONCLUSIVE clears the completeness flag instead of guessing.
-    """
-    assert w.n >= 1 and w.head.is_identity()
-    graph = split.graph
-    if w.n == 1 and split.in_assoc(w.syllables[0][1]):
-        kpart = centralizer_service(graph, split.assoc, (w.syllables[0][1],))
-        return cosets.make_gens(
-            [split.t(1)] + list(kpart), complete=kpart.complete
-        )
-    u = recompose(split, w)
-    kpart = centralizer_service(graph, split.assoc, (u,))
-    out = list(kpart) + [u]
-    complete = kpart.complete
-    for k in range(1, w.n):
-        if w.rotated(k).exponents != w.exponents:
-            continue
-        sigma = conj_tester(u, recompose(split, w.rotated(k)), split.assoc)
-        if sigma is cosets.INCONCLUSIVE:
-            # a missed shift can only make the returned subgroup smaller
-            complete = False
-        elif sigma is not None:
-            shift = w.full_prefix(split, k) * sigma
-            assert shift * u == u * shift
-            out.append(shift)
-    return cosets.make_gens(out, complete=complete)
 
 
 def minasyan_conjugate_under(
@@ -305,8 +222,8 @@ def minasyan_conjugate_under(
         )
         for i in range(xw.n)
     ]
-    x_elt = recompose(split, xw)
-    y_elt = recompose(split, yw)
+    x_elt = xw.to_element(split)
+    y_elt = yw.to_element(split)
     if search_bound is None:
         search_bound = 2 * (len(x_elt) + len(y_elt)) + 8
     sigma = cosets.coset_intersection_nonempty(
@@ -316,6 +233,8 @@ def minasyan_conjugate_under(
         return NoConjugator("coset-intersection")
     if sigma is cosets.INCONCLUSIVE:
         return cosets.INCONCLUSIVE
-    assert sigma.in_special(subgroup)
-    assert sigma * x_elt * sigma.inverse() == y_elt
+    verify(
+        sigma.in_special(subgroup) and sigma * x_elt * sigma.inverse() == y_elt,
+        "conjugator",
+    )
     return sigma

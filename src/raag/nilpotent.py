@@ -23,7 +23,8 @@ from math import gcd
 
 import numpy as np
 
-from ._intlinalg import solve_mod_prime_power
+from ._checks import require_prime, verify
+from ._intlinalg import exact_dtype, solve_mod_prime_power
 from .words import _canonical
 
 __all__ = [
@@ -172,13 +173,6 @@ class TruncatedAlgebraElement:
     def is_one(self):
         return self.coeffs == {(): 1}
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def homogeneous(self, degree):
-        """The degree-n coefficient slice as a monomial -> coefficient dict."""
-        return {m: c for m, c in self.coeffs.items() if len(m) == degree}
-
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedAlgebraElement)
@@ -220,8 +214,9 @@ def magnus_image(x, d, p, m):
 
     Inverse letters map to the truncated geometric series, so letter and
     inverse multiply to exactly 1 in the truncation and the whole map is a
-    homomorphism into the units with constant term 1.
+    homomorphism into the units with constant term 1. p must be prime.
     """
+    require_prime(p)
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
     q = p**m
@@ -279,7 +274,7 @@ def magnus_conjugate_test(g, h, d, p, m):
     index = {mono: i for i, mono in enumerate(basis)}
     q = p**m
     n = len(basis)
-    mat = np.zeros((n, n), dtype=np.int64)
+    mat = np.zeros((n, n), dtype=exact_dtype(q, n))
     for j, w in enumerate(basis):
         lw = len(w)
         col = {}
@@ -300,8 +295,10 @@ def magnus_conjugate_test(g, h, d, p, m):
     for j, c in enumerate(sol, start=1):
         coeffs[basis[j]] = int(c)
     unit = TruncatedAlgebraElement(graph, d, q, coeffs)
-    assert unit.constant_term() == 1
-    assert left * unit == unit * right
+    verify(
+        unit.constant_term() == 1 and left * unit == unit * right,
+        "conjugating unit",
+    )
     return NotSeparatedAtThisLevel(unit)
 
 
@@ -309,8 +306,9 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     """Least (d, m), degree scanned first, at which the images separate.
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
-    unit; conjugate inputs always come back NOT_FOUND.
+    unit; conjugate inputs always come back NOT_FOUND. p must be prime.
     """
+    require_prime(p)
     for d in range(1, max_d + 1):
         for m in range(1, max_m + 1):
             if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
@@ -418,6 +416,8 @@ def lie_graded_dims(graph, max_degree, p=0):
     """
     if max_degree < 1:
         raise ValueError("need at least degree 1")
+    if p:
+        require_prime(p)
     bases = _graded_bases(graph, max_degree, p)
     dims = tuple(len(level) for level in bases)
     assert dims[0] == graph.n
@@ -429,8 +429,9 @@ def lie_center_trivial_upto(graph, max_degree, p):
     commutes with every vertex generator, over the field with p elements.
 
     Each degree is one kernel computation: stack the brackets with all
-    generators and check the columns are independent.
+    generators and check the columns are independent. p must be prime.
     """
+    require_prime(p)
     bases = _graded_bases(graph, max_degree, p)
     gens = bases[0]
     for level in bases[: max_degree - 1]:

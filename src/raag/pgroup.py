@@ -21,28 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ._checks import require_prime
+
 __all__ = [
     "WitnessParams",
     "PGroupElement",
     "WitnessGroup",
     "build_witness_group",
-    "phi",
-    "conjugacy_class",
-    "verify_relations",
 ]
 
 ENUMERATION_GUARD = 1 << 20
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -55,8 +43,7 @@ class WitnessParams:
     s: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p = {self.p} is not prime")
+        require_prime(self.p)
         if self.n < 2:
             raise ValueError("need n >= 2")
         if not 1 <= self.r <= self.n - 1:
@@ -239,15 +226,3 @@ class WitnessGroup:
 
 def build_witness_group(params):
     return WitnessGroup(params)
-
-
-def phi(name, params):
-    return WitnessGroup(params).phi(name)
-
-
-def conjugacy_class(x, params):
-    return WitnessGroup(params).conjugacy_class(x)
-
-
-def verify_relations(params):
-    return WitnessGroup(params).verify_relations()

@@ -102,10 +102,6 @@ class Element:
         base = self if k > 0 else self.inverse()
         return Element(self.graph, base.letters * abs(k))
 
-    def conjugate_by(self, s):
-        """Return s * self * s^-1."""
-        return s * self * s.inverse()
-
     def __eq__(self, other):
         return (
             isinstance(other, Element)

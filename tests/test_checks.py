@@ -1,0 +1,65 @@
+"""Witness checks that stay on under ``python -O``."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Each block hands the library a corrupted intermediate result; the check on
+# the witness it returns must raise even though -O strips every assert.
+SCRIPT = r"""
+from unittest import mock
+
+import numpy as np
+from raag import conjugacy, cosets, nilpotent
+from raag.graphs import Graph
+from raag.words import parse
+
+f2 = Graph(["a", "b"])
+one, a, b = parse(f2, "1"), parse(f2, "a"), parse(f2, "b")
+ab, ba = parse(f2, "a b"), parse(f2, "b a")
+
+try:
+    assert False
+    print("asserts stripped")
+except AssertionError:
+    print("asserts kept")
+
+
+def corrupted(name, call):
+    try:
+        call()
+        print(name, "returned")
+    except AssertionError as exc:
+        print(name, "raised:", exc)
+
+
+# b is not in <a> 1 <a>; a lying tester claims the cores are conjugate
+corrupted("double coset", lambda: cosets.in_double_coset(b, one, {0}, {0}, lambda u, v, s: one))
+with mock.patch.object(cosets, "coset_intersection_nonempty", lambda *args, **kw: a**5):
+    corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
+with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
+    corrupted("centralizer", lambda: conjugacy.centralizer(ab))
+with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: np.ones(m.shape[1], dtype=int)):
+    corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
+"""
+
+
+def test_corrupted_witnesses_raise_under_optimize():
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "asserts stripped"
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "double coset raised",
+        "conjugate raised",
+        "centralizer raised",
+        "magnus unit raised",
+    ], proc.stdout

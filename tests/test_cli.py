@@ -144,6 +144,17 @@ def test_center(graphs, capsys):
     assert out == "central vertices: (none)\nlie center trivial up to degree 3: YES\n"
 
 
+@pytest.mark.parametrize("prime", ["0", "1", "4"])
+def test_non_prime_p_exits_one(graphs, capsys, prime):
+    code, out, err = run(
+        capsys, "magnus-separate", "--graph", graphs["discrete2"],
+        "a b", "b a", "-p", prime,
+    )
+    assert (code, out) == (1, "") and "error: p = " in err
+    code, out, err = run(capsys, "center", "--graph", graphs["path3"], "-p", prime)
+    assert (code, out) == (1, "") and "error: p = " in err
+
+
 def test_pgroup_witness_golden(capsys):
     code, out, _ = run(
         capsys, "pgroup-witness", "-p", "2", "-n", "2", "-r", "1", "-s", "1"

@@ -28,6 +28,11 @@ GRAPHS = {
     "p3": Graph(["a", "b", "c"], [("a", "b"), ("b", "c")]),
     "edge_iso": Graph(["a", "b", "c"], [("a", "b")]),
     "tri": Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")]),
+    "p4": Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")]),
+    "c5": Graph(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+    ),
 }
 
 
@@ -61,6 +66,15 @@ CENTRALIZER_CASES = [
     ("f3", "a b a^-1", ["a b a^-1"]),
     ("f3", "a b c", ["a b c"]),
     ("tri", "a b^-1 c", ["a", "b", "c"]),
+    # two pure factors with a non-empty link; C5 has no triangle, so no
+    # element there has both
+    ("tri", "a b^2", ["a", "b", "c"]),
+    ("p3", "a c a c", ["a c", "b"]),
+    ("p4", "a c d^-1 a b^-1 c d^-1 b^-1", ["a c d^-1 b^-1"]),
+    ("c5", "a^2", ["a", "b", "e"]),
+    ("c5", "a b^2", ["a", "b"]),
+    ("c5", "a c^-1 a c^-1", ["a c^-1", "b"]),
+    ("c5", "d a c d^-1", ["d a c d^-1", "d b d^-1"]),
 ]
 
 
@@ -82,9 +96,31 @@ def test_centralizer_of_identity():
     assert sorted(str(x) for x in gens) == ["a", "b", "c"]
 
 
+def test_centralizer_never_decides_conjugacy(monkeypatch):
+    from raag import conjugacy, hnn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("centralizer called the conjugacy decision")
+
+    monkeypatch.setattr(conjugacy, "conjugate_under", refuse)
+    monkeypatch.setattr(conjugacy, "conjugate", refuse)
+    monkeypatch.setattr(hnn, "minasyan_conjugate_under", refuse)
+    rng = random.Random(7)
+    for gname in ("p4", "c5"):
+        graph = GRAPHS[gname]
+        for _ in range(20):
+            g = rand_word(rng, graph, rng.randrange(1, 12))
+            gens = centralizer(g)
+            assert gens.complete
+            assert all(x * g == g * x for x in gens)
+
+
 def test_centralizer_matches_ball():
     rng = random.Random(20260822)
-    for gname in ("f2", "k2", "p3", "edge_iso", "f3"):
+    # a smaller slack finds fewer elements of <gens>, so it only makes the
+    # equality harder to meet; it keeps the sweep short on five vertices
+    slacks = {"c5": 2, "p4": 2}
+    for gname in ("f2", "k2", "p3", "edge_iso", "f3", "c5", "p4"):
         graph = GRAPHS[gname]
         ball = cayley_ball(graph, 4)
         for _ in range(6):
@@ -92,7 +128,8 @@ def test_centralizer_matches_ball():
             gens = centralizer(g)
             assert gens.complete
             brute = {w for w in ball if w * g == g * w}
-            got = {w for w in subgroup_ball(graph, list(gens), 4, slack=6) if len(w) <= 4}
+            sweep = subgroup_ball(graph, list(gens), 4, slack=slacks.get(gname, 6))
+            got = {w for w in sweep if len(w) <= 4}
             assert got == brute
 
 

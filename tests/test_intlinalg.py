@@ -88,3 +88,17 @@ def test_mod_prime_power_larger_system():
         x = solve_mod_prime_power(a, b, p, m)
         assert x is not None
         assert not np.any((a @ x - b) % q)
+
+
+def test_mod_prime_power_large_modulus_is_exact():
+    # q^2 is far past 2^63 here, so int64 elimination would wrap around
+    p, m = 2**31 - 1, 2
+    q = p**m
+    rng = random.Random(17)
+    n = 6
+    sol = [rng.randrange(q) for _ in range(n)]
+    a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    b = [sum(r * s for r, s in zip(row, sol)) % q for row in a]
+    x = solve_mod_prime_power(a, b, p, m)
+    assert x is not None
+    assert all(sum(r * int(v) for r, v in zip(row, x)) % q == t for row, t in zip(a, b))

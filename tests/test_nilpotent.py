@@ -190,6 +190,23 @@ def test_conjugate_pairs_return_not_found():
     assert find_separating_level(parse(F2, "a b"), parse(F2, "b a"), 2) is NOT_FOUND
 
 
+def test_large_prime_does_not_falsely_separate():
+    # q^2 > 2^63 at p = 100003, m = 2; the solve must stay exact there
+    g, h = parse(F2, "a b"), parse(F2, "b a")
+    assert find_separating_level(g, h, 100003, max_d=3) is NOT_FOUND
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_non_prime_p_rejected(p):
+    g = parse(F2, "a b")
+    with pytest.raises(ValueError, match="not prime"):
+        magnus_image(g, 2, p, 1)
+    with pytest.raises(ValueError, match="not prime"):
+        find_separating_level(g, g, p, max_d=0)
+    with pytest.raises(ValueError, match="not prime"):
+        lie_center_trivial_upto(F2, 3, p)
+
+
 def test_separation_is_sound_against_exact_conjugacy():
     rng = random.Random(29)
     hits = 0

@@ -9,9 +9,6 @@ from raag.pgroup import (
     WitnessGroup,
     WitnessParams,
     build_witness_group,
-    conjugacy_class,
-    phi,
-    verify_relations,
 )
 
 CONFIRMED = [(2, 2, 1, 1), (3, 2, 1, 1), (2, 3, 1, 2), (2, 3, 2, 1)]
@@ -136,18 +133,18 @@ def test_class_of_identity(group):
 
 
 def test_phi_images():
-    params = WitnessParams(2, 2, 1, 1)
-    assert phi("g", params) == PGroupElement((1, 0, 0), 0)
-    assert phi("h", params) == PGroupElement((1, 0, 1), 0)
-    assert phi("t", params) == PGroupElement((0, 0, 0), 1)
+    group = WitnessGroup(WitnessParams(2, 2, 1, 1))
+    assert group.phi("g") == PGroupElement((1, 0, 0), 0)
+    assert group.phi("h") == PGroupElement((1, 0, 1), 0)
+    assert group.phi("t") == PGroupElement((0, 0, 0), 1)
     with pytest.raises(ValueError):
-        phi("x", params)
+        group.phi("x")
 
 
-def test_module_level_wrappers():
-    params = WitnessParams(2, 2, 1, 1)
-    assert verify_relations(params)
-    cls = conjugacy_class(phi("g", params), params)
+def test_fresh_group_relations_and_class():
+    group = WitnessGroup(WitnessParams(2, 2, 1, 1))
+    assert group.verify_relations()
+    cls = group.conjugacy_class(group.phi("g"))
     assert len(cls) == 2
 
 
