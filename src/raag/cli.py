@@ -1,8 +1,9 @@
 """Command-line surface over the whole library.
 
 One subcommand per question, text in and text out, deterministic for fixed
-inputs. Exit status is a tri-state: 0 for a decided query, 2 when the engine
-answers Inconclusive, 1 for usage or input errors (reported on stderr).
+inputs. Exit status is a tri-state: 0 for a decided query, 1 for usage or
+input errors (reported on stderr), and 2 when a bounded search gives up,
+which only `conjugate-under`, `double-coset` and `magnus-separate` can do.
 Graphs come from JSON files, words use the same grammar the parser accepts,
 and every printed witness is a parseable word that re-verifies.
 """
@@ -14,7 +15,7 @@ import sys
 
 from . import conjugacy, cosets, hnn, nilpotent
 from .graphs import load_graph
-from .pgroup import WitnessParams, build_witness_group
+from .pgroup import ENUMERATION_GUARD, WitnessParams, build_witness_group
 from .words import parse
 
 
@@ -86,7 +87,7 @@ def _cmd_conjugate(args):
     graph = _load(args.graph)
     g = _word(graph, args.left)
     h = _word(graph, args.right)
-    return _print_conjugacy(conjugacy.conjugate(g, h, fallback_radius=args.radius))
+    return _print_conjugacy(conjugacy.conjugate(g, h))
 
 
 def _cmd_conjugate_under(args):
@@ -157,7 +158,10 @@ def _cmd_magnus_separate(args):
 
 def _cmd_lie_dims(args):
     graph = _load(args.graph)
-    dims = nilpotent.lie_graded_dims(graph, args.max_degree)
+    try:
+        dims = nilpotent.lie_graded_dims(graph, args.max_degree)
+    except ValueError as exc:
+        raise CliError(str(exc))
     print("d: " + " ".join(str(d) for d in dims))
     return 0
 
@@ -180,6 +184,8 @@ def _cmd_pgroup_witness(args):
         params = WitnessParams(args.prime, args.n, args.r, args.s)
     except ValueError as exc:
         raise CliError(str(exc))
+    if not params.enumerable:
+        raise CliError(f"|B| exceeds {ENUMERATION_GUARD}, too large to enumerate")
     group = build_witness_group(params)
     print(f"params: p={params.p} n={params.n} r={params.r} s={params.s}")
     print(f"|A| = {params.order_a}")
@@ -219,8 +225,6 @@ def build_parser():
     with_graph(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--radius", type=int, default=6,
-                   help="fallback conjugator search radius")
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("conjugate-under",

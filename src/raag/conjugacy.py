@@ -1,15 +1,16 @@
-"""Conjugacy decisions with certificates, centralizers, and the
-brute-force oracles used to cross-check everything else.
+"""Conjugacy decisions with certificates, and centralizers.
 
-The decision procedure recurses on support: strip common central and
-unused vertices, cyclically reduce both inputs along the last vertex as a
-pivot, align pivot exponent patterns up to whole-syllable rotation, and
-hand each alignment to the three-condition criterion, which in turn tests
-the base products under the associated subgroup and searches a coset
-intersection. Every positive answer carries a conjugator verified by
-multiplication; every negative answer names the invariant that separates
-the inputs; when the bounded searches run out the answer is Inconclusive,
-never a guess.
+`conjugate` is exact. After the cheap invariants (identity,
+abelianization, support of the cyclic normal form) it splits both cyclic
+cores into their pure factors, the retractions onto the components of
+the non-commutation graph on the common support, and decides each pair
+of factors by comparing anchored cyclic cuts of their periodic heaps.
+`conjugate_under` follows the paper's route instead: it splits along a
+pivot vertex as an HNN extension, tests the base products under the
+associated subgroup and searches a coset intersection; when that bounded
+search runs out the answer is Inconclusive, never a guess. Every
+positive answer carries a conjugator verified by multiplication; every
+negative answer names the invariant that separates the inputs.
 
 The centralizer of a single element comes straight from Servatius'
 centralizer theorem: the primitive roots of the pure factors of its
@@ -18,8 +19,8 @@ Centralizers of sets inside a special subgroup peel one pivot at a time,
 folding the resulting membership constraints into the exact state
 machinery of module cosets until a terminal shape (complete graph,
 central vertices, free group, single element) takes over. Centralizers
-never call the conjugacy decision; the decision calls them, through the
-coset search.
+never call a conjugacy decision; `conjugate_under` calls them, through
+the coset search.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "Conjugate",
     "NotConjugate",
     "Inconclusive",
-    "NotInBall",
     "abelianization",
     "conjugate",
     "conjugate_under",
@@ -45,8 +45,6 @@ __all__ = [
     "centralizer_in_special",
     "avoid_subgroup",
     "cayley_ball",
-    "subgroup_ball",
-    "ball_oracle_conjugate",
 ]
 
 
@@ -55,7 +53,6 @@ class Conjugate:
     """Positive answer; conjugator * g * conjugator^-1 == h, verified."""
 
     conjugator: Element
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,6 @@ class Inconclusive:
     detail: str
 
 
-@dataclass(frozen=True)
-class NotInBall:
-    """No conjugator exists within the searched radius."""
-
-    radius: int
-
-
 def _one(graph):
     return Element(graph, (), canonical=True)
 
@@ -88,7 +78,7 @@ def _vertex_gens(graph, verts):
 
 
 # ---------------------------------------------------------------------------
-# ball enumeration and the brute-force conjugacy oracle
+# ball enumeration
 
 
 def cayley_ball(graph, radius):
@@ -112,83 +102,6 @@ def cayley_ball(graph, radius):
                     new.append(nxt)
         frontier = new
     return out
-
-
-def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
-    """Elements of <gens> of reduced length at most max_len, by a bounded
-    product sweep.
-
-    Intermediate products may overshoot max_len by `slack` plus the longest
-    generator before they are pruned, which in practice recovers every
-    short element of the subgroups this package produces; the sweep makes
-    no completeness promise beyond that.
-    """
-    gens = [g for g in gens if g]
-    if not gens:
-        return {_one(graph)}
-    step = gens + [g.inverse() for g in gens]
-    limit = max_len + slack + max(len(g) for g in gens)
-    seen = {_one(graph)}
-    frontier = [_one(graph)]
-    while frontier and len(seen) < cap:
-        new = []
-        for w in frontier:
-            for s in step:
-                nxt = w * s
-                if len(nxt) > limit or nxt in seen:
-                    continue
-                seen.add(nxt)
-                new.append(nxt)
-                if len(seen) >= cap:
-                    break
-            if len(seen) >= cap:
-                break
-        frontier = new
-    return {w for w in seen if len(w) <= max_len}
-
-
-def ball_oracle_conjugate(g, h, radius):
-    """Decide existence of a conjugator of reduced length at most `radius`
-    by meeting in the middle.
-
-    Conjugation orbits of depth floor(r/2) from g and ceil(r/2) from h are
-    expanded; any conjugator of length <= r splits across the two sweeps,
-    so within the radius the decision is exact. Returns Conjugate with the
-    shortlex-least witness found, or NotInBall.
-    """
-    graph = g.graph
-    gens = _vertex_gens(graph, range(graph.n))
-    gens += [x.inverse() for x in gens]
-
-    def orbit(start, depth):
-        table = {start: _one(graph)}
-        frontier = [start]
-        for _ in range(depth):
-            new = []
-            for w in frontier:
-                s = table[w]
-                for x in gens:
-                    nw = x * w * x.inverse()
-                    if nw not in table:
-                        table[nw] = x * s
-                        new.append(nw)
-            frontier = new
-        return table
-
-    side_g = orbit(g, radius // 2)
-    side_h = orbit(h, radius - radius // 2)
-    best = None
-    for w, tau in side_h.items():
-        s2 = side_g.get(w)
-        if s2 is None:
-            continue
-        sigma = tau.inverse() * s2
-        if best is None or sigma.shortlex_key() < best.shortlex_key():
-            best = sigma
-    if best is None:
-        return NotInBall(radius)
-    verify(best * g * best.inverse() == h, "ball-search conjugator")
-    return Conjugate(best, note="ball-search")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +136,11 @@ def _centralizer_core(graph, verts, elems):
         return make_gens([])
     if not elems:
         return make_gens(_vertex_gens(graph, verts))
+    if len(verts) == 1:
+        # roots are unique in a RAAG, so v^k commutes with y only if v does;
+        # folding on here instead piles up constraints without shrinking verts
+        (x,) = _vertex_gens(graph, verts)
+        return make_gens([x] if all(x * y == y * x for y in elems) else [])
     outside = frozenset().union(*[y.support() for y in elems]) - verts
     if not outside:
         keep = sorted(verts)
@@ -398,7 +316,7 @@ def conjugate_under(g, h, s_verts, search_bound=None):
         if isinstance(res, Conjugate):
             sigma = res.conjugator.embed(graph)
             verify(sigma * g * sigma.inverse() == h, "conjugator")
-            return Conjugate(sigma, res.note)
+            return Conjugate(sigma)
         return res
     split = hnn.HnnSplitting(graph, t)
     res = hnn.minasyan_conjugate_under(
@@ -413,12 +331,76 @@ def conjugate_under(g, h, s_verts, search_bound=None):
     return Conjugate(res)
 
 
-def conjugate(g, h, fallback_radius=6):
+def _anchored_cuts(u, a):
+    """Yield (p, p^-1 u p) for each occurrence of vertex a in a period of
+    the heap of u^Z, for u a cyclically reduced pure factor.
+
+    With m = |supp(u)| + 1, p is the set of letters of u^m at or below the
+    chosen a of the last copy in the heap order, minus the whole leading
+    copies of u it contains. The non-commutation graph on supp(u) is
+    connected, so every letter of the first copy lies below that a; the
+    ideal therefore matches the one in the bi-infinite heap u^Z, and
+    p^-1 u p spells the period between this a and its next translate.
+    These words hang off the a-occurrences of u^Z and not off the period u
+    starts from, so every cyclically reduced conjugate of u yields the same
+    set of them.
+    """
+    graph = u.graph
+    dependents = graph.dependents
+    n = len(u)
+    supp = u.support()
+    m = len(supp) + 1
+    big = u.letters * m
+    for top in range((m - 1) * n, m * n):
+        if abs(big[top]) - 1 != a:
+            continue
+        reach = {a, *dependents[a]}
+        picked = {top}
+        i = top - 1
+        while i >= 0 and not supp <= reach:
+            v = abs(big[i]) - 1
+            if v in reach:
+                picked.add(i)
+                reach.update(dependents[v])
+            i -= 1
+        # every vertex of u now reaches the anchor, so all of 0..i is below it
+        picked.update(range(i + 1))
+        end = 0
+        while end in picked:
+            end += 1
+        start = end - end % n
+        p = Element(graph, tuple(big[k] for k in range(start, top + 1) if k in picked))
+        yield p, p.inverse() * u * p
+
+
+def _factor_conjugator(u, v):
+    """The shortlex-least sigma of the form q p^-1 with sigma u sigma^-1
+    == v, for cyclically reduced pure factors on one support, or None.
+
+    u and v are conjugate iff they have the same length and the first
+    anchored cut of v is an anchored cut of u; the anchor is the vertex
+    occurring least often in u, ties going to the lowest index.
+    """
+    if u == v:
+        # the identity is shortlex-least; this also spares single-vertex
+        # factors, equal once the abelianizations agree, their a^k cuts
+        return _one(u.graph)
+    if len(u) != len(v):
+        return None
+    counts = Counter(abs(lt) - 1 for lt in u.letters)
+    a = min(counts, key=lambda x: (counts[x], x))
+    q, target = next(_anchored_cuts(v, a))
+    found = [q * p.inverse() for p, d in _anchored_cuts(u, a) if d == target]
+    return min(found, key=Element.shortlex_key, default=None)
+
+
+def conjugate(g, h):
     """Decide conjugacy of g and h.
 
-    Returns Conjugate (verified witness), NotConjugate (naming the
-    separating invariant), or, if every exact route and the bounded
-    fallback search are exhausted, Inconclusive.
+    Returns Conjugate (verified witness) or NotConjugate (naming the
+    separating invariant). Cyclically reduced conjugates have one support;
+    its pure factors commute with each other, and each pair of factors is
+    decided by anchored cuts (Servatius 1989; Crisp-Godelle-Wiest 2009).
     """
     graph = g.graph
     if g == h:
@@ -431,48 +413,15 @@ def conjugate(g, h, fallback_radius=6):
     ch, hcore = h.cyclic_normal_form()
     if gcore.support() != hcore.support():
         return NotConjugate("cyclic-support")
-    supp = gcore.support()
-    if supp != frozenset(range(graph.n)):
-        sub = graph.full_subgraph(sorted(supp))
-        res = conjugate(gcore.restrict(sub), hcore.restrict(sub), fallback_radius)
-        if isinstance(res, Conjugate):
-            sigma = ch * res.conjugator.embed(graph) * cg.inverse()
-            verify(sigma * g * sigma.inverse() == h, "conjugator")
-            return Conjugate(sigma, res.note)
-        return res
-    if graph.is_complete():
-        # equal abelianisations on a complete graph force equality
-        return NotConjugate("abelianization")
-    t = graph.n - 1
-    split = hnn.HnnSplitting(graph, t)
-    c1, u = hnn.cyclically_reduce(split, gcore)
-    c2, v = hnn.cyclically_reduce(split, hcore)
-    assert u.n >= 1 and v.n >= 1
-    big_g = cg * c1
-    big_h = ch * c2
-    saw_inconclusive = False
-    if u.n == v.n:
-        for k in range(v.n):
-            vk = v.rotated(k)
-            if vk.exponents != u.exponents:
-                continue
-            res = hnn.minasyan_conjugate_under(
-                split, u, vk, split.assoc, _tester, _service
-            )
-            if res is cosets.INCONCLUSIVE:
-                saw_inconclusive = True
-            elif not isinstance(res, hnn.NoConjugator):
-                sigma = big_h * v.full_prefix(split, k) * res * big_g.inverse()
-                verify(sigma * g * sigma.inverse() == h, "conjugator")
-                return Conjugate(sigma)
-    if not saw_inconclusive:
-        return NotConjugate("cyclic-normal-form")
-    fallback = ball_oracle_conjugate(g, h, fallback_radius)
-    if isinstance(fallback, Conjugate):
-        return fallback
-    return Inconclusive(
-        f"no decision within conjugator radius {fallback_radius}"
-    )
+    sigma = _one(graph)
+    for comp in _pure_factor_supports(graph, gcore.support()):
+        tau = _factor_conjugator(gcore.retract(comp), hcore.retract(comp))
+        if tau is None:
+            return NotConjugate("cyclic-normal-form")
+        sigma = sigma * tau
+    sigma = ch * sigma * cg.inverse()
+    verify(sigma * g * sigma.inverse() == h, "conjugator")
+    return Conjugate(sigma)
 
 
 def avoid_subgroup(g):

@@ -26,7 +26,6 @@ __all__ = [
     "HnnWord",
     "NoConjugator",
     "decompose",
-    "cyclically_reduce",
     "minasyan_conjugate_under",
 ]
 
@@ -85,22 +84,12 @@ class HnnWord:
             out = out * x
         return out
 
-    def full_prefix(self, split, k):
-        """x0 t^a1 x1 ... t^ak xk as an element."""
+    def to_element(self, split):
+        """x0 t^a1 x1 ... t^an xn as an element."""
         out = self.head
-        for a, x in self.syllables[:k]:
+        for a, x in self.syllables:
             out = out * split.t(a) * x
         return out
-
-    def to_element(self, split):
-        return self.full_prefix(split, self.n)
-
-    def rotated(self, k):
-        """Whole-syllable rotation moving the first k syllables to the back;
-        requires a trivial head. The result equals p^-1 * self * p for
-        p = full_prefix(split, k)."""
-        assert self.head.is_identity()
-        return HnnWord(self.head, self.syllables[k:] + self.syllables[:k])
 
 
 def decompose(split, g):
@@ -134,52 +123,6 @@ def decompose(split, g):
     for k in range(len(syllables) - 1):
         assert not split.in_assoc(syllables[k][1]), "interior syllable pinches"
     return HnnWord(head, syllables)
-
-
-def cyclically_reduce(split, g):
-    """Return (conj, word) with g == conj * w * conj^-1, where w is the
-    element of the cyclically reduced HnnWord `word`.
-
-    The output has a trivial head, and either n == 0 (word.head is then the
-    cyclic normal form of a base element, stored in the head slot with no
-    syllables) or the last base part avoids the associated subgroup unless
-    n == 1. Rewrites happen at the syllable level throughout: re-deriving
-    the syllable form from a canonical word could re-expose associated
-    letters in front of the first pivot run and loop forever.
-    """
-    graph = split.graph
-    identity = Element(graph, (), canonical=True)
-    conj = identity
-    hw = decompose(split, g)
-    head, syls = hw.head, list(hw.syllables)
-    while True:
-        if not syls:
-            c2, core = head.cyclic_normal_form()
-            return conj * c2, HnnWord(core, ())
-        if not head.is_identity():
-            if split.in_assoc(head):
-                # slide through the first pivot run, which it commutes with
-                a1, x1 = syls[0]
-                syls[0] = (a1, head * x1)
-            else:
-                conj = conj * head
-                an, xn = syls[-1]
-                syls[-1] = (an, xn * head)
-            head = identity
-            continue
-        an, xn = syls[-1]
-        if len(syls) >= 2 and (xn.is_identity() or split.in_assoc(xn)):
-            # rotate the final syllable to the front; its base part commutes
-            # with the pivot, so the two pivot runs merge
-            conj = conj * xn.inverse() * split.t(-an)
-            a1, x1 = syls[0]
-            merged = (an + a1, xn * x1)
-            syls = [merged] + syls[1:-1]
-            if merged[0] == 0:
-                head = merged[1]
-                syls = syls[1:]
-            continue
-        return conj, HnnWord(head, tuple(syls))
 
 
 @dataclass(frozen=True)

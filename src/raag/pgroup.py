@@ -71,6 +71,19 @@ class WitnessParams:
     def order_b(self):
         return self.order_a * self.p**self.r
 
+    @property
+    def enumerable(self):
+        """Whether |B| = p^(n + s(m-2) + 2r) is at most ENUMERATION_GUARD.
+
+        The exponent is bounded before p^r or |B| is formed, so huge
+        parameters are refused at once.
+        """
+        limit = ENUMERATION_GUARD.bit_length() - 1
+        if self.n + 2 * self.r > limit:
+            return False
+        e = self.n + self.s * (self.m - 2) + 2 * self.r
+        return e <= limit and self.p**e <= ENUMERATION_GUARD
+
 
 @dataclass(frozen=True)
 class PGroupElement:
@@ -173,8 +186,11 @@ class WitnessGroup:
         if k < 0:
             return self.power(self.inverse(x), -k)
         out = self.identity()
-        for _ in range(k):
-            out = self.multiply(out, x)
+        while k:
+            if k & 1:
+                out = self.multiply(out, x)
+            x = self.multiply(x, x)
+            k >>= 1
         return out
 
     def conjugate(self, x, by):
@@ -197,7 +213,7 @@ class WitnessGroup:
         raise ValueError(f"unknown generator {name!r}")
 
     def elements(self):
-        if self.params.order_b > ENUMERATION_GUARD:
+        if not self.params.enumerable:
             raise ValueError("group too large to enumerate")
         ranges = [range(q) for q in self.moduli]
         ranges.append(range(self.params.p**self.params.r))

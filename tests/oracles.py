@@ -1,9 +1,10 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here is deliberately written with machinery different from the
-package: rewriting closures over raw tuples, generating function
-recurrences, and brute force enumeration. Agreement with the package is
-then a meaningful check rather than a tautology.
+Everything here except the ball searches at the end is deliberately
+written with machinery different from the package: rewriting closures
+over raw tuples, generating function recurrences, and brute force
+enumeration. Agreement with the package is then a meaningful check rather
+than a tautology.
 
 Words are tuples of signed ints, vertex i appearing as +-(i+1). A graph is
 given by its adjacency: a list of frozensets of neighbour indices.
@@ -12,6 +13,7 @@ given by its adjacency: a list of frozensets of neighbour indices.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -184,3 +186,150 @@ def poincare_series_product(dims, upto):
         series = new
     assert all(x.denominator == 1 for x in series)
     return [int(x) for x in series]
+
+
+# ---------------------------------------------------------------------------
+# conjugacy: the Liu-Wrathall-Zeger orbit test
+
+
+def reference_cyclic_class(adj, word, memo=None):
+    """A representative of the conjugacy class of `word`.
+
+    Liu, Wrathall and Zeger: cyclically reduced words of conjugate elements
+    are joined by commuting swaps and moves of the front letter to the
+    back. The closure of the word under those two moves is explored; when
+    a free cancellation shows up, between neighbours or around the cycle,
+    the search restarts from the shortened word. Every word seen along the
+    way shares the answer, the least word of the final closure.
+    """
+    if memo is None:
+        memo = {}
+    word = tuple(word)
+    if word in memo:
+        return memo[word]
+    seen = {word}
+    stack = [word]
+    shorter = None
+    while stack and shorter is None:
+        w = stack.pop()
+        if len(w) >= 2 and w[0] == -w[-1]:
+            shorter = w[1:-1]
+            break
+        moves = [w[1:] + w[:1]]
+        for i in range(len(w) - 1):
+            a, b = w[i], w[i + 1]
+            if a == -b:
+                shorter = w[:i] + w[i + 2:]
+                break
+            if abs(a) != abs(b) and abs(b) - 1 in adj[abs(a) - 1]:
+                moves.append(w[:i] + (b, a) + w[i + 2:])
+        for nxt in moves:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    if shorter is not None:
+        result = reference_cyclic_class(adj, shorter, memo)
+    else:
+        result = min(seen)
+    for w in seen:
+        memo[w] = result
+    return result
+
+
+# ---------------------------------------------------------------------------
+# ball searches over the package's own arithmetic
+#
+# These enumerate with raag's Element, so agreement with them checks the
+# decision procedures, not the word arithmetic underneath.
+
+
+def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
+    """Elements of <gens> of reduced length at most max_len, by a bounded
+    product sweep.
+
+    Intermediate products may overshoot max_len by `slack` plus the longest
+    generator before they are pruned, which in practice recovers every
+    short element of the subgroups this package produces; the sweep makes
+    no completeness promise beyond that.
+    """
+    from raag.words import Element
+
+    one = Element(graph)
+    gens = [g for g in gens if g]
+    if not gens:
+        return {one}
+    step = gens + [g.inverse() for g in gens]
+    limit = max_len + slack + max(len(g) for g in gens)
+    seen = {one}
+    frontier = [one]
+    while frontier and len(seen) < cap:
+        new = []
+        for w in frontier:
+            for s in step:
+                nxt = w * s
+                if len(nxt) > limit or nxt in seen:
+                    continue
+                seen.add(nxt)
+                new.append(nxt)
+                if len(seen) >= cap:
+                    break
+            if len(seen) >= cap:
+                break
+        frontier = new
+    return {w for w in seen if len(w) <= max_len}
+
+
+@dataclass(frozen=True)
+class NotInBall:
+    """No conjugator exists within the searched radius."""
+
+    radius: int
+
+
+def ball_oracle_conjugate(g, h, radius):
+    """Decide existence of a conjugator of reduced length at most `radius`
+    by meeting in the middle.
+
+    Conjugation orbits of depth floor(r/2) from g and ceil(r/2) from h are
+    expanded; any conjugator of length <= r splits across the two sweeps,
+    so within the radius the decision is exact. Returns Conjugate with the
+    shortlex-least witness found, or NotInBall.
+    """
+    from raag.conjugacy import Conjugate
+    from raag.words import Element
+
+    graph = g.graph
+    one = Element(graph)
+    gens = [Element(graph, (i + 1,)) for i in range(graph.n)]
+    gens += [x.inverse() for x in gens]
+
+    def orbit(start, depth):
+        table = {start: one}
+        frontier = [start]
+        for _ in range(depth):
+            new = []
+            for w in frontier:
+                s = table[w]
+                for x in gens:
+                    nw = x * w * x.inverse()
+                    if nw not in table:
+                        table[nw] = x * s
+                        new.append(nw)
+            frontier = new
+        return table
+
+    side_g = orbit(g, radius // 2)
+    side_h = orbit(h, radius - radius // 2)
+    best = None
+    for w, tau in side_h.items():
+        s2 = side_g.get(w)
+        if s2 is None:
+            continue
+        sigma = tau.inverse() * s2
+        if best is None or sigma.shortlex_key() < best.shortlex_key():
+            best = sigma
+    if best is None:
+        return NotInBall(radius)
+    if best * g * best.inverse() != h:
+        raise AssertionError("ball-search conjugator fails to conjugate")
+    return Conjugate(best)

@@ -12,9 +12,12 @@ import time
 import pytest
 
 from oracles import (
+    NotInBall,
     all_words,
+    ball_oracle_conjugate,
     poincare_series_product,
     reference_normal_form,
+    subgroup_ball,
     trace_monoid_growth,
     witt_free_lie_dims,
 )
@@ -22,14 +25,11 @@ from raag.conjugacy import (
     Conjugate,
     Inconclusive,
     NotConjugate,
-    NotInBall,
     _service,
     _tester,
-    ball_oracle_conjugate,
     cayley_ball,
     centralizer,
     conjugate,
-    subgroup_ball,
 )
 from raag.cosets import (
     INCONCLUSIVE,

@@ -39,6 +39,8 @@ def corrupted(name, call):
 # b is not in <a> 1 <a>; a lying tester claims the cores are conjugate
 corrupted("double coset", lambda: cosets.in_double_coset(b, one, {0}, {0}, lambda u, v, s: one))
 with mock.patch.object(cosets, "coset_intersection_nonempty", lambda *args, **kw: a**5):
+    corrupted("conjugate under", lambda: conjugacy.conjugate_under(ab, ba, {0}))
+with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
 with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
@@ -59,6 +61,7 @@ def test_corrupted_witnesses_raise_under_optimize():
     assert lines[0] == "asserts stripped"
     assert [line.split(":")[0] for line in lines[1:]] == [
         "double coset raised",
+        "conjugate under raised",
         "conjugate raised",
         "centralizer raised",
         "magnus unit raised",

@@ -167,6 +167,40 @@ def test_pgroup_witness_golden(capsys):
     assert "relations hold: YES" in out
 
 
+PGROUP_GOLDEN = {
+    ("2", "3", "2", "1"): (
+        "params: p=2 n=3 r=2 s=1\n|A| = 256\n|B| = 1024\norder(alpha) = 4\n"
+        "relations hold: YES\nclass(phi_g) size = 4\n"
+        "phi_h conjugate to phi_g: NO\n"
+    ),
+    ("3", "2", "1", "1"): (
+        "params: p=3 n=2 r=1 s=1\n|A| = 243\n|B| = 729\norder(alpha) = 3\n"
+        "relations hold: YES\nclass(phi_g) size = 3\n"
+        "phi_h conjugate to phi_g: NO\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("params", sorted(PGROUP_GOLDEN))
+def test_pgroup_witness_full_output(capsys, params):
+    p, n, r, s = params
+    code, out, _ = run(capsys, "pgroup-witness", "-p", p, "-n", n, "-r", r, "-s", s)
+    assert (code, out) == (0, PGROUP_GOLDEN[params])
+
+
+def test_pgroup_witness_too_large_exits_one(capsys):
+    # |B| = 2^32: refused before anything is printed or multiplied
+    code, out, err = run(capsys, "pgroup-witness", "-p", "2", "-n", "30", "-r", "1", "-s", "1")
+    assert (code, out) == (1, "") and "error:" in err
+
+
+def test_lie_dims_bad_degree_exits_one(graphs, capsys):
+    code, out, err = run(
+        capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "0"
+    )
+    assert (code, out) == (1, "") and "error:" in err
+
+
 def test_output_is_stable(graphs, capsys):
     args = ("conjugate", "--graph", graphs["path3"], "a b c", "c b a")
     first = run(capsys, *args)

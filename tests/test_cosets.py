@@ -2,6 +2,7 @@
 
 import random
 
+from oracles import subgroup_ball
 from raag.graphs import Graph
 from raag.words import Element, parse
 from raag import conjugacy
@@ -59,7 +60,7 @@ def rand_special(rng, graph, verts, length):
 
 def subgroup_elements(graph, verts, max_len):
     gens = [Element(graph, (v + 1,)) for v in sorted(verts)]
-    return conjugacy.subgroup_ball(graph, gens, max_len, slack=4)
+    return subgroup_ball(graph, gens, max_len, slack=4)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +199,7 @@ def test_intersect_conjugated_matches_ball():
             }
             got = {
                 w
-                for w in conjugacy.subgroup_ball(graph, conj_gens, 3, slack=6)
+                for w in subgroup_ball(graph, conj_gens, 3, slack=6)
                 if len(w) <= 3
             }
             assert got == brute
@@ -228,7 +229,7 @@ def test_state_fold_matches_brute_force():
             }
             got = {
                 w
-                for w in conjugacy.subgroup_ball(graph, list(gens), 3, slack=6)
+                for w in subgroup_ball(graph, list(gens), 3, slack=6)
                 if len(w) <= 3
             }
             assert got == brute
@@ -254,7 +255,7 @@ def test_state_two_folds_match_brute_force():
         }
         got = {
             w
-            for w in conjugacy.subgroup_ball(graph, list(gens), 3, slack=6)
+            for w in subgroup_ball(graph, list(gens), 3, slack=6)
             if len(w) <= 3
         }
         assert got == brute

@@ -1,7 +1,7 @@
 import random
 
 from raag import Element, Graph, parse
-from raag.hnn import HnnSplitting, cyclically_reduce, decompose
+from raag.hnn import HnnSplitting, decompose
 
 PATH_ATB = Graph(["a", "t", "b"], [("a", "t"), ("t", "b")])
 FREE_AT = Graph(["a", "t"], [])
@@ -46,96 +46,3 @@ def test_decompose_roundtrip_random():
                     1 if lt == pivot + 1 else -1 if lt == -(pivot + 1) else 0
                     for lt in g.letters
                 )
-
-
-def test_cyclically_reduce_strip():
-    split = HnnSplitting(FREE_AT, 1)
-    g = parse(FREE_AT, "a t")
-    conj, w = cyclically_reduce(split, g)
-    assert conj == parse(FREE_AT, "a")
-    assert w.head.is_identity() and w.exponents == (1,)
-    assert conj * w.to_element(split) * conj.inverse() == g
-
-
-def test_cyclically_reduce_rotation_merges_runs():
-    split = HnnSplitting(FREE_AT, 1)
-    # trailing pivot runs merge cyclically into the leading one, so
-    # t a t becomes t^2 a up to conjugacy and the syllable count drops
-    for text, n_expected in [
-        ("t a t", 1),
-        ("t a t^-1 a", 2),
-        ("a^-1 t a", 1),
-        ("t^2 a t^-1", 1),
-        ("t^3", 1),
-    ]:
-        g = parse(FREE_AT, text)
-        conj, w = cyclically_reduce(split, g)
-        assert conj * w.to_element(split) * conj.inverse() == g, text
-        assert w.n == n_expected, (text, w)
-
-
-def test_cyclically_reduce_slide_through_assoc():
-    # b lies in the link of t here, so a trailing or leading b slides
-    # through the pivot runs instead of being stripped
-    graph = Graph(["a", "b", "t"], [("b", "t")])
-    split = HnnSplitting(graph, 2)
-    g = parse(graph, "b t a")
-    conj, w = cyclically_reduce(split, g)
-    assert conj * w.to_element(split) * conj.inverse() == g
-    assert w.n == 1
-    # and the conjugacy-class invariant pivot count survives
-    g = parse(graph, "t b a t^-1 a")
-    conj, w = cyclically_reduce(split, g)
-    assert conj * w.to_element(split) * conj.inverse() == g
-
-
-def test_cyclically_reduce_random_invariants():
-    rng = random.Random(5150)
-    for graph in (PATH_ATB, FREE_AT, EDGE_ISO):
-        for pivot in range(graph.n):
-            split = HnnSplitting(graph, pivot)
-            for _ in range(80):
-                letters = tuple(
-                    rng.choice([1, -1]) * rng.randrange(1, graph.n + 1)
-                    for _ in range(rng.randrange(0, 12))
-                )
-                g = Element(graph, letters)
-                conj, w = cyclically_reduce(split, g)
-                assert conj * w.to_element(split) * conj.inverse() == g
-                if w.n == 0:
-                    continue
-                assert w.head.is_identity()
-                assert all(a != 0 for a in w.exponents)
-                # interior parts and, for n >= 2, the final part are honest
-                for k in range(w.n - 1):
-                    assert not split.in_assoc(w.syllables[k][1])
-                if w.n >= 2:
-                    xn = w.syllables[-1][1]
-                    assert not xn.is_identity() and not split.in_assoc(xn)
-                # exponent sum is a conjugacy invariant and must be preserved
-                assert sum(w.exponents) == sum(
-                    1 if lt == pivot + 1 else -1 if lt == -(pivot + 1) else 0
-                    for lt in g.letters
-                )
-
-
-def test_rotation_is_prefix_conjugation():
-    rng = random.Random(808)
-    for graph in (FREE_AT, EDGE_ISO):
-        for pivot in range(graph.n):
-            split = HnnSplitting(graph, pivot)
-            for _ in range(40):
-                letters = tuple(
-                    rng.choice([1, -1]) * rng.randrange(1, graph.n + 1)
-                    for _ in range(rng.randrange(0, 10))
-                )
-                conj, w = cyclically_reduce(split, Element(graph, letters))
-                if w.n == 0:
-                    continue
-                u = w.to_element(split)
-                for k in range(w.n):
-                    p = w.full_prefix(split, k)
-                    assert (
-                        w.rotated(k).to_element(split)
-                        == p.inverse() * u * p
-                    )

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from raag.pgroup import (
+    ENUMERATION_GUARD,
     PGroupElement,
     WitnessGroup,
     WitnessParams,
@@ -153,3 +154,33 @@ def test_enumeration_guard():
     group = build_witness_group(params)
     with pytest.raises(ValueError):
         group.conjugacy_class(group.identity())
+    assert not params.enumerable
+
+
+def test_enumerable_matches_order():
+    for args in CONFIRMED + [(2, 19, 1, 1), (2, 5, 4, 4), (5, 3, 1, 1)]:
+        params = WitnessParams(*args)
+        assert params.enumerable == (params.order_b <= ENUMERATION_GUARD)
+    # p^r + 1 generators: refused without building anything of that size
+    assert not WitnessParams(2, 60, 59, 1).enumerable
+    assert not WitnessParams(1_000_003, 2, 1, 1).enumerable
+
+
+def test_power_matches_repeated_multiplication(group):
+    rng = random.Random(11)
+    x = group.element(
+        [rng.randrange(q) for q in group.moduli], rng.randrange(group.params.p)
+    )
+    step = group.identity()
+    for k in range(12):
+        assert group.power(x, k) == step
+        assert group.power(x, -k) == group.inverse(step)
+        step = group.multiply(step, x)
+
+
+def test_power_of_huge_exponent_is_fast():
+    group = WitnessGroup(WitnessParams(2, 30, 1, 1))
+    g = group.phi("g")
+    assert group.power(g, 2**30) == group.identity()
+    assert group.power(g, 2**29) != group.identity()
+    assert group.verify_relations()
