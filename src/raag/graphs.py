@@ -31,6 +31,7 @@ class Graph:
         for name in self.vertices:
             if not isinstance(name, str) or not name:
                 raise ValueError("vertex names must be nonempty strings")
+        self.n = len(self.vertices)
         self.index = {name: i for i, name in enumerate(self.vertices)}
         adj = [set() for _ in self.vertices]
         for e in edges:
@@ -50,10 +51,6 @@ class Graph:
             tuple(j for j in range(self.n) if j != i and j not in self.adj[i])
             for i in range(self.n)
         ]
-
-    @property
-    def n(self):
-        return len(self.vertices)
 
     def adjacent(self, i, j):
         return j in self.adj[i]

@@ -62,10 +62,8 @@ class WitnessParams:
 
     @property
     def order_a(self):
-        out = 1
-        for q in self.moduli:
-            out *= q
-        return out
+        """|A|, the product of the moduli in closed form."""
+        return self.p ** (self.n + self.s * (self.m - 2) + self.r)
 
     @property
     def order_b(self):

@@ -7,15 +7,22 @@ defining graph, so reduced words form a trace and the canonical word is a
 well defined normal form: elements are equal iff their canonical words are
 identical tuples.
 
-Canonicalisation is done with a piling construction. Every vertex carries
-a deque. Pushing a letter appends its sign to its own vertex's pile and an
-anonymous marker to the pile of every vertex it fails to commute with. If
-the letter's own pile instead exposes the inverse sign at its back, the
-pair cancels: the back of the pile is removed together with one marker
-from the back of each dependent pile (everything above the partner's
-marker on those piles is itself a marker, so the anonymous pop is exact).
-Reading the piles front to back, always emitting the smallest vertex whose
-front entry is a real letter, produces the canonical word.
+Canonicalisation is done with a piling construction, the heap of pieces
+of Crisp-Godelle-Wiest. Every vertex carries a deque. Pushing a letter
+appends it to its own vertex's pile and an anonymous marker (0) to the
+pile of every vertex it fails to commute with. If the letter's own pile
+instead exposes the inverse letter at its back, the pair cancels: the back
+of the pile is removed together with one marker from the back of each
+dependent pile (everything above the partner's marker on those piles is
+itself a marker, so the anonymous pop is exact). A vertex is ready when
+its pile has a real letter at the front. Repeatedly emitting the front
+letter of the smallest ready vertex, with one front marker from each
+dependent pile (exact by the same argument), produces the canonical word;
+the ready vertices are kept in a min-heap.
+
+Cyclic reduction peels the same heap from both ends: while some vertex has
+a real front x and a real back x^-1, both go, with one front and one back
+marker from each dependent pile, and x joins the conjugator.
 
 Letters are signed integers: vertex i appears as +-(i+1).
 """
@@ -23,6 +30,7 @@ Letters are signed integers: vertex i appears as +-(i+1).
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 
 __all__ = ["Element", "parse", "gen"]
 
@@ -32,43 +40,40 @@ def _pile(graph, letters):
     dependents = graph.dependents
     for lt in letters:
         v = lt - 1 if lt > 0 else -lt - 1
-        s = 1 if lt > 0 else -1
         pile = piles[v]
-        if pile and pile[-1] == -s:
+        if pile and pile[-1] == -lt:
             pile.pop()
             for j in dependents[v]:
                 piles[j].pop()
         else:
-            pile.append(s)
+            pile.append(lt)
             for j in dependents[v]:
                 piles[j].append(0)
     return piles
 
 
 def _depile(graph, piles):
-    out = []
     dependents = graph.dependents
-    while True:
-        for v in range(graph.n):
-            pile = piles[v]
-            if pile and pile[0] != 0:
-                s = pile.popleft()
-                out.append((v + 1) * s)
-                for j in dependents[v]:
-                    piles[j].popleft()
-                break
-        else:
-            return tuple(out)
+    # Two ready vertices never depend on each other, so a vertex is pushed
+    # only while absent and sits in the heap at most once.
+    ready = [v for v in range(graph.n) if piles[v] and piles[v][0]]
+    out = []
+    while ready:
+        v = ready[0]
+        pile = piles[v]
+        out.append(pile.popleft())
+        if not (pile and pile[0]):
+            heappop(ready)
+        for j in dependents[v]:
+            other = piles[j]
+            other.popleft()
+            if other and other[0]:
+                heappush(ready, j)
+    return tuple(out)
 
 
 def _canonical(graph, letters):
     return _depile(graph, _pile(graph, letters))
-
-
-def _commutes_with_all(graph, letter, letters):
-    v = abs(letter) - 1
-    adj = graph.adj[v]
-    return all(abs(other) - 1 == v or abs(other) - 1 in adj for other in letters)
 
 
 class Element:
@@ -149,29 +154,32 @@ class Element:
 
     def cyclic_normal_form(self):
         """Split self as (conj, core) with self == conj * core * conj^-1 and
-        core of minimal length in the conjugacy class up to this splitting,
-        i.e. no letter can be cancelled around the cycle."""
+        core cyclically reduced (no x at its front with x^-1 at its back).
+
+        Peeling (see the module docstring) re-examines only the vertices
+        whose piles changed. Peelable vertices commute pairwise and stay
+        peelable when another is peeled, so the result is order-free."""
         graph = self.graph
-        conj = Element(graph, (), canonical=True)
-        core = self
-        changed = True
-        while changed and core.letters:
-            changed = False
-            c = core.letters
-            n = len(c)
-            for i in range(n):
-                x = c[i]
-                if not _commutes_with_all(graph, x, c[:i]):
-                    continue
-                for j in range(n - 1, i, -1):
-                    if c[j] == -x and _commutes_with_all(graph, x, c[j + 1:]):
-                        conj = conj * Element(graph, (x,), canonical=True)
-                        core = Element(graph, c[:i] + c[i + 1:j] + c[j + 1:])
-                        changed = True
-                        break
-                if changed:
-                    break
-        return conj, core
+        dependents = graph.dependents
+        piles = _pile(graph, self.letters)
+        peeled = []
+        work = list(range(graph.n))
+        while work:
+            v = work.pop()
+            pile = piles[v]
+            x = pile[0] if pile else 0
+            if x and pile[-1] == -x:
+                pile.popleft()
+                pile.pop()
+                for j in dependents[v]:
+                    other = piles[j]
+                    other.popleft()
+                    other.pop()
+                peeled.append(x)
+                work.append(v)
+                work.extend(dependents[v])
+        core = Element(graph, _depile(graph, piles), canonical=True)
+        return Element(graph, peeled), core
 
     def cyclic_support(self):
         return self.cyclic_normal_form()[1].support()

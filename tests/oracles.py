@@ -237,6 +237,65 @@ def reference_cyclic_class(adj, word, memo=None):
 
 
 # ---------------------------------------------------------------------------
+# the piling kernel's straightforward algorithms
+#
+# The package reads piles through a heap of ready vertices and cyclically
+# reduces by peeling its heap once. These are the direct versions: a scan
+# over every vertex per emitted letter, and one cancelled pair per pass.
+
+
+def scan_depile(graph, piles):
+    """Read the canonical word off piles built by raag.words._pile (a
+    vertex's own letters, 0 for a marker) by scanning for the smallest
+    vertex with a real front letter before every emission."""
+    out = []
+    while True:
+        for v in range(graph.n):
+            pile = piles[v]
+            if pile and pile[0] != 0:
+                out.append(pile.popleft())
+                for j in graph.dependents[v]:
+                    piles[j].popleft()
+                break
+        else:
+            return tuple(out)
+
+
+def reference_cyclic_normal_form(g):
+    """(conj, core) with g == conj * core * conj^-1, cancelling one pair
+    per pass: the first letter x that moves to the front of the canonical
+    word for which some x^-1 moves to its back, then re-canonicalising."""
+    from raag.words import Element
+
+    graph = g.graph
+
+    def commutes_with_all(x, letters):
+        v = abs(x) - 1
+        return all(abs(y) - 1 == v or abs(y) - 1 in graph.adj[v] for y in letters)
+
+    conj = Element(graph, (), canonical=True)
+    core = g
+    changed = True
+    while changed and core.letters:
+        changed = False
+        c = core.letters
+        n = len(c)
+        for i in range(n):
+            x = c[i]
+            if not commutes_with_all(x, c[:i]):
+                continue
+            for j in range(n - 1, i, -1):
+                if c[j] == -x and commutes_with_all(x, c[j + 1:]):
+                    conj = conj * Element(graph, (x,), canonical=True)
+                    core = Element(graph, c[:i] + c[i + 1:j] + c[j + 1:])
+                    changed = True
+                    break
+            if changed:
+                break
+    return conj, core
+
+
+# ---------------------------------------------------------------------------
 # ball searches over the package's own arithmetic
 #
 # These enumerate with raag's Element, so agreement with them checks the

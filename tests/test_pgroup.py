@@ -43,6 +43,16 @@ def test_small_case_orders():
     assert params.order_b == 32
 
 
+@pytest.mark.parametrize("args", [(2, 3, 2, 1), (3, 2, 1, 1), (5, 3, 2, 1)])
+def test_order_a_is_the_product_of_the_moduli(args):
+    params = WitnessParams(*args)
+    product = 1
+    for q in params.moduli:
+        product *= q
+    assert params.order_a == product
+    assert params.order_b == params.order_a * params.p**params.r
+
+
 def test_alpha_order_is_p_to_r(group):
     p = group.params
     assert group.alpha_order() == p.p**p.r

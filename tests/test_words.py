@@ -3,8 +3,14 @@ import random
 import pytest
 
 from raag import Element, Graph, gen, parse
+from raag.words import _canonical, _pile
 
-from oracles import reference_normal_form, reference_reduced_words
+from oracles import (
+    reference_cyclic_normal_form,
+    reference_normal_form,
+    reference_reduced_words,
+    scan_depile,
+)
 
 F2 = Graph(["a", "b"], [])
 K2 = Graph(["a", "b"], [("a", "b")])
@@ -12,6 +18,28 @@ P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 TRI = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 EDGE_ISO = Graph(["a", "b", "c"], [("a", "b")])
 F3 = Graph(["a", "b", "c"], [])
+P4 = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+C5 = Graph(
+    ["a", "b", "c", "d", "e"],
+    [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+)
+
+
+def _gnp(seed, n):
+    """A seeded random graph G(n, 1/2)."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    edges = [
+        (names[i], names[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    ]
+    return Graph(names, edges)
+
+
+RAND8 = _gnp(8, 8)
+RAND32 = _gnp(32, 32)
 
 GRAPHS = {"f2": F2, "k2": K2, "p3": P3, "tri": TRI, "edge_iso": EDGE_ISO, "f3": F3}
 
@@ -143,6 +171,67 @@ def test_cyclic_form_examples():
     assert parse(TRI, "c a b c^-1").cyclic_normal_form()[1] == parse(TRI, "a b")
 
 
+def test_cyclic_normal_form_matches_reference():
+    rng = random.Random(20261018)
+    for graph in (F2, K2, P3, TRI, EDGE_ISO, C5, RAND8):
+        for k in range(300):
+            if k % 2:
+                g = Element(graph, _raw_word(rng, graph, rng.randrange(0, 61)))
+            else:
+                # s w s^-1 with a long conjugator s
+                s = Element(graph, _raw_word(rng, graph, rng.randrange(10, 26)))
+                w = Element(graph, _raw_word(rng, graph, rng.randrange(0, 11)))
+                g = s * w * s.inverse()
+            conj, core = g.cyclic_normal_form()
+            ref_conj, ref_core = reference_cyclic_normal_form(g)
+            assert conj.letters == ref_conj.letters, g
+            assert core.letters == ref_core.letters, g
+
+
+def test_cyclic_normal_form_canonicalises_at_most_twice(monkeypatch):
+    calls = []
+
+    def counted(graph, letters):
+        calls.append(len(letters))
+        return _canonical(graph, letters)
+
+    monkeypatch.setattr("raag.words._canonical", counted)
+    rng = random.Random(77)
+    longest = 0
+    for graph in (P3, C5, RAND8):
+        for _ in range(40):
+            s = Element(graph, _raw_word(rng, graph, 30))
+            w = Element(graph, _raw_word(rng, graph, 8))
+            g = s * w * s.inverse()
+            calls.clear()
+            conj, core = g.cyclic_normal_form()
+            assert len(calls) <= 2, (g, len(conj))
+            longest = max(longest, len(conj))
+    # one canonicalisation per peeled pair would have shown above
+    assert longest >= 20
+
+
+def test_cyclic_normal_form_of_a_long_conjugate():
+    rng = random.Random(2000)
+    s = _raw_word(rng, RAND8, 9990)
+    w = Element(RAND8, _raw_word(rng, RAND8, 20))
+    g = Element(RAND8, s + w.letters + tuple(-x for x in reversed(s)))
+    conj, core = g.cyclic_normal_form()
+    assert len(core) == len(w.cyclic_normal_form()[1])
+    assert conj * core * conj.inverse() == g
+
+
+@pytest.mark.parametrize("graph", [RAND32, P4], ids=["rand32", "p4"])
+def test_heap_depile_matches_scan(graph):
+    rng = random.Random(32)
+    for length in (100, 1000):
+        for _ in range(20):
+            word = _raw_word(rng, graph, length)
+            canon = _canonical(graph, word)
+            assert scan_depile(graph, _pile(graph, word)) == canon
+            assert _canonical(graph, canon) == canon
+
+
 def test_parse_and_print():
     assert parse(P3, "1").is_identity()
     assert parse(P3, "").is_identity()
@@ -196,12 +285,11 @@ def test_reference_reduced_words_agree_with_engine():
             assert Element(graph, w).letters == w
 
 
-def _random_element(rng, graph, max_len):
-    length = rng.randrange(0, max_len + 1)
-    return Element(
-        graph,
-        tuple(
-            rng.choice([1, -1]) * rng.randrange(1, graph.n + 1)
-            for _ in range(length)
-        ),
+def _raw_word(rng, graph, length):
+    return tuple(
+        rng.choice([1, -1]) * rng.randrange(1, graph.n + 1) for _ in range(length)
     )
+
+
+def _random_element(rng, graph, max_len):
+    return Element(graph, _raw_word(rng, graph, rng.randrange(0, max_len + 1)))
