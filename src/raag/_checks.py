@@ -1,7 +1,7 @@
 """Checks that stay on under ``python -O``.
 
-Returned witnesses and caller-supplied primes are checked with these
-helpers rather than with ``assert``, which ``-O`` strips.
+Returned witnesses, reduced forms and caller-supplied primes are checked
+with these helpers rather than with ``assert``, which ``-O`` strips.
 """
 
 from __future__ import annotations

@@ -17,10 +17,12 @@ centralizer theorem: the primitive roots of the pure factors of its
 cyclic normal form, times the special subgroup on their common link.
 Centralizers of sets inside a special subgroup peel one pivot at a time,
 folding the resulting membership constraints into the exact state
-machinery of module cosets until a terminal shape (complete graph,
-central vertices, free group, single element) takes over. Centralizers
-never call a conjugacy decision; `conjugate_under` calls them, through
-the coset search.
+machinery of module cosets, until every element lies in the subgroup.
+There a join splits into its factors, and otherwise the same theorem puts
+the centralizer inside a conjugate of a smaller special subgroup (or of
+the cyclic group on one primitive root), so every answer is exact.
+Centralizers never call a conjugacy decision; `conjugate_under` calls
+them, through the coset search.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ __all__ = [
     "centralizer",
     "centralizer_in_special",
     "avoid_subgroup",
-    "cayley_ball",
 ]
 
 
@@ -78,39 +79,7 @@ def _vertex_gens(graph, verts):
 
 
 # ---------------------------------------------------------------------------
-# ball enumeration
-
-
-def cayley_ball(graph, radius):
-    """Set of all elements of reduced length at most `radius`.
-
-    Prefixes of canonical words are canonical, so every element of length
-    L+1 is a length-L element times one letter that makes the word longer;
-    the length-increasing sweep is therefore exhaustive.
-    """
-    out = {_one(graph)}
-    frontier = list(out)
-    letters = [i + 1 for i in range(graph.n)]
-    letters += [-lt for lt in letters]
-    for _ in range(radius):
-        new = []
-        for w in frontier:
-            for lt in letters:
-                nxt = Element(graph, w.letters + (lt,))
-                if len(nxt) > len(w) and nxt not in out:
-                    out.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return out
-
-
-# ---------------------------------------------------------------------------
 # services handed to the splitting-level machinery
-
-
-def _service(graph, verts, elems):
-    """Centralizer generator producer, in the protocol of module cosets."""
-    return _centralizer_core(graph, frozenset(verts), list(elems))
 
 
 def _tester(u, v, verts):
@@ -146,7 +115,7 @@ def _centralizer_core(graph, verts, elems):
         keep = sorted(verts)
         sub = graph.full_subgraph(keep)
         inner = _full_centralizer(sub, [y.restrict(sub) for y in elems])
-        return make_gens((x.embed(graph) for x in inner), complete=inner.complete)
+        return make_gens(x.embed(graph) for x in inner)
     t = max(outside)
     split = hnn.HnnSplitting(graph, t)
     target = next(y for y in elems if t in y.support())
@@ -156,7 +125,7 @@ def _centralizer_core(graph, verts, elems):
     # and lie in every base-prefix conjugate of the associated subgroup;
     # together those conditions are equivalent to commuting with target
     state = cosets.CentralizerState(
-        graph, _one(graph), verts, tuple(rest) + (hw.xprod(),), _service
+        graph, _one(graph), verts, tuple(rest) + (hw.xprod(),), centralizer_in_special
     )
     for i in range(hw.n):
         state = state.constrain_membership(hw.base_prefix(i), split.assoc)
@@ -164,53 +133,42 @@ def _centralizer_core(graph, verts, elems):
 
 
 def _full_centralizer(graph, elems):
-    """Centralizer generators relative to the whole graph."""
-    seen = []
-    for y in elems:
-        if y and y not in seen:
-            seen.append(y)
-    elems = seen
-    if not elems or graph.is_complete():
+    """Centralizer generators relative to the whole graph.
+
+    A join is the direct product of its factors, and an element centralizes
+    the set iff each coordinate does. Otherwise an element y of the set has
+    C(y) inside conj * <supp + link> * conj^-1 (Servatius), a proper special
+    subgroup unless supp(core) is every vertex, where C(y) is the cyclic
+    group on the one primitive root; roots are unique in a RAAG, so a power
+    of that root commutes with the set only if the root does.
+    """
+    elems = list(dict.fromkeys(y for y in elems if y))
+    if not elems:
         return make_gens(_vertex_gens(graph, range(graph.n)))
     if len(elems) == 1:
         return _single_centralizer(graph, elems[0])
-    center = graph.center_vertices()
-    if center:
-        others = [i for i in range(graph.n) if i not in center]
-        sub = graph.full_subgraph(others)
-        projected = [y.retract(others).restrict(sub) for y in elems]
-        inner = _full_centralizer(sub, projected)
-        out = _vertex_gens(graph, center) + [x.embed(graph) for x in inner]
-        return make_gens(out, complete=inner.complete)
-    if graph.is_discrete():
-        return _free_multi_centralizer(graph, elems)
-    return _bounded_commutant(graph, elems)
-
-
-def _free_multi_centralizer(graph, elems):
-    # free group: the centralizer of a nontrivial element is the cyclic
-    # group on its primitive root, so a set is centralized either by that
-    # root's powers or by nothing
-    (root,) = _single_centralizer(graph, elems[0])
-    if all(root * y == y * root for y in elems[1:]):
-        return make_gens([root])
-    return make_gens([])
-
-
-def _bounded_commutant(graph, elems, max_len=None):
-    """Sound fallback for several elements on a centerless, connected,
-    non-complete, non-free piece; only ambient graphs of rank five or more
-    can reach it. Returns short commuting elements found by a sweep and
-    flags the list incomplete so nothing downstream certifies emptiness
-    from it."""
-    if max_len is None:
-        max_len = max((len(y) for y in elems), default=2) + 2
-    found = [
-        w
-        for w in sorted(cayley_ball(graph, max_len), key=Element.shortlex_key)
-        if w and all(w * y == y * w for y in elems)
-    ]
-    return make_gens(found[:12], complete=False)
+    factors = _pure_factor_supports(graph, range(graph.n))
+    if len(factors) > 1:
+        gens = []
+        for comp in factors:
+            sub = graph.full_subgraph(comp)
+            inner = _full_centralizer(sub, [y.retract(comp).restrict(sub) for y in elems])
+            gens += [x.embed(graph) for x in inner]
+        return make_gens(gens)
+    # the widest cyclic support gives the smallest centralizer to start from
+    first = max(elems, key=lambda y: len(y.cyclic_support()))
+    conj, core = first.cyclic_normal_form()
+    supp = core.support()
+    if len(supp) == graph.n:
+        (root,) = _single_centralizer(graph, first)
+        gens = [root] if all(root * y == y * root for y in elems) else []
+    else:
+        link = {v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]}
+        ci = conj.inverse()
+        inner = _centralizer_core(graph, supp | link, [ci * y * conj for y in elems])
+        gens = [conj * x * ci for x in inner]
+    verify(all(x * y == y * x for x in gens for y in elems), "centralizer generator")
+    return make_gens(gens)
 
 
 def _pure_factor_supports(graph, supp):
@@ -272,15 +230,16 @@ def centralizer(g):
     """Finite generating set of the centralizer of g, by Servatius'
     centralizer theorem.
 
-    The returned list carries a boolean attribute `complete`, always True
-    here; only centralizers of several elements can come back incomplete.
+    The returned list carries the attribute `complete`, which is always
+    True: centralizers, of single elements and of sets, are exact.
     """
     return _full_centralizer(g.graph, [g])
 
 
 def centralizer_in_special(graph, verts, elems):
     """Generators of the centralizer of `elems` inside the special
-    subgroup on the vertex indices `verts`."""
+    subgroup on the vertex indices `verts`; also the centralizer service
+    handed to module cosets."""
     return _centralizer_core(graph, frozenset(verts), list(elems))
 
 
@@ -321,7 +280,7 @@ def conjugate_under(g, h, s_verts, search_bound=None):
     split = hnn.HnnSplitting(graph, t)
     res = hnn.minasyan_conjugate_under(
         split, hnn.decompose(split, g), hnn.decompose(split, h), s,
-        _tester, _service, search_bound=search_bound,
+        _tester, centralizer_in_special, search_bound=search_bound,
     )
     if isinstance(res, hnn.NoConjugator):
         return NotConjugate(res.reason)

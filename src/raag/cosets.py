@@ -13,8 +13,9 @@ constraint "lie in u<B>u^-1" into a running description
     conj * C_{<verts>}(elems) * conj^-1
 
 exactly, which is what keeps the bounded intersection search honest: every
-intermediate set is represented precisely, witnesses are verified by
-multiplication, and emptiness is only ever reported with a certificate.
+intermediate set is represented precisely, the injected centralizer service
+returns exact generating sets, witnesses are verified by multiplication,
+and emptiness is only ever reported with a certificate.
 
 This module takes the conjugacy tester and the centralizer generator
 producer as callables instead of importing them, so it sits below the
@@ -65,20 +66,17 @@ INCONCLUSIVE = _Sentinel("INCONCLUSIVE")
 
 
 class Gens(list):
-    """Generator list carrying a completeness certificate flag.
+    """Generating set of the whole described subgroup.
 
-    complete=True promises the listed elements generate the whole
-    described subgroup; searches only certify emptiness over complete
-    lists.
+    Every centralizer comes out exact, so `complete` is always True; it is
+    kept for callers that read it.
     """
 
     complete = True
 
 
-def make_gens(items, complete=True):
-    out = Gens(items)
-    out.complete = complete
-    return out
+def make_gens(items):
+    return Gens(items)
 
 
 def _one(graph):
@@ -160,11 +158,8 @@ class CentralizerState:
         if self._gens is None:
             inner = self.service(self.graph, self.verts, self.elems)
             ci = self.conj.inverse()
-            self._gens = make_gens(
-                (self.conj * x * ci for x in inner),
-                complete=getattr(inner, "complete", True),
-            )
-        return make_gens(self._gens, complete=self._gens.complete)
+            self._gens = make_gens(self.conj * x * ci for x in inner)
+        return make_gens(self._gens)
 
 
 def state_from_spec(graph, spec, service):
@@ -246,8 +241,7 @@ def _abelian_certificate_empty(graph, rep, gens, cosets):
 
     Every element of left<B>right fixes the coordinates outside B at
     ab(left*right); two cosets disagreeing there, or a forced vector
-    outside the affine lattice reachable from rep, certify emptiness. The
-    lattice part is only trusted over a complete generator list.
+    outside the affine lattice reachable from rep, certify emptiness.
     """
     n = graph.n
     forced = {}
@@ -259,7 +253,7 @@ def _abelian_certificate_empty(graph, rep, gens, cosets):
             if v in forced and forced[v] != ab_c[v]:
                 return True
             forced[v] = ab_c[v]
-    if not forced or not gens.complete:
+    if not forced:
         return False
     ab_rep = abelianization(rep)
     cols = sorted(forced)
@@ -276,8 +270,8 @@ def coset_intersection_nonempty(
     The subgroup described by `spec` is folded down after each coset is
     satisfied, so the search always moves inside the exact set of
     still-admissible elements. Returns an Element, EMPTY (certified, via
-    the exponent-sum obstruction or an exhausted finite orbit over a
-    complete generator list), or INCONCLUSIVE when a bound was hit.
+    the exponent-sum obstruction or an exhausted finite orbit), or
+    INCONCLUSIVE when a bound was hit.
     """
     graph = rep.graph
     state = state_from_spec(graph, spec, centralizer_service)
@@ -288,7 +282,7 @@ def coset_intersection_nonempty(
         if not dc.contains(rep):
             gens = state.generators()
             if not gens:
-                return EMPTY if gens.complete else INCONCLUSIVE
+                return EMPTY
             step = list(gens) + [x.inverse() for x in gens]
             seen = {rep}
             frontier = [rep]
@@ -315,7 +309,7 @@ def coset_intersection_nonempty(
             if found is None:
                 # orbits of nontrivial subgroups are infinite here, so a
                 # finished sweep really did see the whole orbit
-                return EMPTY if exhausted and gens.complete else INCONCLUSIVE
+                return EMPTY if exhausted else INCONCLUSIVE
             rep = found
         _, u = dc.conjugated_shape()
         state = state.constrain_membership(u, dc.verts)

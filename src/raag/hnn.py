@@ -96,7 +96,8 @@ def decompose(split, g):
     """Syllable form of g with respect to the splitting.
 
     The interior parts land outside the associated subgroup automatically,
-    which keeps the form reduced in Britton's sense; this is asserted.
+    which keeps the form reduced in Britton's sense; this is checked, since
+    the certified negative answers of `minasyan_conjugate_under` rest on it.
     """
     graph = split.graph
     tv = split.pivot + 1
@@ -107,7 +108,7 @@ def decompose(split, g):
             s = 1 if lt > 0 else -1
             if exps and not chunks[-1]:
                 # continuing a pivot run; canonical words never mix signs in one
-                assert (exps[-1] > 0) == (s > 0)
+                verify((exps[-1] > 0) == (s > 0), "pivot run sign")
                 exps[-1] += s
             else:
                 exps.append(s)
@@ -121,7 +122,7 @@ def decompose(split, g):
         for k in range(len(exps))
     )
     for k in range(len(syllables) - 1):
-        assert not split.in_assoc(syllables[k][1]), "interior syllable pinches"
+        verify(not split.in_assoc(syllables[k][1]), "reduced syllable form")
     return HnnWord(head, syllables)
 
 
@@ -148,7 +149,7 @@ def minasyan_conjugate_under(
     Returns an Element, NoConjugator, or cosets.INCONCLUSIVE.
     """
     graph = split.graph
-    assert xw.n >= 1
+    verify(xw.n >= 1, "pivot run in the reduced form")
     if xw.exponents != yw.exponents:
         return NoConjugator("hnn-exponent-pattern")
     xprod = xw.xprod()

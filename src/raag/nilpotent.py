@@ -419,9 +419,7 @@ def lie_graded_dims(graph, max_degree, p=0):
     if p:
         require_prime(p)
     bases = _graded_bases(graph, max_degree, p)
-    dims = tuple(len(level) for level in bases)
-    assert dims[0] == graph.n
-    return GradedDims(dims)
+    return GradedDims(tuple(len(level) for level in bases))
 
 
 def lie_center_trivial_upto(graph, max_degree, p):

@@ -302,6 +302,31 @@ def reference_cyclic_normal_form(g):
 # decision procedures, not the word arithmetic underneath.
 
 
+def cayley_ball(graph, radius):
+    """Set of all elements of reduced length at most `radius`.
+
+    Prefixes of canonical words are canonical, so every element of length
+    L+1 is a length-L element times one letter that makes the word longer;
+    the length-increasing sweep is therefore exhaustive.
+    """
+    from raag.words import Element
+
+    out = {Element(graph)}
+    frontier = list(out)
+    letters = [i + 1 for i in range(graph.n)]
+    letters += [-lt for lt in letters]
+    for _ in range(radius):
+        new = []
+        for w in frontier:
+            for lt in letters:
+                nxt = Element(graph, w.letters + (lt,))
+                if len(nxt) > len(w) and nxt not in out:
+                    out.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    return out
+
+
 def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
     """Elements of <gens> of reduced length at most max_len, by a bounded
     product sweep.
@@ -309,7 +334,9 @@ def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
     Intermediate products may overshoot max_len by `slack` plus the longest
     generator before they are pruned, which in practice recovers every
     short element of the subgroups this package produces; the sweep makes
-    no completeness promise beyond that.
+    no completeness promise beyond that. Generators that include every
+    vertex of their supports (or its inverse) generate the special subgroup
+    on those vertices, whose ball is enumerated exactly instead.
     """
     from raag.words import Element
 
@@ -318,6 +345,10 @@ def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
     if not gens:
         return {one}
     step = gens + [g.inverse() for g in gens]
+    verts = frozenset().union(*(g.support() for g in gens))
+    if all(Element(graph, (v + 1,)) in step for v in verts):
+        sub = graph.full_subgraph(verts)
+        return {w.embed(graph) for w in cayley_ball(sub, max_len)}
     limit = max_len + slack + max(len(g) for g in gens)
     seen = {one}
     frontier = [one]

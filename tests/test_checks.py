@@ -13,9 +13,9 @@ SCRIPT = r"""
 from unittest import mock
 
 import numpy as np
-from raag import conjugacy, cosets, nilpotent
+from raag import conjugacy, cosets, hnn, nilpotent
 from raag.graphs import Graph
-from raag.words import parse
+from raag.words import Element, parse
 
 f2 = Graph(["a", "b"])
 one, a, b = parse(f2, "1"), parse(f2, "a"), parse(f2, "b")
@@ -46,6 +46,14 @@ with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: np.ones(m.shape[1], dtype=int)):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
+
+# words wrongly flagged canonical: in a b a on the path a-b-c the interior
+# syllable b commutes with the pivot a, and a a^-1 is a run of mixed signs
+p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+aba = Element(p3, (1, 2, 1), canonical=True)
+corrupted("reduced form", lambda: hnn.decompose(hnn.HnnSplitting(p3, 0), aba))
+run = Element(f2, (1, -1), canonical=True)
+corrupted("pivot run", lambda: hnn.decompose(hnn.HnnSplitting(f2, 0), run))
 """
 
 
@@ -65,4 +73,6 @@ def test_corrupted_witnesses_raise_under_optimize():
         "conjugate raised",
         "centralizer raised",
         "magnus unit raised",
+        "reduced form raised",
+        "pivot run raised",
     ], proc.stdout

@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     NotInBall,
     ball_oracle_conjugate,
+    cayley_ball,
     reference_cyclic_class,
     subgroup_ball,
 )
@@ -17,7 +18,6 @@ from raag.conjugacy import (
     Inconclusive,
     NotConjugate,
     avoid_subgroup,
-    cayley_ball,
     centralizer,
     centralizer_in_special,
     conjugate,
@@ -52,6 +52,20 @@ def _random_graph(seed, n, density):
 
 
 GRAPHS["rand8"] = _random_graph(8, 8, 0.4)
+# seeded G(n, 1/2); neither is a join
+GRAPHS["half6"] = _random_graph(6, 6, 0.5)
+GRAPHS["half8"] = _random_graph(8, 8, 0.5)
+# a path a-b-c-d with a central vertex z
+GRAPHS["cone_p4"] = Graph(
+    ["a", "b", "c", "d", "z"],
+    [("a", "b"), ("b", "c"), ("c", "d")] + [(v, "z") for v in "abcd"],
+)
+# the join of the paths a-b-c-d and x-y-z: A(P4) x A(P3)
+GRAPHS["p4_join_p3"] = Graph(
+    ["a", "b", "c", "d", "x", "y", "z"],
+    [("a", "b"), ("b", "c"), ("c", "d"), ("x", "y"), ("y", "z")]
+    + [(u, v) for u in "abcd" for v in "xyz"],
+)
 
 
 def rand_word(rng, graph, length):
@@ -169,6 +183,42 @@ def test_centralizer_in_one_vertex(elems, expected):
     gens = centralizer_in_special(graph, {0}, [parse(graph, w) for w in elems])
     assert gens.complete
     assert [str(x) for x in gens] == expected
+
+
+SET_CENTRALIZER_CASES = [
+    ("c5", "a, c", "b"),
+    ("c5", "a c, c a", "b"),
+    ("c5", "a, b", "a, b"),
+    ("c5", "a c, b", "a c, b"),
+    ("c5", "b a b^-1, b e b^-1", "a, b e b^-1"),
+    ("cone_p4", "a, c", "b, z"),
+    ("p4_join_p3", "a x, c", "b, x, y"),
+]
+
+
+@pytest.mark.parametrize("gname,elems,expected", SET_CENTRALIZER_CASES)
+def test_set_centralizer_pinned(gname, elems, expected):
+    graph = GRAPHS[gname]
+    elems = [parse(graph, w) for w in elems.split(", ")]
+    gens = centralizer_in_special(graph, range(graph.n), elems)
+    assert gens.complete
+    assert ", ".join(sorted(str(x) for x in gens)) == expected
+    assert all(x * y == y * x for x in gens for y in elems)
+
+
+@pytest.mark.parametrize("gname", ["c5", "p4", "half6", "half8"])
+def test_set_centralizer_matches_ball(gname):
+    graph = GRAPHS[gname]
+    rng = random.Random(2026)
+    ball = cayley_ball(graph, 4)
+    for _ in range(12):
+        elems = [rand_word(rng, graph, rng.randrange(1, 5)) for _ in range(rng.randrange(2, 4))]
+        gens = centralizer_in_special(graph, range(graph.n), elems)
+        assert gens.complete
+        brute = {w for w in ball if all(w * y == y * w for y in elems)}
+        # a smaller slack finds fewer elements of <gens>, so it only makes
+        # the equality harder to meet
+        assert subgroup_ball(graph, list(gens), 4, slack=2) == brute, [str(y) for y in elems]
 
 
 # ---------------------------------------------------------------------------
