@@ -6,7 +6,6 @@ Run as: python3 demos/tour.py
 
 from raag.conjugacy import centralizer, conjugate
 from raag.cosets import CosetFactors, in_double_coset
-from raag.conjugacy import _tester
 from raag.graphs import Graph
 from raag.words import parse
 
@@ -50,7 +49,7 @@ def main():
     x = parse(graph, "c a")
     for text in ("a c a c^-1", "b c a b", "c c a"):
         y = parse(graph, text)
-        res = in_double_coset(y, x, a_set, b_set, _tester)
+        res = in_double_coset(y, x, a_set, b_set)
         if isinstance(res, CosetFactors):
             show(text, f"= ({res.left}) * (c a) * ({res.right})")
         else:

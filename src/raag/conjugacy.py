@@ -83,8 +83,9 @@ def _vertex_gens(graph, verts):
 
 
 def _tester(u, v, verts):
-    """Witness-producing conjugacy tester, in the protocol of module
-    cosets: Element, None (certified), or the INCONCLUSIVE sentinel."""
+    """Witness-producing conjugacy tester for hnn.minasyan_conjugate_under:
+    sigma in <verts> with sigma * u * sigma^-1 == v, None (certified), or
+    the cosets.INCONCLUSIVE sentinel."""
     res = conjugate_under(u, v, verts)
     if isinstance(res, Conjugate):
         return res.conjugator

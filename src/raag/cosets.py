@@ -1,31 +1,27 @@
 """Double cosets of special subgroups and exact subgroup intersections.
 
-Special subgroups admit retractions, and the retraction algebra gives each
-double coset A·x·B a canonical core
+A double coset A·x·B of special subgroups has one (A, B)-reduced element:
+the word left when letters of A are stripped from the front of x's heap
+and then letters of B from its back (`Element.double_coset_form`). So
+membership is one comparison of reduced representatives, and the
+intersection of A with a conjugate of B has a closed form. Both are exact
+and linear in the word length, and neither calls a conjugacy decision.
 
-    alpha = gamma * x * rho_B(x^-1),   gamma = rho_A(rho_B(x) * x^-1) in A.
-
-Membership of y in A·x·B reduces to conjugacy of the cores of x and y
-under the special subgroup on A∩B, and the intersection of A with a
-conjugate of B is a conjugated centralizer. The same normalisation folds a
-constraint "lie in u<B>u^-1" into a running description
+The bounded coset-intersection search serves `conjugate_under`. It folds
+a constraint "lie in u<B>u^-1" into a running description
 
     conj * C_{<verts>}(elems) * conj^-1
 
-exactly, which is what keeps the bounded intersection search honest: every
-intermediate set is represented precisely, the injected centralizer service
-returns exact generating sets, witnesses are verified by multiplication,
-and emptiness is only ever reported with a certificate.
+exactly, by the retraction algebra: every intermediate set is
+represented precisely, the injected centralizer service returns exact
+generating sets, witnesses are verified by multiplication, and emptiness
+is only ever reported with a certificate. When the search runs out it
+answers the INCONCLUSIVE sentinel, which `hnn` passes on.
 
-This module takes the conjugacy tester and the centralizer generator
-producer as callables instead of importing them, so it sits below the
-modules that implement them. Protocols:
+This module takes the centralizer generator producer as a callable
+instead of importing it, so it sits below the modules that implement it:
 
-    conj_tester(u, v, verts)          -> Element | None | INCONCLUSIVE
     centralizer_service(graph, verts, elems) -> Gens
-
-where a returned Element sigma satisfies sigma * u * sigma^-1 == v and
-lies in the special subgroup on `verts`, and None certifies there is none.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ __all__ = [
     "CentralizerState",
     "CosetFactors",
     "NotMember",
-    "canonical_double_coset_data",
     "in_double_coset",
     "intersect_conjugated",
     "coset_intersection_nonempty",
@@ -174,16 +169,6 @@ def state_from_spec(graph, spec, service):
 # double cosets
 
 
-def canonical_double_coset_data(x, a_verts, b_verts):
-    """(alpha, gamma) with gamma in <A> and alpha = gamma*x*rho_B(x^-1),
-    so alpha lies in the double coset <A>x<B> by construction."""
-    a = frozenset(a_verts)
-    b = frozenset(b_verts)
-    gamma = (x.retract(b) * x.inverse()).retract(a)
-    alpha = gamma * x * x.inverse().retract(b)
-    return alpha, gamma
-
-
 @dataclass(frozen=True)
 class CosetFactors:
     """Witness y == left * x * right for double-coset membership."""
@@ -197,39 +182,52 @@ class NotMember:
     reason: str
 
 
-def in_double_coset(y, x, a_verts, b_verts, conj_tester):
+def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):
     """Decide y in <A>x<B> with explicit factors.
 
-    Membership holds iff the canonical cores of x and y are conjugate
-    under the special subgroup on A∩B; a core witness d is rebuilt into
-    factors y == a*x*b which are verified before being returned. Returns
-    CosetFactors, NotMember, or INCONCLUSIVE (from the tester).
+    Membership holds iff x and y have the same reduced representative
+    (`Element.double_coset_form`); the factors y == a*x*b then come from
+    the stripped letters and are verified before being returned. Returns
+    CosetFactors or NotMember, never INCONCLUSIVE. `conj_tester` is
+    accepted for older callers and ignored.
     """
-    a = frozenset(a_verts)
-    b = frozenset(b_verts)
-    alpha_x, gamma_x = canonical_double_coset_data(x, a, b)
-    alpha_y, gamma_y = canonical_double_coset_data(y, a, b)
-    d = conj_tester(alpha_x, alpha_y, a & b)
-    if d is INCONCLUSIVE:
-        return INCONCLUSIVE
-    if d is None:
-        return NotMember("core-conjugacy")
-    apart = gamma_y.inverse() * d * gamma_x
-    bpart = x.inverse().retract(b) * d.inverse() * y.inverse().retract(b).inverse()
+    a_x, rep_x, b_x = x.double_coset_form(a_verts, b_verts)
+    a_y, rep_y, b_y = y.double_coset_form(a_verts, b_verts)
+    if rep_x != rep_y:
+        return NotMember("reduced-representative")
+    left = a_y * a_x.inverse()
+    right = b_x.inverse() * b_y
     verify(
-        apart.in_special(a) and bpart.in_special(b) and apart * x * bpart == y,
+        left.in_special(a_verts)
+        and right.in_special(b_verts)
+        and left * x * right == y,
         "double coset factors",
     )
-    return CosetFactors(apart, bpart)
+    return CosetFactors(left, right)
 
 
-def intersect_conjugated(a_verts, x, b_verts, centralizer_service):
-    """(gamma, gens) with <A> ∩ x<B>x^-1 == gamma^-1 * <gens> * gamma."""
-    a = frozenset(a_verts)
-    b = frozenset(b_verts)
-    alpha, gamma = canonical_double_coset_data(x, a, b)
-    gens = centralizer_service(x.graph, a & b, (alpha,))
-    return gamma, gens
+def intersect_conjugated(a_verts, x, b_verts):
+    """(gamma, gens) with <A> ∩ x<B>x^-1 == gamma^-1 * <gens> * gamma.
+
+    With x = a * r * b from `Element.double_coset_form`, the intersection
+    is a * (<A> ∩ r<B>r^-1) * a^-1, and <A> ∩ r<B>r^-1 is the special
+    subgroup on Z, the vertices of A∩B adjacent to every vertex of
+    supp(r). Proof of the hard inclusion: if alpha in <A> has
+    r^-1 * alpha * r = beta in <B>, then alpha * r * beta^-1 == r, and by
+    the cancellation argument of `double_coset_form` the letters of alpha
+    all cancel against beta^-1 while commuting with every letter of r, so
+    they lie in A∩B and in the link of each vertex of r. So gamma = a^-1
+    and gens are the vertices of Z.
+    """
+    graph = x.graph
+    a_x, r, _ = x.double_coset_form(a_verts, b_verts)
+    supp = r.support()
+    gens = make_gens(
+        Element(graph, (v + 1,), canonical=True)
+        for v in sorted(set(a_verts) & set(b_verts))
+        if supp <= graph.adj[v]
+    )
+    return a_x.inverse(), gens
 
 
 # ---------------------------------------------------------------------------

@@ -306,9 +306,12 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     """Least (d, m), degree scanned first, at which the images separate.
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
-    unit; conjugate inputs always come back NOT_FOUND. p must be prime.
+    unit; conjugate inputs always come back NOT_FOUND. p must be prime,
+    and max_d and max_m at least 1, so that the grid is not empty.
     """
     require_prime(p)
+    if max_d < 1 or max_m < 1:
+        raise ValueError("need max_d >= 1 and max_m >= 1")
     for d in range(1, max_d + 1):
         for m in range(1, max_m + 1):
             if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
@@ -427,9 +430,12 @@ def lie_center_trivial_upto(graph, max_degree, p):
     commutes with every vertex generator, over the field with p elements.
 
     Each degree is one kernel computation: stack the brackets with all
-    generators and check the columns are independent. p must be prime.
+    generators and check the columns are independent. p must be prime
+    and max_degree at least 1.
     """
     require_prime(p)
+    if max_degree < 1:
+        raise ValueError("need at least degree 1")
     bases = _graded_bases(graph, max_degree, p)
     gens = bases[0]
     for level in bases[: max_degree - 1]:

@@ -22,7 +22,9 @@ the ready vertices are kept in a min-heap.
 
 Cyclic reduction peels the same heap from both ends: while some vertex has
 a real front x and a real back x^-1, both go, with one front and one back
-marker from each dependent pile, and x joins the conjugator.
+marker from each dependent pile, and x joins the conjugator. The double
+coset strip peels it the same way, letters of one special subgroup from
+the front and then letters of another from the back.
 
 Letters are signed integers: vertex i appears as +-(i+1).
 """
@@ -32,7 +34,10 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
-__all__ = ["Element", "parse", "gen"]
+__all__ = ["Element", "parse", "gen", "MAX_WORD_LENGTH"]
+
+# the longest word, in letters, that parse will expand
+MAX_WORD_LENGTH = 1_000_000
 
 
 def _pile(graph, letters):
@@ -70,6 +75,30 @@ def _depile(graph, piles):
             if other and other[0]:
                 heappush(ready, j)
     return tuple(out)
+
+
+def _peel(graph, piles, verts, at_back):
+    """Delete letters of vertices in `verts` from one end of the heap until
+    none is left there; returns them in the order deleted."""
+    dependents = graph.dependents
+    end = -1 if at_back else 0
+    take = deque.pop if at_back else deque.popleft
+    # as in _depile, two ready vertices never depend on each other, so a
+    # vertex is pushed only while absent
+    ready = [v for v in verts if piles[v] and piles[v][end]]
+    peeled = []
+    while ready:
+        v = ready.pop()
+        pile = piles[v]
+        peeled.append(take(pile))
+        if pile and pile[end]:
+            ready.append(v)
+        for j in dependents[v]:
+            other = piles[j]
+            take(other)
+            if j in verts and other and other[end]:
+                ready.append(j)
+    return peeled
 
 
 def _canonical(graph, letters):
@@ -184,6 +213,39 @@ class Element:
     def cyclic_support(self):
         return self.cyclic_normal_form()[1].support()
 
+    def double_coset_form(self, front, back):
+        """Split self as (a, rep, b) with self == a * rep * b, a in the
+        special subgroup A on the vertex indices `front`, b in B on `back`,
+        and rep depending only on the double coset A * self * B.
+
+        The strip deletes letters of A at the front of the heap (real
+        front letters of piles of A) until none is left, then letters of B
+        at its back. Deleting a letter at the back never brings a new letter
+        to the front, so rep is (A, B)-reduced: no letter of A at its front
+        and none of B at its back.
+
+        Uniqueness. For reduced u, v the product u * v reduces to u1 * v1
+        where u = u1 * c and v = c^-1 * v1 (Esyp, Kazachkov and
+        Remeslennikov, divisibility theory for partially commutative
+        groups). Let r be (A, B)-reduced, alpha in A and beta in B. Then
+        alpha * r is reduced, as r has no letter of A at its front. The
+        cancelled c of (alpha * r) * beta is a suffix of alpha * r whose
+        letters lie in B; a suffix reaching into r would hold a letter at
+        the back of r, which is not in B, so c is a suffix of alpha whose
+        letters commute with all of r, and alpha * r * beta reduces to
+        alpha1 * r * beta1 with alpha1 in A, beta1 in B. If the product is
+        (A, B)-reduced too, alpha1 and beta1 are empty, so it is r. Two
+        (A, B)-reduced elements of one double coset are therefore equal,
+        and y lies in A * x * B exactly when their reps agree, with
+        y == (a_y * a_x^-1) * x * (b_x^-1 * b_y).
+        """
+        graph = self.graph
+        piles = _pile(graph, self.letters)
+        left = _peel(graph, piles, frozenset(front), at_back=False)
+        right = _peel(graph, piles, frozenset(back), at_back=True)
+        rep = Element(graph, _depile(graph, piles), canonical=True)
+        return Element(graph, left), rep, Element(graph, right[::-1])
+
     def restrict(self, subgraph):
         """Rewrite over an induced subgraph of self.graph (same names, same
         relative order); support must lie inside it."""
@@ -243,12 +305,13 @@ def parse(graph, text):
     Tokens are whitespace separated, each a generator name with an optional
     nonzero integer exponent. The bare string "1" (or an empty string)
     denotes the identity, unless a vertex is literally named "1", in which
-    case the vertex wins.
+    case the vertex wins. A word whose exponents expand to more than
+    MAX_WORD_LENGTH letters raises ValueError before any letter is built.
     """
     text = text.strip()
     if not text or (text == "1" and "1" not in graph.index):
         return Element(graph, (), canonical=True)
-    letters = []
+    tokens = []
     for tok in text.split():
         name, sep, exp = tok.partition("^")
         if sep:
@@ -262,6 +325,10 @@ def parse(graph, text):
             k = 1
         if name not in graph.index:
             raise ValueError(f"unknown generator {name!r}")
-        lt = graph.index[name] + 1
+        tokens.append((graph.index[name] + 1, k))
+    if sum(abs(k) for _, k in tokens) > MAX_WORD_LENGTH:
+        raise ValueError(f"word expands to more than {MAX_WORD_LENGTH} letters")
+    letters = []
+    for lt, k in tokens:
         letters.extend([lt if k > 0 else -lt] * abs(k))
     return Element(graph, letters)

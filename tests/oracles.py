@@ -423,3 +423,45 @@ def ball_oracle_conjugate(g, h, radius):
     if best * g * best.inverse() != h:
         raise AssertionError("ball-search conjugator fails to conjugate")
     return Conjugate(best)
+
+
+# ---------------------------------------------------------------------------
+# double cosets by the retraction algebra
+#
+# The package compares reduced representatives. This is the older
+# reduction: the retraction algebra gives each double coset A·x·B a core,
+# and membership is conjugacy of the cores under the special subgroup on
+# A∩B, decided by conjugate_under (which can give up).
+
+
+def canonical_double_coset_data(x, a_verts, b_verts):
+    """(alpha, gamma) with gamma in <A> and alpha = gamma*x*rho_B(x^-1),
+    so alpha lies in the double coset <A>x<B> by construction."""
+    a = frozenset(a_verts)
+    b = frozenset(b_verts)
+    gamma = (x.retract(b) * x.inverse()).retract(a)
+    alpha = gamma * x * x.inverse().retract(b)
+    return alpha, gamma
+
+
+def core_conjugacy_double_coset(y, x, a_verts, b_verts):
+    """Decide y in <A>x<B> as conjugacy of the cores of x and y under
+    <A∩B>. Returns (left, right) with y == left*x*right, None when the
+    cores are not conjugate, or the Inconclusive of conjugate_under."""
+    from raag.conjugacy import Conjugate, Inconclusive, conjugate_under
+
+    a = frozenset(a_verts)
+    b = frozenset(b_verts)
+    alpha_x, gamma_x = canonical_double_coset_data(x, a, b)
+    alpha_y, gamma_y = canonical_double_coset_data(y, a, b)
+    res = conjugate_under(alpha_x, alpha_y, a & b)
+    if isinstance(res, Inconclusive):
+        return res
+    if not isinstance(res, Conjugate):
+        return None
+    d = res.conjugator
+    left = gamma_y.inverse() * d * gamma_x
+    right = x.inverse().retract(b) * d.inverse() * y.inverse().retract(b).inverse()
+    if not (left.in_special(a) and right.in_special(b) and left * x * right == y):
+        raise AssertionError("core-conjugacy factors fail to multiply out")
+    return left, right

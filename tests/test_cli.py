@@ -99,7 +99,7 @@ def test_double_coset(graphs, capsys):
         "1", "b", "--left", "a", "--right", "a",
     )
     assert code == 0
-    assert out == "NOT A MEMBER (core-conjugacy)\n"
+    assert out == "NOT A MEMBER (reduced-representative)\n"
 
 
 def test_hnn_decompose(graphs, capsys):
@@ -199,6 +199,51 @@ def test_lie_dims_bad_degree_exits_one(graphs, capsys):
         capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "0"
     )
     assert (code, out) == (1, "") and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("magnus-separate", "a b", "b a", "--max-degree", "0"),
+        ("magnus-separate", "a b", "b a", "-m", "0"),
+        ("center", "--max-degree", "0"),
+        ("center", "--max-degree", "-3"),
+    ],
+    ids=["separate-degree", "separate-precision", "center-degree", "center-negative"],
+)
+def test_empty_level_grid_exits_one(graphs, capsys, argv):
+    code, out, err = run(capsys, argv[0], "--graph", graphs["discrete2"], *argv[1:])
+    assert (code, out) == (1, "") and "error: need" in err
+
+
+def test_oversized_exponent_exits_one(graphs, capsys):
+    from raag.words import MAX_WORD_LENGTH
+
+    code, out, err = run(
+        capsys, "normal-form", "--graph", graphs["path3"], f"a^{MAX_WORD_LENGTH + 1}"
+    )
+    assert (code, out) == (1, "") and "error: word expands to more than" in err
+
+
+def test_double_coset_long_factor_member(tmp_path, capsys):
+    # the core-conjugacy reduction gave up on this member and exited 2
+    edges = [
+        ["v0", "v1"], ["v0", "v3"], ["v0", "v5"], ["v0", "v6"], ["v1", "v2"],
+        ["v1", "v4"], ["v1", "v5"], ["v1", "v6"], ["v1", "v7"], ["v2", "v4"],
+        ["v2", "v5"], ["v2", "v6"], ["v2", "v7"], ["v3", "v4"], ["v3", "v6"],
+        ["v3", "v7"], ["v4", "v5"], ["v4", "v7"], ["v5", "v7"],
+    ]
+    path = tmp_path / "rand8.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(8)], "edges": edges}))
+    code, out, _ = run(
+        capsys, "double-coset", "--graph", str(path),
+        "v7^-1 v6^-1 v7^-1 v0^2 v2 v3^-1 v5^-1 v3 v6^-1",
+        "v7^-1 v0^-1 v7^-2 v6 v5^-1 v7 v0^-1 v7^-1 v6^-1 v7^-1 v0^2 v2 v0^-1 "
+        "v3^-1 v5^-1 v3 v2^-1 v6",
+        "--left", "v0,v5,v6,v7", "--right", "v0,v2,v6,v7",
+    )
+    assert code == 0
+    assert out == "MEMBER: left = v7^-1 v0^-1 v7^-2 v6 v5^-1 v7 v0^-1, right = v0^-1 v2^-1 v6^2\n"
 
 
 def test_output_is_stable(graphs, capsys):

@@ -221,6 +221,29 @@ def test_cyclic_normal_form_of_a_long_conjugate():
     assert conj * core * conj.inverse() == g
 
 
+def test_double_coset_form_is_invariant_on_long_words():
+    # y = a x b with 16-letter factors strips to the same representative
+    rng = random.Random(606)
+    for graph in (P4, C5, RAND8):
+        for length in (50, 100, 200):
+            for _ in range(10):
+                front = frozenset(rng.sample(range(graph.n), rng.randrange(1, graph.n)))
+                back = frozenset(rng.sample(range(graph.n), rng.randrange(1, graph.n)))
+                x = Element(graph, _raw_word(rng, graph, length))
+                a = Element(graph, _raw_word_over(rng, front, 16))
+                b = Element(graph, _raw_word_over(rng, back, 16))
+                y = a * x * b
+                a_x, rep_x, b_x = x.double_coset_form(front, back)
+                a_y, rep_y, b_y = y.double_coset_form(front, back)
+                assert a_x * rep_x * b_x == x and a_y * rep_y * b_y == y
+                assert a_x.in_special(front) and b_x.in_special(back)
+                assert a_y.in_special(front) and b_y.in_special(back)
+                assert rep_x == rep_y, (graph.vertices, x, y)
+                # the representative is (front, back)-reduced: nothing strips
+                again = rep_x.double_coset_form(front, back)
+                assert again[0].is_identity() and again[2].is_identity()
+
+
 @pytest.mark.parametrize("graph", [RAND32, P4], ids=["rand32", "p4"])
 def test_heap_depile_matches_scan(graph):
     rng = random.Random(32)
@@ -258,6 +281,18 @@ def test_parse_and_print():
         gen(P3, "nope")
 
 
+def test_parse_refuses_oversized_words(monkeypatch):
+    from raag import words
+
+    with pytest.raises(ValueError, match="more than"):
+        parse(P3, f"a^{words.MAX_WORD_LENGTH + 1}")
+    # the bound is on the expanded total, checked before any letter is built
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 8)
+    assert len(parse(P3, "a^4 c^-4")) == 8
+    with pytest.raises(ValueError, match="more than 8"):
+        parse(P3, "a^5 c^-4")
+
+
 def test_vertex_named_one_wins_over_identity():
     g = Graph(["1", "2"], [])
     assert parse(g, "1").letters == (1,)
@@ -289,6 +324,11 @@ def _raw_word(rng, graph, length):
     return tuple(
         rng.choice([1, -1]) * rng.randrange(1, graph.n + 1) for _ in range(length)
     )
+
+
+def _raw_word_over(rng, verts, length):
+    verts = sorted(verts)
+    return tuple(rng.choice([1, -1]) * (rng.choice(verts) + 1) for _ in range(length))
 
 
 def _random_element(rng, graph, max_len):
