@@ -2,8 +2,8 @@
 
 One subcommand per question, text in and text out, deterministic for fixed
 inputs. Exit status is a tri-state: 0 for a decided query, 1 for usage or
-input errors (reported on stderr), and 2 when a bounded search gives up,
-which only `conjugate-under` and `magnus-separate` can do.
+input errors (reported on stderr), and 2 when `magnus-separate` finds no
+separating level within its degree and precision bounds.
 Graphs come from JSON files, words use the same grammar the parser accepts,
 and every printed witness is a parseable word that re-verifies.
 """
@@ -75,12 +75,9 @@ def _cmd_equal(args):
 def _print_conjugacy(res):
     if isinstance(res, conjugacy.Conjugate):
         print(f"CONJUGATE BY: {res.conjugator}")
-        return 0
-    if isinstance(res, conjugacy.NotConjugate):
+    else:
         print(f"NOT CONJUGATE ({res.reason})")
-        return 0
-    print(f"INCONCLUSIVE ({res.detail})")
-    return 2
+    return 0
 
 
 def _cmd_conjugate(args):
@@ -95,8 +92,7 @@ def _cmd_conjugate_under(args):
     g = _word(graph, args.left)
     h = _word(graph, args.right)
     verts = _vertex_set(graph, args.subgroup)
-    res = conjugacy.conjugate_under(g, h, verts, search_bound=args.search_bound)
-    return _print_conjugacy(res)
+    return _print_conjugacy(conjugacy.conjugate_under(g, h, verts))
 
 
 def _cmd_centralizer(args):
@@ -231,8 +227,6 @@ def build_parser():
     p.add_argument("right")
     p.add_argument("--subgroup", required=True,
                    help="comma-separated vertex names")
-    p.add_argument("--search-bound", type=int, default=None,
-                   help="cap on the coset intersection search length")
     p.set_defaults(func=_cmd_conjugate_under)
 
     p = sub.add_parser("centralizer", help="generators of a centralizer")

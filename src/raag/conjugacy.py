@@ -5,12 +5,13 @@ abelianization, support of the cyclic normal form) it splits both cyclic
 cores into their pure factors, the retractions onto the components of
 the non-commutation graph on the common support, and decides each pair
 of factors by comparing anchored cyclic cuts of their periodic heaps.
-`conjugate_under` follows the paper's route instead: it splits along a
-pivot vertex as an HNN extension, tests the base products under the
-associated subgroup and searches a coset intersection; when that bounded
-search runs out the answer is Inconclusive, never a guess. Every
-positive answer carries a conjugator verified by multiplication; every
-negative answer names the invariant that separates the inputs.
+`conjugate_under` is exact too: the conjugators taking g to h form the
+coset x0 * C(g) of the centralizer, with x0 from `conjugate`, and
+whether that coset meets the special subgroup comes down to one
+double-coset strip, one conjugated-subgroup intersection and one integer
+exponent per pure factor. Every positive answer carries a conjugator
+verified by multiplication; every negative answer names the invariant
+that separates the inputs.
 
 The centralizer of a single element comes straight from Servatius'
 centralizer theorem: the primitive roots of the pure factors of its
@@ -21,8 +22,8 @@ machinery of module cosets, until every element lies in the subgroup.
 There a join splits into its factors, and otherwise the same theorem puts
 the centralizer inside a conjugate of a smaller special subgroup (or of
 the cyclic group on one primitive root), so every answer is exact.
-Centralizers never call a conjugacy decision; `conjugate_under` calls
-them, through the coset search.
+Centralizers never call a conjugacy decision, and the conjugacy
+decisions never fold.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import gcd
 
 from . import cosets, hnn
 from ._checks import verify
-from .cosets import Gens, abelianization, make_gens
+from .cosets import abelianization, make_gens
 from .words import Element
 
 __all__ = [
@@ -65,7 +66,8 @@ class NotConjugate:
 
 @dataclass(frozen=True)
 class Inconclusive:
-    """A bounded search ran out before deciding."""
+    """An undecided answer. No decision here returns it any more; the
+    class stays only because the benchmark in bench/ still imports it."""
 
     detail: str
 
@@ -78,20 +80,12 @@ def _vertex_gens(graph, verts):
     return [Element(graph, (i + 1,), canonical=True) for i in sorted(verts)]
 
 
-# ---------------------------------------------------------------------------
-# services handed to the splitting-level machinery
-
-
 def _tester(u, v, verts):
-    """Witness-producing conjugacy tester for hnn.minasyan_conjugate_under:
-    sigma in <verts> with sigma * u * sigma^-1 == v, None (certified), or
-    the cosets.INCONCLUSIVE sentinel."""
+    """sigma in <verts> with sigma * u * sigma^-1 == v, or None. Kept only
+    because the benchmark in bench/ passes it to `cosets.in_double_coset`,
+    which ignores it."""
     res = conjugate_under(u, v, verts)
-    if isinstance(res, Conjugate):
-        return res.conjugator
-    if isinstance(res, NotConjugate):
-        return None
-    return cosets.INCONCLUSIVE
+    return res.conjugator if isinstance(res, Conjugate) else None
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +200,37 @@ def _primitive_root(p):
             return r
 
 
-def _single_centralizer(graph, y):
-    """Servatius' centralizer theorem for a nontrivial element: with
-    y == conj * core * conj^-1 and core cyclically reduced, the centralizer
-    is conj * (<root p_1> x ... x <root p_k> x <link>) * conj^-1, where p_i
-    are the pure factors of core (its retractions onto the components of
-    the non-commutation graph on its support) and link is every vertex
-    outside the support adjacent to all of it. Link vertices come first,
-    then the roots, each flipped to start with a positive letter."""
+def _servatius(y):
+    """(conj, factors, link) with y == conj * core * conj^-1, core
+    cyclically reduced, factors the pairs (U_i, r_i) of the supports and
+    primitive roots of the pure factors of core (its retractions onto the
+    components of the non-commutation graph on its support U), and link L
+    every vertex outside U adjacent to all of it.
+
+    Servatius' centralizer theorem: for y nontrivial,
+    C(y) == conj * (<r_1> x ... x <r_m> x <L>) * conj^-1, inside
+    conj * A_M * conj^-1 with A_M == A_{U_1} x ... x A_{U_m} x A_L.
+    """
+    graph = y.graph
     conj, core = y.cyclic_normal_form()
     supp = core.support()
-    link = [v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]]
+    link = frozenset(
+        v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
+    )
+    factors = [
+        (comp, _primitive_root(core.retract(comp)))
+        for comp in _pure_factor_supports(graph, supp)
+    ]
+    return conj, factors, link
+
+
+def _single_centralizer(graph, y):
+    """Servatius' centralizer theorem for a nontrivial element (see
+    `_servatius`). Link vertices come first, then the roots, each flipped
+    to start with a positive letter."""
+    conj, factors, link = _servatius(y)
     out = _vertex_gens(graph, link)
-    for comp in _pure_factor_supports(graph, supp):
-        r = _primitive_root(core.retract(comp))
+    for _, r in factors:
         out.append(r.inverse() if r.letters[0] < 0 else r)
     ci = conj.inverse()
     gens = [conj * x * ci for x in out]
@@ -248,15 +259,65 @@ def centralizer_in_special(graph, verts, elems):
 # conjugacy
 
 
-def conjugate_under(g, h, s_verts, search_bound=None):
-    """Decide whether some sigma in the special subgroup on `s_verts`
+def _root_exponent(r, p, b, z):
+    """The n with r^n in p * b^-1 * <z> * b, or None, for r the primitive
+    root of a pure factor on U = supp(r) and p, b in the special subgroup
+    on U.
+
+    The condition reads w = b * p^-1 * r^n * b^-1 in <z>. For U inside z,
+    n = 0 works. Otherwise at most one n does: two would put a nontrivial
+    power of r in b^-1 * <z ∩ U> * b, a conjugate of a proper special
+    subgroup of A_U, where no element of cyclic support U lies. An
+    exponent sum of r outside z fixes n, as w has none there. If there is
+    none, every letter of r^n outside z must cancel against one of b,
+    p^-1 or b^-1 (reduced words only cancel across factors), so
+    |n| * out(r) <= out(p) + 2 * out(b), out counting letters outside z.
+    """
+    u = r.support()
+    if u <= z:
+        return 0
+    ab_r, ab_p = abelianization(r), abelianization(p)
+    pinned = [v for v in u - z if ab_r[v]]
+    if pinned:
+        q, rem = divmod(ab_p[pinned[0]], ab_r[pinned[0]])
+        candidates = [] if rem else [q]
+    else:
+        def out(x):
+            return sum(abs(lt) - 1 not in z for lt in x.letters)
+
+        top = (out(p) + 2 * out(b)) // out(r)
+        candidates = range(-top, top + 1)
+    left, right = b * p.inverse(), b.inverse()
+    for n in candidates:
+        if (left * r**n * right).in_special(z):
+            return n
+    return None
+
+
+def conjugate_under(g, h, s_verts):
+    """Decide whether some sigma in the special subgroup A_S on `s_verts`
     conjugates g to h; witnesses are verified before being returned.
 
-    search_bound caps the canonical length explored by the coset
-    intersection search; None picks a bound from the input lengths."""
+    Killing S must leave g and h equal. Past that, the conjugators taking
+    g to h form the coset x0 * C(g), x0 from `conjugate`, and with
+    (k, U_i, r_i, L) from `_servatius(g)` and M = U ∪ L, C(g) is k * P * k^-1
+    for P = <r_1> x ... x <r_m> x A_L inside A_M. So sigma exists iff
+    x0 * k * p * k^-1 lies in A_S for some p in P:
+
+    (a) Then x0 * k lies in A_S * k * A_M. Write it s * k * m and set
+        p0 = m^-1; x0 * k * p * k^-1 == s * k * (m * p) * k^-1.
+    (b) That lies in A_S iff m * p lies in A_M ∩ k^-1 * A_S * k, which
+        `cosets.intersect_conjugated` gives as b^-1 * A_Z * b with b in
+        A_M. So the admissible p form p0 * b^-1 * A_Z * b.
+    (c) A_M is the direct product of the A_{U_i} and A_L, and Z splits
+        with it, so (b) holds coordinate by coordinate, coordinates being
+        retractions. The A_L coordinate is met by p0's own, and factor i
+        by the one exponent of `_root_exponent`, if it exists.
+    """
     graph = g.graph
     s = frozenset(s_verts)
-    if s == frozenset(range(graph.n)):
+    everything = frozenset(range(graph.n))
+    if s == everything:
         return conjugate(g, h)
     if g == h:
         return Conjugate(_one(graph))
@@ -264,31 +325,30 @@ def conjugate_under(g, h, s_verts, search_bound=None):
         return NotConjugate("trivial-subgroup")
     if abelianization(g) != abelianization(h):
         return NotConjugate("abelianization")
-    t = max(i for i in range(graph.n) if i not in s)
-    g_has = t in g.support()
-    if g_has != (t in h.support()):
-        return NotConjugate("hnn-exponent-pattern")
-    if not g_has:
-        keep = [i for i in range(graph.n) if i != t]
-        sub = graph.full_subgraph(keep)
-        s_sub = frozenset(sub.index[graph.vertices[i]] for i in s)
-        res = conjugate_under(g.restrict(sub), h.restrict(sub), s_sub, search_bound)
-        if isinstance(res, Conjugate):
-            sigma = res.conjugator.embed(graph)
-            verify(sigma * g * sigma.inverse() == h, "conjugator")
-            return Conjugate(sigma)
+    # conjugating by A_S fixes the image killing S; this spares most
+    # negatives the cyclic normal forms of `conjugate`
+    if g.retract(everything - s) != h.retract(everything - s):
+        return NotConjugate("retraction")
+    res = conjugate(g, h)
+    if not isinstance(res, Conjugate):
         return res
-    split = hnn.HnnSplitting(graph, t)
-    res = hnn.minasyan_conjugate_under(
-        split, hnn.decompose(split, g), hnn.decompose(split, h), s,
-        _tester, centralizer_in_special, search_bound=search_bound,
-    )
-    if isinstance(res, hnn.NoConjugator):
-        return NotConjugate(res.reason)
-    if res is cosets.INCONCLUSIVE:
-        return Inconclusive("coset intersection search hit its bounds")
-    verify(res.in_special(s), "conjugator")
-    return Conjugate(res)
+    k, factors, link = _servatius(g)
+    m_verts = link.union(*(u for u, _ in factors))
+    split = cosets.in_double_coset(res.conjugator * k, k, s, m_verts)
+    if not isinstance(split, cosets.CosetFactors):
+        return NotConjugate("double-coset")
+    p0 = split.right.inverse()
+    b, z_gens = cosets.intersect_conjugated(m_verts, k.inverse(), s)
+    z = frozenset().union(*(x.support() for x in z_gens))
+    c = p0.retract(link)
+    for u, r in factors:
+        n = _root_exponent(r, p0.retract(u), b.retract(u), z & u)
+        if n is None:
+            return NotConjugate("centralizer-coset")
+        c = c * r**n
+    sigma = res.conjugator * k * c * k.inverse()
+    verify(sigma.in_special(s) and sigma * g * sigma.inverse() == h, "conjugator")
+    return Conjugate(sigma)
 
 
 def _anchored_cuts(u, a):

@@ -5,21 +5,17 @@ the word left when letters of A are stripped from the front of x's heap
 and then letters of B from its back (`Element.double_coset_form`). So
 membership is one comparison of reduced representatives, and the
 intersection of A with a conjugate of B has a closed form. Both are exact
-and linear in the word length, and neither calls a conjugacy decision.
+and linear in the word length, and neither calls a conjugacy decision;
+`conjugate_under` is built on them.
 
-The bounded coset-intersection search serves `conjugate_under`. It folds
-a constraint "lie in u<B>u^-1" into a running description
+`CentralizerState` folds a constraint "lie in u<B>u^-1" into a running
+description
 
     conj * C_{<verts>}(elems) * conj^-1
 
-exactly, by the retraction algebra: every intermediate set is
-represented precisely, the injected centralizer service returns exact
-generating sets, witnesses are verified by multiplication, and emptiness
-is only ever reported with a certificate. When the search runs out it
-answers the INCONCLUSIVE sentinel, which `hnn` passes on.
-
-This module takes the centralizer generator producer as a callable
-instead of importing it, so it sits below the modules that implement it:
+exactly, by the retraction algebra; the centralizers of sets use it. It
+takes the centralizer generator producer as a callable instead of
+importing it, so this module sits below the modules that implement it:
 
     centralizer_service(graph, verts, elems) -> Gens
 """
@@ -29,22 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._checks import verify
-from ._intlinalg import solve_left_integer
 from .words import Element
 
 __all__ = [
-    "EMPTY",
     "INCONCLUSIVE",
     "Gens",
-    "SpecialCoset",
-    "SubgroupIntersectionSpec",
     "CentralizerState",
     "CosetFactors",
     "NotMember",
     "in_double_coset",
     "intersect_conjugated",
-    "coset_intersection_nonempty",
-    "state_from_spec",
 ]
 
 
@@ -56,7 +46,8 @@ class _Sentinel:
         return self._name
 
 
-EMPTY = _Sentinel("EMPTY")
+# no decision returns it any more; it stays only because the benchmark in
+# bench/ still imports it
 INCONCLUSIVE = _Sentinel("INCONCLUSIVE")
 
 
@@ -74,45 +65,12 @@ def make_gens(items):
     return Gens(items)
 
 
-def _one(graph):
-    return Element(graph, (), canonical=True)
-
-
 def abelianization(g):
     """Exponent-sum vector of g, indexed by vertex."""
     out = [0] * g.graph.n
     for lt in g.letters:
         out[abs(lt) - 1] += 1 if lt > 0 else -1
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SpecialCoset:
-    """The set left * <verts> * right."""
-
-    left: Element
-    verts: frozenset
-    right: Element
-
-    def contains(self, w):
-        return (self.left.inverse() * w * self.right.inverse()).in_special(self.verts)
-
-    def conjugated_shape(self):
-        """(c, u) with the same set written as c * u<verts>u^-1."""
-        return self.left * self.right, self.right.inverse()
-
-
-@dataclass(frozen=True)
-class SubgroupIntersectionSpec:
-    """Denotes C_{<subgroup>}(of) ∩ ⋂_i conj_i <verts_i> conj_i^-1.
-
-    of=None means no centralizer condition (the full special subgroup);
-    conjugated_terms is a tuple of (conj: Element, verts: frozenset).
-    """
-
-    subgroup: frozenset
-    of: Element | None
-    conjugated_terms: tuple = ()
 
 
 class CentralizerState:
@@ -155,14 +113,6 @@ class CentralizerState:
             ci = self.conj.inverse()
             self._gens = make_gens(self.conj * x * ci for x in inner)
         return make_gens(self._gens)
-
-
-def state_from_spec(graph, spec, service):
-    elems = () if spec.of is None else (spec.of,)
-    state = CentralizerState(graph, _one(graph), spec.subgroup, elems, service)
-    for c, b in spec.conjugated_terms:
-        state = state.constrain_membership(c, b)
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -228,87 +178,3 @@ def intersect_conjugated(a_verts, x, b_verts):
         if supp <= graph.adj[v]
     )
     return a_x.inverse(), gens
-
-
-# ---------------------------------------------------------------------------
-# bounded intersection search
-
-
-def _abelian_certificate_empty(graph, rep, gens, cosets):
-    """True when exponent sums already rule out the whole instance.
-
-    Every element of left<B>right fixes the coordinates outside B at
-    ab(left*right); two cosets disagreeing there, or a forced vector
-    outside the affine lattice reachable from rep, certify emptiness.
-    """
-    n = graph.n
-    forced = {}
-    for dc in cosets:
-        ab_c = abelianization(dc.left * dc.right)
-        for v in range(n):
-            if v in dc.verts:
-                continue
-            if v in forced and forced[v] != ab_c[v]:
-                return True
-            forced[v] = ab_c[v]
-    if not forced:
-        return False
-    ab_rep = abelianization(rep)
-    cols = sorted(forced)
-    target = [forced[v] - ab_rep[v] for v in cols]
-    rows = [[abelianization(x)[v] for v in cols] for x in gens]
-    return solve_left_integer(rows, target) is None
-
-
-def coset_intersection_nonempty(
-    rep, spec, double_cosets, search_bound, centralizer_service, state_cap=20_000
-):
-    """Witness in rep*<spec> ∩ every listed double coset, or a verdict.
-
-    The subgroup described by `spec` is folded down after each coset is
-    satisfied, so the search always moves inside the exact set of
-    still-admissible elements. Returns an Element, EMPTY (certified, via
-    the exponent-sum obstruction or an exhausted finite orbit), or
-    INCONCLUSIVE when a bound was hit.
-    """
-    graph = rep.graph
-    state = state_from_spec(graph, spec, centralizer_service)
-    gens = state.generators()
-    if _abelian_certificate_empty(graph, rep, gens, double_cosets):
-        return EMPTY
-    for dc in double_cosets:
-        if not dc.contains(rep):
-            gens = state.generators()
-            if not gens:
-                return EMPTY
-            step = list(gens) + [x.inverse() for x in gens]
-            seen = {rep}
-            frontier = [rep]
-            found = None
-            exhausted = True
-            while frontier and found is None:
-                new = []
-                for w in frontier:
-                    for s in step:
-                        nxt = w * s
-                        if nxt in seen:
-                            continue
-                        if len(nxt) > search_bound or len(seen) >= state_cap:
-                            exhausted = False
-                            continue
-                        seen.add(nxt)
-                        if dc.contains(nxt):
-                            found = nxt
-                            break
-                        new.append(nxt)
-                    if found is not None:
-                        break
-                frontier = new
-            if found is None:
-                # orbits of nontrivial subgroups are infinite here, so a
-                # finished sweep really did see the whole orbit
-                return EMPTY if exhausted else INCONCLUSIVE
-            rep = found
-        _, u = dc.conjugated_shape()
-        state = state.constrain_membership(u, dc.verts)
-    return rep

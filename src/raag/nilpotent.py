@@ -431,11 +431,11 @@ def lie_center_trivial_upto(graph, max_degree, p):
 
     Each degree is one kernel computation: stack the brackets with all
     generators and check the columns are independent. p must be prime
-    and max_degree at least 1.
+    and max_degree at least 2, or no degree would be checked.
     """
     require_prime(p)
-    if max_degree < 1:
-        raise ValueError("need at least degree 1")
+    if max_degree < 2:
+        raise ValueError("need max degree at least 2; only lower degrees are checked")
     bases = _graded_bases(graph, max_degree, p)
     gens = bases[0]
     for level in bases[: max_degree - 1]:

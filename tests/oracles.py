@@ -1,10 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
-Everything here except the ball searches at the end is deliberately
-written with machinery different from the package: rewriting closures
-over raw tuples, generating function recurrences, and brute force
-enumeration. Agreement with the package is then a meaningful check rather
-than a tautology.
+Everything here except the last sections (the ball searches, the
+retraction-core double cosets and the paper's HNN route, which reuse the
+package's word arithmetic) is deliberately written with machinery
+different from the package: rewriting closures over raw tuples,
+generating function recurrences, and brute force enumeration. Agreement
+with the package is then a meaningful check rather than a tautology.
 
 Words are tuples of signed ints, vertex i appearing as +-(i+1). A graph is
 given by its adjacency: a list of frozensets of neighbour indices.
@@ -446,17 +447,15 @@ def canonical_double_coset_data(x, a_verts, b_verts):
 
 def core_conjugacy_double_coset(y, x, a_verts, b_verts):
     """Decide y in <A>x<B> as conjugacy of the cores of x and y under
-    <A∩B>. Returns (left, right) with y == left*x*right, None when the
-    cores are not conjugate, or the Inconclusive of conjugate_under."""
-    from raag.conjugacy import Conjugate, Inconclusive, conjugate_under
+    <A∩B>. Returns (left, right) with y == left*x*right, or None when the
+    cores are not conjugate."""
+    from raag.conjugacy import Conjugate, conjugate_under
 
     a = frozenset(a_verts)
     b = frozenset(b_verts)
     alpha_x, gamma_x = canonical_double_coset_data(x, a, b)
     alpha_y, gamma_y = canonical_double_coset_data(y, a, b)
     res = conjugate_under(alpha_x, alpha_y, a & b)
-    if isinstance(res, Inconclusive):
-        return res
     if not isinstance(res, Conjugate):
         return None
     d = res.conjugator
@@ -465,3 +464,208 @@ def core_conjugacy_double_coset(y, x, a_verts, b_verts):
     if not (left.in_special(a) and right.in_special(b) and left * x * right == y):
         raise AssertionError("core-conjugacy factors fail to multiply out")
     return left, right
+
+
+# ---------------------------------------------------------------------------
+# conjugacy under a special subgroup along the paper's HNN route
+#
+# The package decides it from the conjugator coset x0*C(g). This is the
+# paper's route: split along a pivot outside the subgroup as an HNN
+# extension, decide the base products under the subgroup, and search the
+# intersection of the base conjugators' centralizer coset with the prefix
+# cosets by a bounded sweep, which can give up. Its folds are the
+# package's exact CentralizerState.
+
+
+@dataclass(frozen=True)
+class Undecided:
+    """The bounded coset-intersection sweep ran out before deciding."""
+
+    detail: str
+
+
+EMPTY = "EMPTY"
+UNDECIDED = "UNDECIDED"
+
+
+@dataclass(frozen=True)
+class SpecialCoset:
+    """The set left * <verts> * right."""
+
+    left: object
+    verts: frozenset
+    right: object
+
+    def contains(self, w):
+        return (self.left.inverse() * w * self.right.inverse()).in_special(self.verts)
+
+    def conjugated_shape(self):
+        """(c, u) with the same set written as c * u<verts>u^-1."""
+        return self.left * self.right, self.right.inverse()
+
+
+def hnn_element(split, hw):
+    """x0 t^a1 x1 ... t^an xn of a syllable form, as an element."""
+    from raag.words import Element
+
+    t = split.pivot + 1
+    out = hw.head
+    for a, x in hw.syllables:
+        out = out * Element(split.graph, (t if a > 0 else -t,) * abs(a)) * x
+    return out
+
+
+def _abelian_certificate_empty(graph, rep, gens, cosets):
+    """True when exponent sums already rule out the whole instance.
+
+    Every element of left<B>right fixes the coordinates outside B at
+    ab(left*right); two cosets disagreeing there, or a forced vector
+    outside the affine lattice reachable from rep, certify emptiness.
+    """
+    from raag._intlinalg import solve_left_integer
+    from raag.cosets import abelianization
+
+    forced = {}
+    for dc in cosets:
+        ab_c = abelianization(dc.left * dc.right)
+        for v in range(graph.n):
+            if v in dc.verts:
+                continue
+            if v in forced and forced[v] != ab_c[v]:
+                return True
+            forced[v] = ab_c[v]
+    if not forced:
+        return False
+    ab_rep = abelianization(rep)
+    cols = sorted(forced)
+    target = [forced[v] - ab_rep[v] for v in cols]
+    rows = [[abelianization(x)[v] for v in cols] for x in gens]
+    return solve_left_integer(rows, target) is None
+
+
+def coset_intersection_nonempty(rep, state, double_cosets, search_bound, state_cap=20_000):
+    """Witness in rep * (the set of `state`) ∩ every listed double coset,
+    or a verdict.
+
+    `state` is a raag.cosets.CentralizerState; it is folded down after
+    each coset is satisfied, so the sweep always moves inside the exact
+    set of still-admissible elements. Returns an Element, EMPTY (certified,
+    via the exponent-sum obstruction or an exhausted finite orbit), or
+    UNDECIDED when a bound was hit.
+    """
+    graph = rep.graph
+    gens = state.generators()
+    if _abelian_certificate_empty(graph, rep, gens, double_cosets):
+        return EMPTY
+    for dc in double_cosets:
+        if not dc.contains(rep):
+            gens = state.generators()
+            if not gens:
+                return EMPTY
+            step = list(gens) + [x.inverse() for x in gens]
+            seen = {rep}
+            frontier = [rep]
+            found = None
+            exhausted = True
+            while frontier and found is None:
+                new = []
+                for w in frontier:
+                    for s in step:
+                        nxt = w * s
+                        if nxt in seen:
+                            continue
+                        if len(nxt) > search_bound or len(seen) >= state_cap:
+                            exhausted = False
+                            continue
+                        seen.add(nxt)
+                        if dc.contains(nxt):
+                            found = nxt
+                            break
+                        new.append(nxt)
+                    if found is not None:
+                        break
+                frontier = new
+            if found is None:
+                # orbits of nontrivial subgroups are infinite here, so a
+                # finished sweep really did see the whole orbit
+                return EMPTY if exhausted else UNDECIDED
+            rep = found
+        _, u = dc.conjugated_shape()
+        state = state.constrain_membership(u, dc.verts)
+    return rep
+
+
+def _hnn_step(split, xw, yw, subgroup, search_bound):
+    """Conjugator in <subgroup> taking xw's element to yw's, for reduced
+    syllable forms with at least one pivot run: the pivot exponent
+    sequences agree, the base products are conjugate under the subgroup
+    with witness alpha, and the coset of alpha by the centralizer of the
+    base product meets every prefix coset ypref_i <assoc> xpref_i^-1.
+    Returns an Element, a NotConjugate, or an Undecided."""
+    from raag.conjugacy import Conjugate, NotConjugate, centralizer_in_special
+    from raag.cosets import CentralizerState
+    from raag.words import Element
+
+    graph = split.graph
+    if xw.exponents != yw.exponents:
+        return NotConjugate("hnn-exponent-pattern")
+    xprod, yprod = xw.xprod(), yw.xprod()
+    res = hnn_conjugate_under(xprod, yprod, subgroup, search_bound)
+    if not isinstance(res, Conjugate):
+        return res if isinstance(res, Undecided) else NotConjugate("base-product-conjugacy")
+    state = CentralizerState(graph, Element(graph), subgroup, (xprod,), centralizer_in_special)
+    double_cosets = [
+        SpecialCoset(yw.base_prefix(i), split.assoc, xw.base_prefix(i).inverse())
+        for i in range(xw.n)
+    ]
+    x_elt, y_elt = hnn_element(split, xw), hnn_element(split, yw)
+    if search_bound is None:
+        search_bound = 2 * (len(x_elt) + len(y_elt)) + 8
+    sigma = coset_intersection_nonempty(res.conjugator, state, double_cosets, search_bound)
+    if sigma is EMPTY:
+        return NotConjugate("coset-intersection")
+    if sigma is UNDECIDED:
+        return Undecided("coset intersection search hit its bounds")
+    if not (sigma.in_special(subgroup) and sigma * x_elt * sigma.inverse() == y_elt):
+        raise AssertionError("HNN-route conjugator fails to conjugate")
+    return sigma
+
+
+def hnn_conjugate_under(g, h, s_verts, search_bound=None):
+    """Conjugate, NotConjugate or Undecided for sigma in <s_verts> with
+    sigma*g*sigma^-1 == h, along the HNN route; search_bound caps the
+    canonical length the coset sweep explores (None picks one from the
+    input lengths)."""
+    from raag.conjugacy import Conjugate, NotConjugate, conjugate
+    from raag.cosets import abelianization
+    from raag.hnn import HnnSplitting, decompose
+    from raag.words import Element
+
+    graph = g.graph
+    s = frozenset(s_verts)
+    if s == frozenset(range(graph.n)):
+        return conjugate(g, h)
+    if g == h:
+        return Conjugate(Element(graph))
+    if not s:
+        return NotConjugate("trivial-subgroup")
+    if abelianization(g) != abelianization(h):
+        return NotConjugate("abelianization")
+    t = max(i for i in range(graph.n) if i not in s)
+    g_has = t in g.support()
+    if g_has != (t in h.support()):
+        return NotConjugate("hnn-exponent-pattern")
+    if not g_has:
+        keep = [i for i in range(graph.n) if i != t]
+        sub = graph.full_subgraph(keep)
+        s_sub = frozenset(sub.index[graph.vertices[i]] for i in s)
+        res = hnn_conjugate_under(g.restrict(sub), h.restrict(sub), s_sub, search_bound)
+        if isinstance(res, Conjugate):
+            sigma = res.conjugator.embed(graph)
+            if sigma * g * sigma.inverse() != h:
+                raise AssertionError("HNN-route conjugator fails to conjugate")
+            return Conjugate(sigma)
+        return res
+    split = HnnSplitting(graph, t)
+    res = _hnn_step(split, decompose(split, g), decompose(split, h), s, search_bound)
+    return Conjugate(res) if isinstance(res, Element) else res

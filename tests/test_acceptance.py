@@ -25,13 +25,11 @@ from oracles import (
 )
 from raag.conjugacy import (
     Conjugate,
-    Inconclusive,
     NotConjugate,
     centralizer,
     conjugate,
 )
 from raag.cosets import (
-    INCONCLUSIVE,
     CosetFactors,
     NotMember,
     in_double_coset,
@@ -132,7 +130,7 @@ def test_criterion_2_conjugacy_vs_ball_oracle(conjugacy_corpus):
     contradictions = 0
     inconclusive = 0
     for _, g, h, eng, orc in records:
-        if isinstance(eng, Inconclusive):
+        if not isinstance(eng, (Conjugate, NotConjugate)):
             inconclusive += 1
         if isinstance(orc, Conjugate) and isinstance(eng, NotConjugate):
             contradictions += 1
@@ -353,7 +351,7 @@ def test_criterion_9_double_coset_equivalence():
                 for y in ball4:
                     res = in_double_coset(y, x, a_set, b_set)
                     checked += 1
-                    if res is INCONCLUSIVE:
+                    if not isinstance(res, (CosetFactors, NotMember)):
                         inconclusive += 1
                     elif isinstance(res, NotMember):
                         if y in members:

@@ -39,7 +39,8 @@ def corrupted(name, call):
 # b is not in <a> 1 <a>; a lying strip gives both words the representative 1
 with mock.patch.object(Element, "double_coset_form", lambda self, front, back: (one, one, one)):
     corrupted("double coset", lambda: cosets.in_double_coset(b, one, {0}, {0}))
-with mock.patch.object(cosets, "coset_intersection_nonempty", lambda *args, **kw: a**5):
+# a bogus x0 = a^5 survives every step of conjugate_under's coset algebra
+with mock.patch.object(conjugacy, "conjugate", lambda g, h: conjugacy.Conjugate(a**5)):
     corrupted("conjugate under", lambda: conjugacy.conjugate_under(ab, ba, {0}))
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))

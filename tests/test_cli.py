@@ -208,8 +208,13 @@ def test_lie_dims_bad_degree_exits_one(graphs, capsys):
         ("magnus-separate", "a b", "b a", "-m", "0"),
         ("center", "--max-degree", "0"),
         ("center", "--max-degree", "-3"),
+        # degree 1 would check no degree at all, and claim a trivial center
+        ("center", "--max-degree", "1"),
     ],
-    ids=["separate-degree", "separate-precision", "center-degree", "center-negative"],
+    ids=[
+        "separate-degree", "separate-precision", "center-degree", "center-negative",
+        "center-degree-one",
+    ],
 )
 def test_empty_level_grid_exits_one(graphs, capsys, argv):
     code, out, err = run(capsys, argv[0], "--graph", graphs["discrete2"], *argv[1:])
@@ -225,16 +230,22 @@ def test_oversized_exponent_exits_one(graphs, capsys):
     assert (code, out) == (1, "") and "error: word expands to more than" in err
 
 
-def test_double_coset_long_factor_member(tmp_path, capsys):
-    # the core-conjugacy reduction gave up on this member and exited 2
-    edges = [
+# a seeded G(8, 1/2), the half8 of test_conjugacy, spelled out
+HALF8 = {
+    "vertices": [f"v{i}" for i in range(8)],
+    "edges": [
         ["v0", "v1"], ["v0", "v3"], ["v0", "v5"], ["v0", "v6"], ["v1", "v2"],
         ["v1", "v4"], ["v1", "v5"], ["v1", "v6"], ["v1", "v7"], ["v2", "v4"],
         ["v2", "v5"], ["v2", "v6"], ["v2", "v7"], ["v3", "v4"], ["v3", "v6"],
         ["v3", "v7"], ["v4", "v5"], ["v4", "v7"], ["v5", "v7"],
-    ]
-    path = tmp_path / "rand8.json"
-    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(8)], "edges": edges}))
+    ],
+}
+
+
+def test_double_coset_long_factor_member(tmp_path, capsys):
+    # the core-conjugacy reduction gave up on this member and exited 2
+    path = tmp_path / "half8.json"
+    path.write_text(json.dumps(HALF8))
     code, out, _ = run(
         capsys, "double-coset", "--graph", str(path),
         "v7^-1 v6^-1 v7^-1 v0^2 v2 v3^-1 v5^-1 v3 v6^-1",
@@ -244,6 +255,25 @@ def test_double_coset_long_factor_member(tmp_path, capsys):
     )
     assert code == 0
     assert out == "MEMBER: left = v7^-1 v0^-1 v7^-2 v6 v5^-1 v7 v0^-1, right = v0^-1 v2^-1 v6^2\n"
+
+
+def test_conjugate_under_half8_pin(tmp_path, capsys):
+    # the HNN route's coset sweep gave up on this pair and exited 2
+    path = tmp_path / "half8.json"
+    path.write_text(json.dumps(HALF8))
+    code, out, _ = run(
+        capsys, "conjugate-under", "--graph", str(path),
+        "v3", "v0 v2^-1 v3 v2 v0^-1", "--subgroup", "v2,v6",
+    )
+    assert (code, out) == (0, "NOT CONJUGATE (double-coset)\n")
+
+
+def test_search_bound_is_gone(graphs, capsys):
+    code, out, err = run(
+        capsys, "conjugate-under", "--graph", graphs["discrete2"],
+        "a", "a", "--subgroup", "a", "--search-bound", "5",
+    )
+    assert (code, out) == (1, "") and "error:" in err
 
 
 def test_output_is_stable(graphs, capsys):

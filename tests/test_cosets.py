@@ -1,29 +1,29 @@
-"""Double cosets, conjugated intersections, and the folding coset search."""
+"""Double cosets, conjugated intersections, centralizer-state folds, and the
+HNN route's coset search kept as an oracle."""
 
 import random
 
 from oracles import (
+    EMPTY,
+    UNDECIDED,
+    SpecialCoset,
     canonical_double_coset_data,
     cayley_ball,
     core_conjugacy_double_coset,
+    coset_intersection_nonempty,
     subgroup_ball,
 )
 from raag.graphs import Graph
 from raag.words import Element, parse
 from raag import conjugacy
 from raag.cosets import (
-    EMPTY,
-    INCONCLUSIVE,
+    CentralizerState,
     CosetFactors,
     NotMember,
-    SpecialCoset,
-    SubgroupIntersectionSpec,
     abelianization,
-    coset_intersection_nonempty,
     in_double_coset,
     intersect_conjugated,
     make_gens,
-    state_from_spec,
 )
 
 F2 = Graph(["a", "b"])
@@ -180,9 +180,9 @@ def test_membership_matches_enumeration():
 
 
 def test_membership_agrees_with_core_conjugacy_oracle():
-    # the retraction-core reduction, wherever conjugate_under decides it
+    # the retraction-core reduction, through the exact conjugate_under
     rng = random.Random(97)
-    decided = 0
+    checked = 0
     for graph in (P4, C5, RAND8):
         for k in range(40):
             averts = frozenset(rng.sample(range(graph.n), rng.randrange(1, graph.n)))
@@ -194,13 +194,11 @@ def test_membership_agrees_with_core_conjugacy_oracle():
                 y = rand_word(rng, graph, rng.randrange(2, 9))
             res = in_double_coset(y, x, averts, bverts)
             oracle = core_conjugacy_double_coset(y, x, averts, bverts)
-            if isinstance(oracle, conjugacy.Inconclusive):
-                continue
-            decided += 1
+            checked += 1
             assert isinstance(res, CosetFactors) == (oracle is not None), (graph.vertices, x, y)
             if k % 2:
                 assert isinstance(res, CosetFactors)
-    assert decided >= 110
+    assert checked == 120
 
 
 def test_long_factor_member_is_decided():
@@ -219,14 +217,11 @@ def test_long_factor_member_is_decided():
 
 
 def test_membership_never_decides_conjugacy(monkeypatch):
-    from raag import hnn
-
     def refuse(*args, **kwargs):
         raise AssertionError("in_double_coset called a conjugacy decision")
 
     monkeypatch.setattr(conjugacy, "conjugate_under", refuse)
     monkeypatch.setattr(conjugacy, "conjugate", refuse)
-    monkeypatch.setattr(hnn, "minasyan_conjugate_under", refuse)
     rng = random.Random(5)
     for graph in (P4, C5, RAND8):
         for k in range(20):
@@ -299,11 +294,8 @@ def test_state_fold_matches_brute_force():
             z = rand_word(rng, graph, 2)
             prefix = rand_word(rng, graph, 2)
             assoc = frozenset({1})
-            spec = SubgroupIntersectionSpec(
-                frozenset(range(graph.n)), z, ((prefix, assoc),)
-            )
-            state = state_from_spec(graph, spec, service)
-            gens = state.generators()
+            state = CentralizerState(graph, Element(graph), range(graph.n), (z,), service)
+            gens = state.constrain_membership(prefix, assoc).generators()
             brute = {
                 w
                 for w in cayley_ball(graph, 3)
@@ -325,10 +317,8 @@ def test_state_two_folds_match_brute_force():
         z = rand_word(rng, graph, 2)
         p1, p2 = rand_word(rng, graph, 2), rand_word(rng, graph, 2)
         k1, k2 = frozenset({0, 1}), frozenset({1, 2})
-        spec = SubgroupIntersectionSpec(
-            frozenset(range(graph.n)), z, ((p1, k1), (p2, k2))
-        )
-        gens = state_from_spec(graph, spec, service).generators()
+        state = CentralizerState(graph, Element(graph), range(graph.n), (z,), service)
+        gens = state.constrain_membership(p1, k1).constrain_membership(p2, k2).generators()
         brute = {
             w
             for w in cayley_ball(graph, 3)
@@ -345,23 +335,23 @@ def test_state_two_folds_match_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# the folding intersection search
+# the HNN route's folding intersection search (an oracle in tests/oracles.py)
 
 
-def full_spec(graph, verts):
-    return SubgroupIntersectionSpec(frozenset(verts), None, ())
+def full_state(graph, verts, svc=service):
+    return CentralizerState(graph, Element(graph), verts, (), svc)
 
 
 def test_search_no_cosets_returns_rep():
     rep = parse(F2, "a b")
-    out = coset_intersection_nonempty(rep, full_spec(F2, {0, 1}), [], 8, service)
+    out = coset_intersection_nonempty(rep, full_state(F2, {0, 1}), [], 8)
     assert out == rep
 
 
 def test_search_finds_simple_witness():
     one = Element(F2)
     dc = SpecialCoset(parse(F2, "a^3"), frozenset(), one)
-    out = coset_intersection_nonempty(one, full_spec(F2, {0}), [dc], 8, service)
+    out = coset_intersection_nonempty(one, full_state(F2, {0}), [dc], 8)
     assert isinstance(out, Element)
     assert out == parse(F2, "a^3")
 
@@ -369,7 +359,7 @@ def test_search_finds_simple_witness():
 def test_search_certifies_empty_by_exponents():
     one = Element(F2)
     dc = SpecialCoset(parse(F2, "b"), frozenset(), one)
-    out = coset_intersection_nonempty(one, full_spec(F2, {0}), [dc], 8, service)
+    out = coset_intersection_nonempty(one, full_state(F2, {0}), [dc], 8)
     assert out is EMPTY
 
 
@@ -383,15 +373,15 @@ def test_search_conflicting_cosets_empty_without_gens():
         SpecialCoset(parse(F2, "b"), frozenset(), one),
         SpecialCoset(parse(F2, "b^2"), frozenset(), one),
     ]
-    out = coset_intersection_nonempty(one, full_spec(F2, {0}), dcs, 8, stub)
+    out = coset_intersection_nonempty(one, full_state(F2, {0}, stub), dcs, 8)
     assert out is EMPTY
 
 
 def test_search_bound_gives_inconclusive():
     one = Element(F2)
     dc = SpecialCoset(parse(F2, "a^9"), frozenset(), one)
-    out = coset_intersection_nonempty(one, full_spec(F2, {0}), [dc], 4, service)
-    assert out is INCONCLUSIVE
+    out = coset_intersection_nonempty(one, full_state(F2, {0}), [dc], 4)
+    assert out is UNDECIDED
 
 
 def test_search_two_cosets_folded():
@@ -400,9 +390,7 @@ def test_search_two_cosets_folded():
     one = Element(graph)
     dc1 = SpecialCoset(parse(graph, "b"), frozenset({0}), one)
     dc2 = SpecialCoset(parse(graph, "b"), frozenset({2}), one)
-    out = coset_intersection_nonempty(
-        one, full_spec(graph, {0, 1, 2}), [dc1, dc2], 8, service
-    )
+    out = coset_intersection_nonempty(one, full_state(graph, {0, 1, 2}), [dc1, dc2], 8)
     assert isinstance(out, Element)
     assert dc1.contains(out) and dc2.contains(out)
 

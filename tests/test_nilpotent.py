@@ -294,6 +294,14 @@ def test_center_trivial_edge_plus_isolated():
     assert lie_center_trivial_upto(EDGE_ISO, 4, 2)
 
 
+@pytest.mark.parametrize("max_degree", [1, 0])
+def test_center_check_refuses_empty_degree_range(max_degree):
+    # degree 1 checks no degree; on P3, whose vertex b is central, a True
+    # would be a false claim
+    with pytest.raises(ValueError, match="^need"):
+        lie_center_trivial_upto(P3, max_degree, 2)
+
+
 def test_center_matches_graph_center_at_degree_one():
     for graph in CORPUS:
         has_central_vertex = bool(graph.center_vertices())
