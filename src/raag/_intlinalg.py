@@ -1,12 +1,16 @@
 """Exact linear solvers over Z and Z/p^m.
 
 The integer solver is a small Hermite-style elimination used for lattice
-membership certificates; the modular solver handles the non-field rings
-Z/p^m by global minimum-valuation pivoting, which keeps back-substitution
-complete (every coefficient seen to the right of a pivot has valuation at
-least the pivot's, so later choices can never repair a failed divisibility
-check). Arithmetic stays in int64 only while no intermediate value can
-reach 2^63; past that it runs on Python integers.
+membership certificates. The modular solver handles the non-field rings
+Z/p^m by elimination in valuation passes: pass v = 0, ..., m-1 sweeps the
+free columns once and pivots only on entries of valuation exactly v.
+Every free entry has valuation at least v during pass v (the proof is in
+`solve_mod_prime_power`), so each pivot has the least valuation of all
+free entries, which keeps back-substitution complete: later choices can
+never repair a failed divisibility check. Each column costs
+one O(rows) test per pass, not a scan of the whole matrix per pivot.
+Arithmetic stays in int64 only while no intermediate value can reach
+2^63; past that it runs on Python integers.
 """
 
 from __future__ import annotations
@@ -81,15 +85,29 @@ def exact_dtype(q, ncols):
     return np.int64 if (ncols + 1) * q * q < 2**63 else object
 
 
-def _valuation_mask(a, p, v):
-    if v == 0:
-        return a % p != 0
-    pv = p**v
-    return (a % (pv * p) != 0) & (a % pv == 0)
-
-
 def solve_mod_prime_power(matrix, rhs, p, m):
-    """Solve matrix @ x == rhs over Z/p^m; returns an int array or None."""
+    """Solve matrix @ x == rhs over Z/p^m; returns an int array or None.
+
+    Elimination runs in valuation passes v = 0, ..., m-1. Pass v sweeps the
+    free columns once, left to right; in column c it takes the first free
+    row whose entry has valuation exactly v, scales that row by a unit so
+    the pivot is p^v, and clears the column from the other free rows.
+
+    Invariant: during pass v every free entry (free row, free column) has
+    valuation >= v. It holds at v = 0. A pass-v elimination subtracts
+    multiples of the pivot row, whose free entries have valuation >= v, so
+    nothing drops below v. A column passed over in pass v has no
+    valuation-v entry among the free rows; the pivot row of any later
+    pass-v elimination was one of those rows, so its entry there is above
+    v, and the column stays above v to the end of the pass. So every free
+    entry is above v when pass v+1 starts, and above m-1, that is 0 mod
+    p^m, after the last pass. Each pivot thus has the least valuation of
+    all free entries, as with global pivoting, and back-substitution is
+    complete: pivot row r reads p^v x_c plus terms of valuation >= v, so
+    it fails only when p^v does not divide b_r, and then nothing solves
+    the system. The solution is checked against the system before it is
+    returned.
+    """
     q = p**m
     matrix = np.asarray(matrix)
     dtype = exact_dtype(q, matrix.shape[-1])
@@ -101,35 +119,26 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     row_free = np.ones(neq, dtype=bool)
     col_free = np.ones(nvar, dtype=bool)
     pivots = []
-    while True:
-        found = None
-        for v in range(m):
-            mask = _valuation_mask(a, p, v)
-            mask &= row_free[:, None]
-            mask &= col_free[None, :]
-            hit = np.argwhere(mask)
-            if len(hit):
-                found = (int(hit[0][0]), int(hit[0][1]), v)
-                break
-        if found is None:
-            break
-        r, c, v = found
-        unit = int(a[r, c]) // p**v
-        inv = pow(unit, -1, q)
-        a[r] = (a[r] * inv) % q
-        b[r] = (b[r] * inv) % q
+    for v in range(m):
         pv = p**v
-        idx = np.flatnonzero(row_free & (a[:, c] != 0))
-        idx = idx[idx != r]
-        if len(idx):
-            # every remaining entry in this column has valuation >= v
-            factors = a[idx, c] // pv
-            a[idx] = (a[idx] - factors[:, None] * a[r]) % q
-            b[idx] = (b[idx] - factors * b[r]) % q
-        row_free[r] = False
-        col_free[c] = False
-        pivots.append((r, c, v))
-    # rows never picked are identically zero mod q by now; check consistency
+        for c in np.flatnonzero(col_free):
+            # free entries of this column are divisible by p^v
+            rows = np.flatnonzero(row_free & (a[:, c] % (pv * p) != 0))
+            if not len(rows):
+                continue
+            r = rows[0]
+            inv = pow(int(a[r, c]) // pv, -1, q)
+            a[r] = (a[r] * inv) % q
+            b[r] = (b[r] * inv) % q
+            row_free[r] = False
+            col_free[c] = False
+            pivots.append((r, c, v))
+            idx = np.flatnonzero(row_free & (a[:, c] != 0))
+            if len(idx):
+                factors = a[idx, c] // pv
+                a[idx] = (a[idx] - factors[:, None] * a[r]) % q
+                b[idx] = (b[idx] - factors * b[r]) % q
+    # the free rows are identically 0 mod q now; check consistency
     if np.any(b[row_free] % q):
         return None
     x = np.zeros(nvar, dtype=dtype)

@@ -35,6 +35,7 @@ __all__ = [
     "GradedDims",
     "trace_canonical",
     "trace_monomials",
+    "MAX_TRACE_MONOMIALS",
     "magnus_image",
     "magnus_conjugate_test",
     "find_separating_level",
@@ -70,15 +71,29 @@ def trace_canonical(graph, word):
     return out
 
 
+# the Magnus system has one unknown per monomial; a free group of rank 2 at
+# degree 11 already has 4095 of them, and one solve there takes tens of
+# seconds, so larger bases are refused before they are built
+MAX_TRACE_MONOMIALS = 4096
+
+
 def trace_monomials(graph, cap):
-    """All canonical trace monomials of degree <= cap, by degree then lex."""
+    """All canonical trace monomials of degree <= cap, by degree then lex.
+
+    Raises ValueError as soon as more than MAX_TRACE_MONOMIALS have been
+    found, without building the rest of the basis.
+    """
     levels = [[()]]
-    for _ in range(cap):
-        new = {
-            trace_canonical(graph, w + (v,))
-            for w in levels[-1]
-            for v in range(graph.n)
-        }
+    count = 1
+    for d in range(1, cap + 1):
+        new = set()
+        for w in levels[-1]:
+            new.update(trace_canonical(graph, w + (v,)) for v in range(graph.n))
+            if count + len(new) > MAX_TRACE_MONOMIALS:
+                raise ValueError(
+                    f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {d}"
+                )
+        count += len(new)
         levels.append(sorted(new))
     return [m for level in levels for m in level]
 
@@ -307,11 +322,14 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
     unit; conjugate inputs always come back NOT_FOUND. p must be prime,
-    and max_d and max_m at least 1, so that the grid is not empty.
+    max_d and max_m at least 1, so that the grid is not empty, and the
+    trace basis at max_d no larger than MAX_TRACE_MONOMIALS; all three are
+    checked before any level is tried.
     """
     require_prime(p)
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
+    trace_monomials(g.graph, max_d)
     for d in range(1, max_d + 1):
         for m in range(1, max_m + 1):
             if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):

@@ -2,8 +2,9 @@
 
 Everything here except the last sections (the ball searches, the
 retraction-core double cosets and the paper's HNN route, which reuse the
-package's word arithmetic) is deliberately written with machinery
-different from the package: rewriting closures over raw tuples,
+package's word arithmetic, and the modular solver by global pivoting,
+which reuses its numpy representation) is deliberately written with
+machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
 
@@ -669,3 +670,79 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
     split = HnnSplitting(graph, t)
     res = _hnn_step(split, decompose(split, g), decompose(split, h), s, search_bound)
     return Conjugate(res) if isinstance(res, Element) else res
+
+
+# ---------------------------------------------------------------------------
+# linear systems over Z/p^m by global minimum-valuation pivoting
+
+
+def _valuation_mask(a, p, v):
+    if v == 0:
+        return a % p != 0
+    pv = p**v
+    return (a % (pv * p) != 0) & (a % pv == 0)
+
+
+def reference_solve_mod_prime_power(matrix, rhs, p, m):
+    """Solve matrix @ x == rhs over Z/p^m; an int array or None.
+
+    Before every pivot it rescans the whole free block for the first entry
+    of least valuation (row-major), so the global-minimum property that
+    makes back-substitution complete holds by construction rather than by
+    the valuation-pass invariant the package relies on.
+    """
+    import numpy as np
+    from raag._intlinalg import exact_dtype
+
+    q = p**m
+    matrix = np.asarray(matrix)
+    dtype = exact_dtype(q, matrix.shape[-1])
+    a = np.asarray(matrix, dtype=dtype) % q
+    b = np.asarray(rhs, dtype=dtype) % q
+    neq, nvar = a.shape if a.ndim == 2 else (0, 0)
+    if neq == 0:
+        return np.zeros(0, dtype=dtype)
+    row_free = np.ones(neq, dtype=bool)
+    col_free = np.ones(nvar, dtype=bool)
+    pivots = []
+    while True:
+        found = None
+        for v in range(m):
+            mask = _valuation_mask(a, p, v)
+            mask &= row_free[:, None]
+            mask &= col_free[None, :]
+            hit = np.argwhere(mask)
+            if len(hit):
+                found = (int(hit[0][0]), int(hit[0][1]), v)
+                break
+        if found is None:
+            break
+        r, c, v = found
+        unit = int(a[r, c]) // p**v
+        inv = pow(unit, -1, q)
+        a[r] = (a[r] * inv) % q
+        b[r] = (b[r] * inv) % q
+        pv = p**v
+        idx = np.flatnonzero(row_free & (a[:, c] != 0))
+        idx = idx[idx != r]
+        if len(idx):
+            # every remaining entry in this column has valuation >= v
+            factors = a[idx, c] // pv
+            a[idx] = (a[idx] - factors[:, None] * a[r]) % q
+            b[idx] = (b[idx] - factors * b[r]) % q
+        row_free[r] = False
+        col_free[c] = False
+        pivots.append((r, c, v))
+    # rows never picked are identically zero mod q by now; check consistency
+    if np.any(b[row_free] % q):
+        return None
+    x = np.zeros(nvar, dtype=dtype)
+    for r, c, v in reversed(pivots):
+        rhs_r = int(b[r] - a[r] @ x) % q
+        pv = p**v
+        if rhs_r % pv:
+            return None
+        x[c] = (rhs_r // pv) % (q // pv)
+    if np.any((np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)) % q):
+        raise AssertionError("reference modular solution fails the system")
+    return x

@@ -221,6 +221,28 @@ def test_empty_level_grid_exits_one(graphs, capsys, argv):
     assert (code, out) == (1, "") and "error: need" in err
 
 
+def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
+    # a conjugate pair would try every degree up to 40, on bases of 2^(d+1) - 1
+    # monomials; the basis bound refuses degree 40 before any level is tried
+    from raag import nilpotent
+
+    def refuse(*args):
+        raise AssertionError("a level was tried before the basis bound was checked")
+
+    calls = []
+    canonical = nilpotent.trace_canonical
+    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
+    monkeypatch.setattr(
+        nilpotent, "trace_canonical", lambda graph, word: calls.append(word) or canonical(graph, word)
+    )
+    code, out, err = run(
+        capsys, "magnus-separate", "--graph", graphs["discrete2"], "a b", "b a",
+        "--max-degree", "40",
+    )
+    assert (code, out) == (1, "") and "error: more than" in err
+    assert len(calls) <= nilpotent.MAX_TRACE_MONOMIALS + 2
+
+
 def test_oversized_exponent_exits_one(graphs, capsys):
     from raag.words import MAX_WORD_LENGTH
 

@@ -5,7 +5,11 @@ import random
 
 import numpy as np
 
+from raag import nilpotent
 from raag._intlinalg import solve_left_integer, solve_mod_prime_power, solve_right_integer
+from raag.graphs import Graph
+from raag.words import Element
+from oracles import reference_solve_mod_prime_power
 
 
 def test_left_integer_simple():
@@ -102,3 +106,116 @@ def test_mod_prime_power_large_modulus_is_exact():
     x = solve_mod_prime_power(a, b, p, m)
     assert x is not None
     assert all(sum(r * int(v) for r, v in zip(row, x)) % q == t for row, t in zip(a, b))
+
+
+def _weighted(rng, p, m):
+    # c * p^k with k uniform in 0..m, so every valuation is common
+    return rng.randrange(1, p**m) * p ** rng.randrange(m + 1) % p**m
+
+
+def _image(a, q):
+    grid = np.array(list(itertools.product(range(q), repeat=len(a[0]))), dtype=np.int64)
+    return {tuple(row) for row in (grid @ np.array(a, dtype=np.int64).T % q).tolist()}
+
+
+def test_mod_prime_power_weighted_systems_match_enumeration():
+    rng = random.Random(19)
+    seen = {"solvable": 0, "unsolvable": 0, "deficient": 0, "non-square": 0}
+    for p in (2, 3, 5):
+        for m in (1, 2, 3):
+            q = p**m
+            widest = max(k for k in range(1, 5) if q**k <= 15625)
+            for _ in range(40):
+                neq, nvar = rng.randrange(1, 5), rng.randrange(1, widest + 1)
+                a = [[_weighted(rng, p, m) for _ in range(nvar)] for _ in range(neq)]
+                if neq > 1 and rng.random() < 0.4:
+                    # one row a weighted combination of the others
+                    coef = [_weighted(rng, p, m) for _ in range(neq - 1)]
+                    a[-1] = [sum(c * r[j] for c, r in zip(coef, a)) % q for j in range(nvar)]
+                    seen["deficient"] += 1
+                elif nvar > 1 and rng.random() < 0.4:
+                    # one column a weighted combination of the others
+                    coef = [_weighted(rng, p, m) for _ in range(nvar - 1)]
+                    for row in a:
+                        row[-1] = sum(c * x for c, x in zip(coef, row)) % q
+                    seen["deficient"] += 1
+                seen["non-square"] += neq != nvar
+                image = _image(a, q)
+                x0 = [rng.randrange(q) for _ in range(nvar)]
+                targets = [
+                    [sum(r * x for r, x in zip(row, x0)) % q for row in a],
+                    [_weighted(rng, p, m) for _ in range(neq)],
+                    [rng.randrange(q) for _ in range(neq)],
+                ]
+                for b in targets:
+                    x = solve_mod_prime_power(a, b, p, m)
+                    ref = reference_solve_mod_prime_power(a, b, p, m)
+                    solvable = tuple(b) in image
+                    assert (x is not None) == solvable == (ref is not None), (p, m, a, b)
+                    if x is not None:
+                        got = np.array(a, dtype=np.int64) @ np.array(x, dtype=np.int64) % q
+                        assert got.tolist() == b
+                    seen["solvable" if solvable else "unsolvable"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def _commutator_pairs(rng, graph, count):
+    """[u, v] against s [v, u] s^-1 for non-adjacent vertices u, v."""
+    apart = [
+        (u, v) for u in range(graph.n) for v in range(graph.n)
+        if u != v and not graph.adjacent(u, v)
+    ]
+    for _ in range(count):
+        u, v = (x + 1 for x in rng.choice(apart))
+        s = Element(graph, [rng.choice((1, -1)) * rng.randrange(1, graph.n + 1) for _ in range(2)])
+        yield Element(graph, [u, v, -u, -v]), s * Element(graph, [v, u, -v, -u]) * s.inverse()
+
+
+def _conjugate_pairs(rng, graph, count):
+    for _ in range(count):
+        g = Element(graph, [rng.choice((1, -1)) * rng.randrange(1, graph.n + 1) for _ in range(4)])
+        s = Element(graph, [rng.choice((1, -1)) * rng.randrange(1, graph.n + 1) for _ in range(3)])
+        yield g, s * g * s.inverse()
+
+
+def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypatch):
+    solve = nilpotent.solve_mod_prime_power
+    systems = []
+
+    def capture(matrix, rhs, p, m):
+        systems.append((matrix, rhs, p, m))
+        return solve(matrix, rhs, p, m)
+
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    rng = random.Random(31)
+    p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    f3 = Graph(["a", "b", "c"])
+    c5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    verdicts = []
+    for graph, d in ((p3, 6), (f3, 5), (c5, 4)):
+        pairs = [*_commutator_pairs(rng, graph, 3), *_conjugate_pairs(rng, graph, 2)]
+        for g, h in pairs:
+            for p, m in ((2, 2), (3, 2)):
+                del systems[:]
+                nilpotent.magnus_conjugate_test(g, h, d, p, m)
+                (matrix, rhs, _, _), = systems
+                ref = reference_solve_mod_prime_power(matrix, rhs, p, m)
+                assert (solve(matrix, rhs, p, m) is None) == (ref is None)
+                verdicts.append(ref is None)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_mod_prime_power_revisits_a_column_in_the_next_pass():
+    # pass 0: column 0 pivots on row 0, which turns row 1 into (0, 2, 1);
+    # column 1 is left with 2, 2 and no unit, and column 2 pivots on row 1,
+    # which turns row 2 into (0, 2, 0). Column 1 is pivoted only in pass 1,
+    # on the 2 in row 2; skip it and row 2 looks inconsistent.
+    a = [[1, 1, 0], [1, 3, 1], [0, 2, 2]]
+    p, m = 2, 2
+    image = _image(a, 4)
+    assert len(image) == 32
+    for b in itertools.product(range(4), repeat=3):
+        x = solve_mod_prime_power(a, list(b), p, m)
+        assert (x is not None) == (b in image) == (reference_solve_mod_prime_power(a, list(b), p, m) is not None)
+        if x is not None:
+            assert (np.array(a) @ x % 4).tolist() == list(b)

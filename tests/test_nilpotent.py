@@ -7,7 +7,9 @@ import pytest
 from raag.graphs import Graph
 from raag.words import Element, parse
 from raag.conjugacy import NotConjugate, conjugate
+from raag import nilpotent
 from raag.nilpotent import (
+    MAX_TRACE_MONOMIALS,
     NOT_FOUND,
     GradedDims,
     NotSeparatedAtThisLevel,
@@ -69,6 +71,36 @@ def test_trace_monomial_counts_match_oracles():
         by_degree = [sum(1 for m in monos if len(m) == k) for k in range(5)]
         assert by_degree == count_trace_monomials(adj, 4)
         assert by_degree == trace_monoid_growth(adj, 4)
+
+
+def test_trace_basis_bound_covers_the_benchmark_sizes():
+    c5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    sizes = [len(trace_monomials(c5, 5)), len(trace_monomials(F3, 6)), len(trace_monomials(P3, 8))]
+    assert sizes == [1376, 1093, 1013]
+    assert len(trace_monomials(F2, 11)) == 4095 <= MAX_TRACE_MONOMIALS
+
+
+def test_trace_basis_bound_refuses_before_building(monkeypatch):
+    # 19531 monomials up to degree 6 on five free letters; 3906 up to degree 5
+    edgeless5 = Graph(list("abcde"))
+    calls = []
+    canonical = nilpotent.trace_canonical
+    monkeypatch.setattr(
+        nilpotent, "trace_canonical", lambda graph, word: calls.append(word) or canonical(graph, word)
+    )
+    with pytest.raises(ValueError, match=f"more than {MAX_TRACE_MONOMIALS} trace monomials"):
+        trace_monomials(edgeless5, 6)
+    assert len(calls) <= MAX_TRACE_MONOMIALS + edgeless5.n
+
+    def refuse(*args):
+        raise AssertionError("a level was tried before the basis bound was checked")
+
+    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
+    del calls[:]
+    g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
+    with pytest.raises(ValueError, match="trace monomials"):
+        find_separating_level(g, h, 2, max_d=6)
+    assert len(calls) <= MAX_TRACE_MONOMIALS + edgeless5.n
 
 
 def test_generators_commute_exactly_when_adjacent():
