@@ -71,10 +71,11 @@ def trace_canonical(graph, word):
     return out
 
 
-# the Magnus system has one unknown per monomial; a free group of rank 2 at
-# degree 11 already has 4095 of them, and one solve there takes tens of
-# seconds, so larger bases are refused before they are built
-MAX_TRACE_MONOMIALS = 4096
+# the Magnus system is a dense square matrix with one unknown per monomial;
+# a free group of rank 2 has 2047 of them at degree 10 and 4095 at degree 11,
+# where one solve takes tens of seconds, so larger bases are refused before
+# they are built
+MAX_TRACE_MONOMIALS = 2048
 
 
 def trace_monomials(graph, cap):
@@ -322,14 +323,13 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
     unit; conjugate inputs always come back NOT_FOUND. p must be prime,
-    max_d and max_m at least 1, so that the grid is not empty, and the
-    trace basis at max_d no larger than MAX_TRACE_MONOMIALS; all three are
-    checked before any level is tried.
+    and max_d and max_m at least 1, so that the grid is not empty. The scan
+    raises ValueError at the first degree whose trace basis is larger than
+    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
     """
     require_prime(p)
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
-    trace_monomials(g.graph, max_d)
     for d in range(1, max_d + 1):
         for m in range(1, max_m + 1):
             if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):

@@ -12,6 +12,11 @@ def graphs(tmp_path):
     paths = {}
     specs = {
         "discrete2": {"vertices": ["a", "b"], "edges": []},
+        "discrete5": {"vertices": list("abcde"), "edges": []},
+        "cycle5": {
+            "vertices": list("abcde"),
+            "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]],
+        },
         "path3": {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]},
         "triangle": {
             "vertices": ["a", "b", "c"],
@@ -222,25 +227,33 @@ def test_empty_level_grid_exits_one(graphs, capsys, argv):
 
 
 def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
-    # a conjugate pair would try every degree up to 40, on bases of 2^(d+1) - 1
-    # monomials; the basis bound refuses degree 40 before any level is tried
+    # a conjugate pair would try every degree up to 40; on five free letters
+    # the basis passes the bound at degree 5 (3906 monomials), which ends the
+    # scan before that basis is built
     from raag import nilpotent
 
-    def refuse(*args):
-        raise AssertionError("a level was tried before the basis bound was checked")
+    sizes = []
+    monomials = nilpotent.trace_monomials
 
-    calls = []
-    canonical = nilpotent.trace_canonical
-    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
-    monkeypatch.setattr(
-        nilpotent, "trace_canonical", lambda graph, word: calls.append(word) or canonical(graph, word)
-    )
+    def basis(graph, cap):
+        out = monomials(graph, cap)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(nilpotent, "trace_monomials", basis)
     code, out, err = run(
-        capsys, "magnus-separate", "--graph", graphs["discrete2"], "a b", "b a",
+        capsys, "magnus-separate", "--graph", graphs["discrete5"], "a b", "b a",
         "--max-degree", "40",
     )
     assert (code, out) == (1, "") and "error: more than" in err
-    assert len(calls) <= nilpotent.MAX_TRACE_MONOMIALS + 2
+    assert max(sizes) == 781
+
+
+def test_magnus_separate_below_the_basis_bound(graphs, capsys):
+    # C5 passes the basis bound at the default degree 6; a pair that
+    # separates at degree 1 is answered before the scan gets there
+    code, out, _ = run(capsys, "magnus-separate", "--graph", graphs["cycle5"], "a", "b")
+    assert (code, out) == (0, "SEPARATED AT d=1 m=1\n")
 
 
 def test_oversized_exponent_exits_one(graphs, capsys):

@@ -57,30 +57,6 @@ def test_mod_prime_power_no_solution():
     assert solve_mod_prime_power([[3, 6]], [1], 3, 2) is None
 
 
-def test_mod_prime_power_matches_enumeration():
-    rng = random.Random(11)
-    for _ in range(60):
-        p = rng.choice((2, 3))
-        m = rng.randrange(1, 3)
-        q = p**m
-        neq, nvar = rng.randrange(1, 4), rng.randrange(1, 4)
-        a = [[rng.randrange(q) for _ in range(nvar)] for _ in range(neq)]
-        b = [rng.randrange(q) for _ in range(neq)]
-        x = solve_mod_prime_power(a, b, p, m)
-        brute = any(
-            all(
-                sum(a[i][j] * v[j] for j in range(nvar)) % q == b[i] % q
-                for i in range(neq)
-            )
-            for v in itertools.product(range(q), repeat=nvar)
-        )
-        if x is None:
-            assert not brute
-        else:
-            arr = np.asarray(a) @ np.asarray(x) % q
-            assert all(int(arr[i]) == b[i] % q for i in range(neq))
-
-
 def test_mod_prime_power_larger_system():
     rng = random.Random(13)
     for p, m in ((2, 2), (3, 1)):
@@ -108,6 +84,10 @@ def test_mod_prime_power_large_modulus_is_exact():
     assert all(sum(r * int(v) for r, v in zip(row, x)) % q == t for row, t in zip(a, b))
 
 
+def _uniform(rng, p, m):
+    return rng.randrange(p**m)
+
+
 def _weighted(rng, p, m):
     # c * p^k with k uniform in 0..m, so every valuation is common
     return rng.randrange(1, p**m) * p ** rng.randrange(m + 1) % p**m
@@ -118,45 +98,49 @@ def _image(a, q):
     return {tuple(row) for row in (grid @ np.array(a, dtype=np.int64).T % q).tolist()}
 
 
-def test_mod_prime_power_weighted_systems_match_enumeration():
+def test_mod_prime_power_matches_enumeration():
+    # uniform and valuation-weighted entries, non-square and rank-deficient
+    # systems; the verdict must match the enumerated image and the
+    # global-pivoting oracle, and a returned solution must solve the system
     rng = random.Random(19)
     seen = {"solvable": 0, "unsolvable": 0, "deficient": 0, "non-square": 0}
-    for p in (2, 3, 5):
-        for m in (1, 2, 3):
-            q = p**m
-            widest = max(k for k in range(1, 5) if q**k <= 15625)
-            for _ in range(40):
-                neq, nvar = rng.randrange(1, 5), rng.randrange(1, widest + 1)
-                a = [[_weighted(rng, p, m) for _ in range(nvar)] for _ in range(neq)]
-                if neq > 1 and rng.random() < 0.4:
-                    # one row a weighted combination of the others
-                    coef = [_weighted(rng, p, m) for _ in range(neq - 1)]
-                    a[-1] = [sum(c * r[j] for c, r in zip(coef, a)) % q for j in range(nvar)]
-                    seen["deficient"] += 1
-                elif nvar > 1 and rng.random() < 0.4:
-                    # one column a weighted combination of the others
-                    coef = [_weighted(rng, p, m) for _ in range(nvar - 1)]
-                    for row in a:
-                        row[-1] = sum(c * x for c, x in zip(coef, row)) % q
-                    seen["deficient"] += 1
-                seen["non-square"] += neq != nvar
-                image = _image(a, q)
-                x0 = [rng.randrange(q) for _ in range(nvar)]
-                targets = [
-                    [sum(r * x for r, x in zip(row, x0)) % q for row in a],
-                    [_weighted(rng, p, m) for _ in range(neq)],
-                    [rng.randrange(q) for _ in range(neq)],
-                ]
-                for b in targets:
-                    x = solve_mod_prime_power(a, b, p, m)
-                    ref = reference_solve_mod_prime_power(a, b, p, m)
-                    solvable = tuple(b) in image
-                    assert (x is not None) == solvable == (ref is not None), (p, m, a, b)
-                    if x is not None:
-                        got = np.array(a, dtype=np.int64) @ np.array(x, dtype=np.int64) % q
-                        assert got.tolist() == b
-                    seen["solvable" if solvable else "unsolvable"] += 1
-    assert min(seen.values()) > 100, seen
+    for draw in (_uniform, _weighted):
+        for p in (2, 3, 5):
+            for m in (1, 2, 3):
+                q = p**m
+                widest = max(k for k in range(1, 5) if q**k <= 15625)
+                for _ in range(30):
+                    neq, nvar = rng.randrange(1, 5), rng.randrange(1, widest + 1)
+                    a = [[draw(rng, p, m) for _ in range(nvar)] for _ in range(neq)]
+                    if neq > 1 and rng.random() < 0.4:
+                        # one row a weighted combination of the others
+                        coef = [_weighted(rng, p, m) for _ in range(neq - 1)]
+                        a[-1] = [sum(c * r[j] for c, r in zip(coef, a)) % q for j in range(nvar)]
+                        seen["deficient"] += 1
+                    elif nvar > 1 and rng.random() < 0.4:
+                        # one column a weighted combination of the others
+                        coef = [_weighted(rng, p, m) for _ in range(nvar - 1)]
+                        for row in a:
+                            row[-1] = sum(c * x for c, x in zip(coef, row)) % q
+                        seen["deficient"] += 1
+                    seen["non-square"] += neq != nvar
+                    image = _image(a, q)
+                    x0 = [rng.randrange(q) for _ in range(nvar)]
+                    targets = [
+                        [sum(r * x for r, x in zip(row, x0)) % q for row in a],
+                        [draw(rng, p, m) for _ in range(neq)],
+                        [_weighted(rng, p, m) for _ in range(neq)],
+                    ]
+                    for b in targets:
+                        x = solve_mod_prime_power(a, b, p, m)
+                        ref = reference_solve_mod_prime_power(a, b, p, m)
+                        solvable = tuple(b) in image
+                        assert (x is not None) == solvable == (ref is not None), (p, m, a, b)
+                        if x is not None:
+                            got = np.array(a, dtype=np.int64) @ np.array(x, dtype=np.int64) % q
+                            assert got.tolist() == b
+                        seen["solvable" if solvable else "unsolvable"] += 1
+    assert min(seen.values()) > 150, seen
 
 
 def _commutator_pairs(rng, graph, count):

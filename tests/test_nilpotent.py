@@ -38,6 +38,7 @@ F3 = Graph(["a", "b", "c"])
 P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 EDGE_ISO = Graph(["a", "b", "c"], [("a", "b")])
+C5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 
 CORPUS = [F2, K2, F3, P3, K3, EDGE_ISO]
 
@@ -74,33 +75,56 @@ def test_trace_monomial_counts_match_oracles():
 
 
 def test_trace_basis_bound_covers_the_benchmark_sizes():
-    c5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
-    sizes = [len(trace_monomials(c5, 5)), len(trace_monomials(F3, 6)), len(trace_monomials(P3, 8))]
+    sizes = [len(trace_monomials(C5, 5)), len(trace_monomials(F3, 6)), len(trace_monomials(P3, 8))]
     assert sizes == [1376, 1093, 1013]
-    assert len(trace_monomials(F2, 11)) == 4095 <= MAX_TRACE_MONOMIALS
+    assert len(trace_monomials(F2, 10)) == 2047 <= MAX_TRACE_MONOMIALS
 
 
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
-    # 19531 monomials up to degree 6 on five free letters; 3906 up to degree 5
+    # 19531 monomials up to degree 6 on five free letters, 3906 up to degree 5
     edgeless5 = Graph(list("abcde"))
     calls = []
     canonical = nilpotent.trace_canonical
     monkeypatch.setattr(
         nilpotent, "trace_canonical", lambda graph, word: calls.append(word) or canonical(graph, word)
     )
-    with pytest.raises(ValueError, match=f"more than {MAX_TRACE_MONOMIALS} trace monomials"):
+    with pytest.raises(ValueError, match=f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5"):
         trace_monomials(edgeless5, 6)
     assert len(calls) <= MAX_TRACE_MONOMIALS + edgeless5.n
 
-    def refuse(*args):
-        raise AssertionError("a level was tried before the basis bound was checked")
 
-    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
-    del calls[:]
+def test_separating_level_stops_at_the_basis_bound(monkeypatch):
+    # a conjugate pair is tried at every level up to degree 4 (781
+    # monomials); degree 5 is past the bound and ends the scan
+    edgeless5 = Graph(list("abcde"))
+    tried, sizes = [], []
+    test, monomials = nilpotent.magnus_conjugate_test, nilpotent.trace_monomials
+
+    def basis(graph, cap):
+        out = monomials(graph, cap)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(nilpotent, "trace_monomials", basis)
+    monkeypatch.setattr(
+        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
+    )
     g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
-    with pytest.raises(ValueError, match="trace monomials"):
+    with pytest.raises(ValueError, match="trace monomials up to degree 5"):
         find_separating_level(g, h, 2, max_d=6)
-    assert len(calls) <= MAX_TRACE_MONOMIALS + edgeless5.n
+    assert tried == [(d, m) for d in range(1, 5) for m in (1, 2)] + [(5, 1)]
+    assert max(sizes) == 781
+
+
+def test_separating_level_answers_below_the_basis_bound():
+    # C5 has 5001 trace monomials up to the default max_d of 6; pairs that
+    # separate at a lower degree never reach it
+    assert find_separating_level(parse(C5, "a"), parse(C5, "b"), 2) == (1, 1)
+    comm = parse(C5, "a c a^-1 c^-1")
+    assert find_separating_level(comm, parse(C5, "c a c^-1 a^-1"), 2) == (2, 2)
+    assert find_separating_level(comm, parse(C5, "a d a^-1 d^-1"), 3) == (2, 1)
+    with pytest.raises(ValueError, match="up to degree 6"):
+        find_separating_level(parse(C5, "a b"), parse(C5, "b a"), 2)
 
 
 def test_generators_commute_exactly_when_adjacent():
