@@ -127,6 +127,10 @@ def test_magnus_separate(graphs, capsys):
         "a b a^-1 b^-1", "b a b^-1 a^-1", "--max-degree", "1",
     )
     assert (code, out) == (2, "NOT SEPARATED (d <= 1, m <= 2)\n")
+    # C5 passes the trace basis bound at the default degree 6; a pair that
+    # separates at degree 1 is answered before the scan gets there
+    code, out, _ = run(capsys, "magnus-separate", "--graph", graphs["cycle5"], "a", "b")
+    assert (code, out) == (0, "SEPARATED AT d=1 m=1\n")
 
 
 def test_lie_dims_golden(graphs, capsys):
@@ -247,13 +251,6 @@ def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
     )
     assert (code, out) == (1, "") and "error: more than" in err
     assert max(sizes) == 781
-
-
-def test_magnus_separate_below_the_basis_bound(graphs, capsys):
-    # C5 passes the basis bound at the default degree 6; a pair that
-    # separates at degree 1 is answered before the scan gets there
-    code, out, _ = run(capsys, "magnus-separate", "--graph", graphs["cycle5"], "a", "b")
-    assert (code, out) == (0, "SEPARATED AT d=1 m=1\n")
 
 
 def test_oversized_exponent_exits_one(graphs, capsys):
