@@ -11,15 +11,16 @@ algebra: M(g)·u = u·M(h) with the affine constraint that u has constant term
 1 is a linear system over Z/p^m, solved exactly.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
-generate a graded Lie ring whose dimensions are the successive ranks of the
-group's lower central series, computed degree by degree with exact
-elimination.
+generate a graded Lie ring whose dimensions d_n are the successive ranks of
+the group's lower central series. They follow in closed form from the
+clique polynomial C(t) = sum_j c_j t^j, where c_j counts the j-cliques:
+prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb
 
 import numpy as np
 
@@ -215,11 +216,6 @@ class TruncatedAlgebraElement:
         return f"<{body} | deg<={self.cap} over {ring}>"
 
 
-def bracket(x, y):
-    """Ring commutator x*y - y*x."""
-    return x * y - y * x
-
-
 # ---------------------------------------------------------------------------
 # the unit embedding
 
@@ -357,112 +353,81 @@ class GradedDims:
         return self.dims[i]
 
 
-def _strip(vec):
-    return {k: v for k, v in vec.items() if v}
+def _clique_counts(graph, upto):
+    """c_0, ..., c_upto, where c_j is the number of cliques with j vertices.
 
-
-def _insert_echelon(pivots, vec, p):
-    """Reduce vec against the pivot rows; install it if independent.
-
-    Rows are dicts keyed by monomial; the pivot of a row is its least key.
-    p = 0 runs exact integer cross-multiplication (with gcd normalization),
-    p > 0 runs arithmetic mod the prime p. Returns the reduced row, or None
-    when vec was in the span already.
+    Each clique grows only by its later common neighbours, so it is found
+    once. A clique whose candidates are themselves pairwise adjacent extends
+    by every subset of them, which is counted by binomials in one step.
     """
-    vec = _strip(vec)
-    while vec:
-        lead = min(vec)
-        piv = pivots.get(lead)
-        if piv is None:
-            if p:
-                inv = pow(vec[lead], -1, p)
-                vec = _strip({k: (v * inv) % p for k, v in vec.items()})
-            else:
-                g = 0
-                for v in vec.values():
-                    g = gcd(g, v)
-                sign = -1 if vec[lead] < 0 else 1
-                vec = {k: sign * v // g for k, v in vec.items()}
-            pivots[lead] = vec
-            return vec
-        if p:
-            c = vec[lead]
-            keys = set(vec) | set(piv)
-            vec = _strip(
-                {k: (vec.get(k, 0) - c * piv.get(k, 0)) % p for k in keys}
-            )
-        else:
-            a, b = piv[lead], vec[lead]
-            keys = set(vec) | set(piv)
-            vec = _strip(
-                {k: vec.get(k, 0) * a - piv.get(k, 0) * b for k in keys}
-            )
-    return None
+    later = [frozenset(u for u in graph.adj[v] if u > v) for v in range(graph.n)]
+    counts = [0] * (upto + 1)
+
+    def grow(size, candidates):
+        k = len(candidates)
+        if all(len(candidates & graph.adj[v]) == k - 1 for v in candidates):
+            for extra in range(min(k, upto - size) + 1):
+                counts[size + extra] += comb(k, extra)
+            return
+        counts[size] += 1
+        if size < upto:
+            for v in candidates:
+                grow(size + 1, candidates & later[v])
+
+    grow(0, frozenset(range(graph.n)))
+    return counts
 
 
-def _graded_bases(graph, max_degree, p=0):
-    """Echelonized bases of the graded Lie pieces up to max_degree.
-
-    The degree-one piece is spanned by the vertices; each next piece is
-    spanned by brackets of the previous one with the vertices, which is all
-    of it because the algebra is generated in degree one.
-    """
-    modulus = p
-    gens = [
-        TruncatedAlgebraElement(graph, max_degree, modulus, {(v,): 1})
-        for v in range(graph.n)
-    ]
-    bases = [list(gens)]
-    for _ in range(1, max_degree):
-        pivots = {}
-        level = []
-        for x in bases[-1]:
-            for g in gens:
-                vec = bracket(x, g).coeffs
-                red = _insert_echelon(pivots, vec, p)
-                if red is not None:
-                    level.append(
-                        TruncatedAlgebraElement(graph, max_degree, modulus, red)
-                    )
-        bases.append(level)
-    return bases
-
-
-def lie_graded_dims(graph, max_degree, p=0):
+def lie_graded_dims(graph, max_degree):
     """Graded dimensions of the Lie ring generated by the vertices.
 
-    Exact over the integers by default (these graded pieces are free, so the
-    integer ranks are the rational ones); pass a prime p to compute the same
-    dimensions over the field with p elements.
+    Its graded pieces are free modules of the same rank over Z and over
+    every field (the Lyndon heaps of Lalonde give a basis with leading
+    coefficient 1), and by Duchamp-Krob the ranks d_n satisfy
+
+        prod_n (1 - t^n)^(-d_n)  ==  1 / C(-t),
+
+    with C(t) = sum_j c_j t^j the clique polynomial. Taking logarithms,
+    sum_{k | n} k d_k equals the power sum p_n of the roots of
+    G(t) = C(-t), and Newton's identity gives p_n from g_j = (-1)^j c_j.
     """
     if max_degree < 1:
         raise ValueError("need at least degree 1")
-    if p:
-        require_prime(p)
-    bases = _graded_bases(graph, max_degree, p)
-    return GradedDims(tuple(len(level) for level in bases))
+    g = [(-1) ** j * c for j, c in enumerate(_clique_counts(graph, max_degree))]
+    power = [0]
+    dims = [0]
+    for n in range(1, max_degree + 1):
+        power.append(-n * g[n] - sum(power[k] * g[n - k] for k in range(1, n)))
+        divisors = sum(k * dims[k] for k in range(1, n) if n % k == 0)
+        dims.append((power[n] - divisors) // n)
+    return GradedDims(tuple(dims[1:]))
 
 
 def lie_center_trivial_upto(graph, max_degree, p):
     """True when no nonzero homogeneous element of degree < max_degree
     commutes with every vertex generator, over the field with p elements.
 
-    Each degree is one kernel computation: stack the brackets with all
-    generators and check the columns are independent. p must be prime
-    and max_degree at least 2, or no degree would be checked.
+    That holds exactly when the graph has no central vertex, in every degree
+    and over every coefficient ring. p must be prime and max_degree at least
+    2, or no degree would be checked.
+
+    Proof. (1) If vx = xv in the trace algebra, every monomial of x uses
+    only letters of st(v). Suppose a monomial t of x has j letters v and a
+    letter u outside st(v). The coefficient of v.t in vx is that of t, so
+    v.t is a monomial of xv and ends in v: the last v of t commutes with
+    every letter after it, and v.t = t'.v with t' the word t with that v
+    moved to the front. Trace monoids cancel, so t' has the coefficient of
+    t in x. After j moves v^j.r is a monomial of x, with r free of v and
+    containing u; then v^(j+1).r must end in v, which needs every letter
+    of r in st(v), and u is not. (2) So a homogeneous Lie element commuting
+    with every vertex uses only the set C of central vertices, which is a
+    clique. (3) The ring map that kills every vertex outside C fixes that
+    element and sends the Lie ring into the commutative algebra on C, where
+    every bracket vanishes. So the element is 0 in degree >= 2 and lies in
+    the span of C in degree 1, and a nonzero one exists exactly when C is
+    not empty.
     """
     require_prime(p)
     if max_degree < 2:
         raise ValueError("need max degree at least 2; only lower degrees are checked")
-    bases = _graded_bases(graph, max_degree, p)
-    gens = bases[0]
-    for level in bases[: max_degree - 1]:
-        pivots = {}
-        for x in level:
-            stacked = {}
-            for v, g in enumerate(gens):
-                for mono, c in bracket(x, g).coeffs.items():
-                    stacked[(v, mono)] = c
-            if _insert_echelon(pivots, stacked, p) is None:
-                return False
-    return True
+    return not graph.center_vertices()

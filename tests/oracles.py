@@ -2,14 +2,16 @@
 
 Everything here except the last sections (the ball searches, the
 retraction-core double cosets and the paper's HNN route, which reuse the
-package's word arithmetic, and the modular solver by global pivoting,
-which reuses its numpy representation) is deliberately written with
+package's word arithmetic, the modular solver by global pivoting, which
+reuses its numpy representation, and the Lie bracket echelon, which
+reuses its truncated algebra) is deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
 
 Words are tuples of signed ints, vertex i appearing as +-(i+1). A graph is
-given by its adjacency: a list of frozensets of neighbour indices.
+given by its adjacency: a list of frozensets of neighbour indices, except
+in the sections that reuse the package, which take its Graph.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 # ---------------------------------------------------------------------------
@@ -746,3 +749,109 @@ def reference_solve_mod_prime_power(matrix, rhs, p, m):
     if np.any((np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)) % q):
         raise AssertionError("reference modular solution fails the system")
     return x
+
+
+# ---------------------------------------------------------------------------
+# graded Lie ring by bracket echelon over the package's truncated algebra
+#
+# The package reads the Lie dimensions off the clique polynomial and the
+# Lie center off the graph's central vertices. These build the graded
+# pieces themselves: bracket every basis element with every vertex and
+# echelonise, over Z or the field with p elements.
+
+
+def bracket(x, y):
+    """Ring commutator x*y - y*x."""
+    return x * y - y * x
+
+
+def _strip(vec):
+    return {k: v for k, v in vec.items() if v}
+
+
+def _insert_echelon(pivots, vec, p):
+    """Reduce vec against the pivot rows; install it if independent.
+
+    Rows are dicts keyed by monomial; the pivot of a row is its least key.
+    p = 0 runs exact integer cross-multiplication (with gcd normalization),
+    p > 0 runs arithmetic mod the prime p. Returns the reduced row, or None
+    when vec was in the span already.
+    """
+    vec = _strip(vec)
+    while vec:
+        lead = min(vec)
+        piv = pivots.get(lead)
+        if piv is None:
+            if p:
+                inv = pow(vec[lead], -1, p)
+                vec = _strip({k: (v * inv) % p for k, v in vec.items()})
+            else:
+                g = 0
+                for v in vec.values():
+                    g = gcd(g, v)
+                sign = -1 if vec[lead] < 0 else 1
+                vec = {k: sign * v // g for k, v in vec.items()}
+            pivots[lead] = vec
+            return vec
+        if p:
+            c = vec[lead]
+            keys = set(vec) | set(piv)
+            vec = _strip(
+                {k: (vec.get(k, 0) - c * piv.get(k, 0)) % p for k in keys}
+            )
+        else:
+            a, b = piv[lead], vec[lead]
+            keys = set(vec) | set(piv)
+            vec = _strip(
+                {k: vec.get(k, 0) * a - piv.get(k, 0) * b for k in keys}
+            )
+    return None
+
+
+def _graded_bases(graph, max_degree, p):
+    """Echelonized bases of the graded Lie pieces up to max_degree.
+
+    The degree-one piece is spanned by the vertices; each next piece is
+    spanned by brackets of the previous one with the vertices, which is all
+    of it because the algebra is generated in degree one.
+    """
+    from raag.nilpotent import TruncatedAlgebraElement
+
+    gens = [
+        TruncatedAlgebraElement(graph, max_degree, p, {(v,): 1})
+        for v in range(graph.n)
+    ]
+    bases = [list(gens)]
+    for _ in range(1, max_degree):
+        pivots = {}
+        level = []
+        for x in bases[-1]:
+            for g in gens:
+                red = _insert_echelon(pivots, bracket(x, g).coeffs, p)
+                if red is not None:
+                    level.append(TruncatedAlgebraElement(graph, max_degree, p, red))
+        bases.append(level)
+    return bases
+
+
+def echelon_lie_dims(graph, max_degree, p):
+    """Ranks of the graded Lie pieces over Z (p = 0) or the field F_p."""
+    return tuple(len(level) for level in _graded_bases(graph, max_degree, p))
+
+
+def echelon_center_trivial_upto(graph, max_degree, p):
+    """Whether no nonzero homogeneous Lie element of degree < max_degree
+    commutes with every vertex over F_p: per degree, the brackets of the
+    basis with all vertices, stacked, must be independent."""
+    bases = _graded_bases(graph, max_degree, p)
+    gens = bases[0]
+    for level in bases[: max_degree - 1]:
+        pivots = {}
+        for x in level:
+            stacked = {}
+            for v, g in enumerate(gens):
+                for mono, c in bracket(x, g).coeffs.items():
+                    stacked[(v, mono)] = c
+            if _insert_echelon(pivots, stacked, p) is None:
+                return False
+    return True

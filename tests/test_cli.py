@@ -5,6 +5,7 @@ import json
 import pytest
 
 from raag.cli import main
+from oracles import witt_free_lie_dims
 
 
 @pytest.fixture
@@ -144,6 +145,16 @@ def test_lie_dims_golden(graphs, capsys):
     assert (code, out) == (0, "d: 3 0 0 0\n")
 
 
+def test_lie_dims_high_degree(graphs, capsys):
+    # the free Lie ranks grow like 2^d / d; they come from the clique
+    # polynomial, so no basis of that size is built
+    code, out, _ = run(
+        capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "40"
+    )
+    dims = " ".join(str(d) for d in witt_free_lie_dims(2, 40))
+    assert (code, out) == (0, f"d: {dims}\n")
+
+
 def test_center(graphs, capsys):
     code, out, _ = run(capsys, "center", "--graph", graphs["path3"])
     assert code == 0
@@ -151,6 +162,11 @@ def test_center(graphs, capsys):
     code, out, _ = run(capsys, "center", "--graph", graphs["discrete2"])
     assert code == 0
     assert out == "central vertices: (none)\nlie center trivial up to degree 3: YES\n"
+    code, out, _ = run(
+        capsys, "center", "--graph", graphs["discrete2"], "--max-degree", "40"
+    )
+    assert code == 0
+    assert out == "central vertices: (none)\nlie center trivial up to degree 39: YES\n"
 
 
 @pytest.mark.parametrize("prime", ["0", "1", "4"])

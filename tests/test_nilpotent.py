@@ -1,5 +1,6 @@
 """Truncated algebra, unit embedding, separation levels, and Lie dimensions."""
 
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from raag.nilpotent import (
     NotSeparatedAtThisLevel,
     Separated,
     TruncatedAlgebraElement,
-    bracket,
     find_separating_level,
     lie_center_trivial_upto,
     lie_graded_dims,
@@ -25,8 +25,11 @@ from raag.nilpotent import (
     trace_monomials,
 )
 from oracles import (
+    bracket,
     clique_polynomial,
     count_trace_monomials,
+    echelon_center_trivial_upto,
+    echelon_lie_dims,
     poincare_series_product,
     trace_monoid_growth,
     witt_free_lie_dims,
@@ -41,6 +44,24 @@ EDGE_ISO = Graph(["a", "b", "c"], [("a", "b")])
 C5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
 
 CORPUS = [F2, K2, F3, P3, K3, EDGE_ISO]
+
+
+def complete_graph(n):
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, list(itertools.combinations(names, 2)))
+
+
+def random_graph(rng, n, density=0.5):
+    names = [f"v{i}" for i in range(n)]
+    edges = [e for e in itertools.combinations(names, 2) if rng.random() < density]
+    return Graph(names, edges)
+
+
+def every_graph(n):
+    names = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(names, 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(names, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
 def adj_sets(graph):
@@ -303,6 +324,8 @@ def test_lie_dims_free_rank_three():
 def test_lie_dims_complete_graphs_are_abelian():
     assert tuple(lie_graded_dims(K2, 4)) == (2, 0, 0, 0)
     assert tuple(lie_graded_dims(K3, 4)) == (3, 0, 0, 0)
+    # 768 212 cliques of at most 6 vertices: counted by binomials, not one by one
+    assert tuple(lie_graded_dims(complete_graph(30), 6)) == (30, 0, 0, 0, 0, 0)
 
 
 def test_lie_dims_path():
@@ -318,10 +341,32 @@ def test_lie_dims_satisfy_pbw_identity():
         assert lhs == rhs, graph
 
 
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_lie_dims_match_echelon(p):
+    # the echelon brackets and eliminates over Z or F_p; the closed form
+    # has no p because the ranks agree over every one of them
+    rng = random.Random(4711)
+    graphs = CORPUS + [C5] + [random_graph(rng, rng.randrange(2, 7)) for _ in range(20)]
+    for graph in graphs:
+        assert tuple(lie_graded_dims(graph, 5)) == echelon_lie_dims(graph, 5, p), graph.edges()
+
+
 def test_lie_dims_stable_under_large_prime():
     for graph in CORPUS:
-        exact = tuple(lie_graded_dims(graph, 4))
-        assert exact == tuple(lie_graded_dims(graph, 4, p=31))
+        assert tuple(lie_graded_dims(graph, 4)) == echelon_lie_dims(graph, 4, 31)
+
+
+def test_clique_counts_match_oracle():
+    rng = random.Random(1729)
+    graphs = [complete_graph(6)] + [
+        random_graph(rng, rng.randrange(1, 11), rng.choice((0.3, 0.6, 0.9)))
+        for _ in range(30)
+    ]
+    for graph in graphs:
+        full = clique_polynomial(adj_sets(graph))
+        for upto in (1, 3, graph.n, graph.n + 2):
+            want = (full + [0] * upto)[: upto + 1]
+            assert nilpotent._clique_counts(graph, upto) == want, (graph.edges(), upto)
 
 
 def test_graded_dims_container():
@@ -356,6 +401,16 @@ def test_center_check_refuses_empty_degree_range(max_degree):
     # would be a false claim
     with pytest.raises(ValueError, match="^need"):
         lie_center_trivial_upto(P3, max_degree, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_center_matches_echelon(p):
+    rng = random.Random(2718)
+    graphs = [g for n in range(1, 5) for g in every_graph(n)]
+    graphs += [random_graph(rng, 5) for _ in range(40)]
+    for graph in graphs:
+        want = echelon_center_trivial_upto(graph, 4, p)
+        assert lie_center_trivial_upto(graph, 4, p) == want, graph.edges()
 
 
 def test_center_matches_graph_center_at_degree_one():
