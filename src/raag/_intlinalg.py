@@ -10,12 +10,12 @@ free entries, which keeps back-substitution complete: later choices can
 never repair a failed divisibility check. Each column costs
 one O(rows) test per pass, not a scan of the whole matrix per pivot.
 Arithmetic stays in int64 only while no intermediate value can reach
-2^63; past that it runs on Python integers.
+2^63; past that it runs on Python integers. numpy is imported by the
+modular functions that use it, not by this module, so the integer solver
+and every command that runs no modular solve start without it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ._checks import verify
 
@@ -82,6 +82,8 @@ def exact_dtype(q, ncols):
     """int64 when a row of `ncols` residues mod q dotted with another, plus
     one more residue, stays below 2^63 ((ncols+1) * q^2 < 2^63); otherwise
     object, which holds Python integers."""
+    import numpy as np
+
     return np.int64 if (ncols + 1) * q * q < 2**63 else object
 
 
@@ -108,6 +110,8 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     the system. The solution is checked against the system before it is
     returned.
     """
+    import numpy as np
+
     q = p**m
     matrix = np.asarray(matrix)
     dtype = exact_dtype(q, matrix.shape[-1])

@@ -8,7 +8,8 @@ Over Z/p^m the units with constant term 1 form a finite p-group, so a pair of
 group elements whose images fail to be conjugate there is certified
 non-conjugate in the group itself. Deciding conjugacy of two UNITS is linear
 algebra: M(g)·u = u·M(h) with the affine constraint that u has constant term
-1 is a linear system over Z/p^m, solved exactly.
+1 is a linear system over Z/p^m, solved exactly. That test is the only part
+of the module that uses numpy, and it imports numpy when it runs.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -20,9 +21,8 @@ prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
-
-import numpy as np
 
 from ._checks import require_prime, verify
 from ._intlinalg import exact_dtype, solve_mod_prime_power
@@ -41,6 +41,7 @@ __all__ = [
     "magnus_conjugate_test",
     "find_separating_level",
     "lie_graded_dims",
+    "MAX_LIE_DEGREE",
     "lie_center_trivial_upto",
 ]
 
@@ -279,6 +280,8 @@ def magnus_conjugate_test(g, h, d, p, m):
     hand side and the rest is elimination. A found unit is verified by
     multiplication before being returned.
     """
+    import numpy as np
+
     left = magnus_image(g, d, p, m)
     right = magnus_image(h, d, p, m)
     graph = g.graph
@@ -353,29 +356,59 @@ class GradedDims:
         return self.dims[i]
 
 
+def _times_binomial(poly, k, upto):
+    """poly * (1 + t)^k, cut past degree upto."""
+    out = [0] * min(len(poly) + k, upto + 1)
+    for i, a in enumerate(poly):
+        for j in range(min(k, len(out) - 1 - i) + 1):
+            out[i + j] += a * comb(k, j)
+    return out
+
+
 def _clique_counts(graph, upto):
     """c_0, ..., c_upto, where c_j is the number of cliques with j vertices.
 
-    Each clique grows only by its later common neighbours, so it is found
-    once. A clique whose candidates are themselves pairwise adjacent extends
-    by every subset of them, which is counted by binomials in one step.
+    Let P(S) be the clique polynomial of the subgraph induced on S. A clique
+    of S misses a vertex v or is v joined to a clique of its neighbours, so
+    P(S) = P(S - v) + t P(S & N(v)). The k vertices of S adjacent to all
+    the rest join every clique of the others freely, a factor (1 + t)^k;
+    on what remains the recursion branches on the vertex with the fewest
+    neighbours there. Each polynomial is memoised on its vertex set and cut
+    past degree upto, and an explicit stack keeps the recursion off
+    Python's call stack, which a path of many vertices would overflow.
     """
-    later = [frozenset(u for u in graph.adj[v] if u > v) for v in range(graph.n)]
-    counts = [0] * (upto + 1)
+    adj = graph.adj
+    whole = frozenset(range(graph.n))
+    memo = {}
+    plans = {}
+    stack = [whole]
+    while stack:
+        s = stack[-1]
+        if s in memo:
+            stack.pop()
+            continue
+        if s not in plans:
+            inner = {v: len(s & adj[v]) for v in s}
+            rest = [v for v in s if inner[v] < len(s) - 1]
+            if not rest:
+                memo[s] = _times_binomial([1], len(s), upto)
+                continue
+            v = min(rest, key=inner.get)
+            rest = frozenset(rest)
+            plans[s] = (len(s) - len(rest), rest - {v}, rest & adj[v])
+            stack.extend(m for m in plans[s][1:] if m not in memo)
+            continue
+        peeled, without, within = plans.pop(s)
+        shifted = [0] + memo[within][:upto]
+        poly = [a + b for a, b in zip_longest(memo[without], shifted, fillvalue=0)]
+        memo[s] = _times_binomial(poly, peeled, upto)
+        stack.pop()
+    return memo[whole] + [0] * (upto + 1 - len(memo[whole]))
 
-    def grow(size, candidates):
-        k = len(candidates)
-        if all(len(candidates & graph.adj[v]) == k - 1 for v in candidates):
-            for extra in range(min(k, upto - size) + 1):
-                counts[size + extra] += comb(k, extra)
-            return
-        counts[size] += 1
-        if size < upto:
-            for v in candidates:
-                grow(size + 1, candidates & later[v])
 
-    grow(0, frozenset(range(graph.n)))
-    return counts
+# the Newton loop below costs O(d^2) big-integer steps; degree 4096 takes
+# about 1.5 s on a free group of rank 2, and larger degrees are refused
+MAX_LIE_DEGREE = 4096
 
 
 def lie_graded_dims(graph, max_degree):
@@ -390,9 +423,12 @@ def lie_graded_dims(graph, max_degree):
     with C(t) = sum_j c_j t^j the clique polynomial. Taking logarithms,
     sum_{k | n} k d_k equals the power sum p_n of the roots of
     G(t) = C(-t), and Newton's identity gives p_n from g_j = (-1)^j c_j.
+    max_degree must lie between 1 and MAX_LIE_DEGREE.
     """
     if max_degree < 1:
         raise ValueError("need at least degree 1")
+    if max_degree > MAX_LIE_DEGREE:
+        raise ValueError(f"degree {max_degree} is above the bound {MAX_LIE_DEGREE}")
     g = [(-1) ** j * c for j, c in enumerate(_clique_counts(graph, max_degree))]
     power = [0]
     dims = [0]

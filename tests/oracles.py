@@ -113,11 +113,13 @@ def witt_free_lie_dims(rank, upto):
     return dims
 
 
-def clique_polynomial(adj):
-    """Coefficients c_0, c_1, ... where c_j counts the j-cliques."""
+def clique_polynomial(adj, upto=None):
+    """Coefficients c_0, c_1, ... where c_j counts the j-cliques, by trying
+    every vertex subset of at most `upto` vertices (all of them by default)."""
     n = len(adj)
-    coeffs = [0] * (n + 1)
-    for size in range(n + 1):
+    upto = n if upto is None else upto
+    coeffs = [0] * (upto + 1)
+    for size in range(min(n, upto) + 1):
         for combo in itertools.combinations(range(n), size):
             if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):
                 coeffs[size] += 1

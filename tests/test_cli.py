@@ -1,11 +1,18 @@
 """Command-line behavior: golden outputs, exit codes, witness round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from raag.cli import main
+from raag.nilpotent import MAX_LIE_DEGREE
 from oracles import witt_free_lie_dims
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -224,6 +231,45 @@ def test_lie_dims_bad_degree_exits_one(graphs, capsys):
         capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "0"
     )
     assert (code, out) == (1, "") and "error:" in err
+
+
+def test_lie_dims_degree_past_bound_exits_one(graphs, capsys):
+    code, out, err = run(
+        capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "100000"
+    )
+    assert (code, out) == (1, "") and "error:" in err and str(MAX_LIE_DEGREE) in err
+
+
+def fresh_python(code):
+    """stdout of `code` run in a new interpreter that imports this tree."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
+
+
+MAGNUS_P3 = """
+from raag.graphs import Graph
+from raag.nilpotent import magnus_conjugate_test
+from raag.words import parse
+graph = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+res = magnus_conjugate_test(parse(graph, "a b c"), parse(graph, "c b a"), 4, 2, 2)
+"""
+
+
+def test_numpy_loaded_only_by_a_modular_solve():
+    # every command but magnus-separate runs without numpy, so importing the
+    # CLI must not load it
+    out = fresh_python("import sys, raag, raag.cli; print('numpy' in sys.modules)")
+    assert out == "False\n"
+    out = fresh_python(
+        MAGNUS_P3 + "import sys; print('numpy' in sys.modules, sorted(res.unit.coeffs.items()))"
+    )
+    here = {}
+    exec(MAGNUS_P3, here)
+    assert out == f"True {sorted(here['res'].unit.coeffs.items())}\n"
 
 
 @pytest.mark.parametrize(

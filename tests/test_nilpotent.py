@@ -1,6 +1,7 @@
 """Truncated algebra, unit embedding, separation levels, and Lie dimensions."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from raag.words import Element, parse
 from raag.conjugacy import NotConjugate, conjugate
 from raag import nilpotent
 from raag.nilpotent import (
+    MAX_LIE_DEGREE,
     MAX_TRACE_MONOMIALS,
     NOT_FOUND,
     GradedDims,
@@ -324,7 +326,7 @@ def test_lie_dims_free_rank_three():
 def test_lie_dims_complete_graphs_are_abelian():
     assert tuple(lie_graded_dims(K2, 4)) == (2, 0, 0, 0)
     assert tuple(lie_graded_dims(K3, 4)) == (3, 0, 0, 0)
-    # 768 212 cliques of at most 6 vertices: counted by binomials, not one by one
+    # 768 212 cliques of at most 6 vertices: one factor (1 + t)^30, not one by one
     assert tuple(lie_graded_dims(complete_graph(30), 6)) == (30, 0, 0, 0, 0, 0)
 
 
@@ -367,6 +369,39 @@ def test_clique_counts_match_oracle():
         for upto in (1, 3, graph.n, graph.n + 2):
             want = (full + [0] * upto)[: upto + 1]
             assert nilpotent._clique_counts(graph, upto) == want, (graph.edges(), upto)
+
+
+def cocktail_party(pairs):
+    # every edge but a perfect matching: the join of `pairs` copies of F2
+    names = [f"v{i}" for i in range(2 * pairs)]
+    return Graph(names, [
+        (names[i], names[j]) for i, j in itertools.combinations(range(2 * pairs), 2)
+        if j != i + pairs
+    ])
+
+
+def test_clique_counts_cocktail_party():
+    # a j-clique picks j of the 20 pairs and one vertex from each; listing
+    # the 3^20 cliques one by one would not finish
+    graph = cocktail_party(20)
+    want = [math.comb(20, j) * 2**j for j in range(21)] + [0] * 20
+    assert nilpotent._clique_counts(graph, 40) == want
+    # the group is F2^20, whose Lie ring is 20 copies of the free one
+    dims = tuple(lie_graded_dims(graph, 40))
+    assert dims == tuple(20 * d for d in witt_free_lie_dims(2, 40))
+
+
+def test_clique_counts_dense_random_graph():
+    graph = random_graph(random.Random(40), 40, 0.9)
+    counts = nilpotent._clique_counts(graph, 40)
+    assert counts[:5] == clique_polynomial(adj_sets(graph), 4)
+    assert len(lie_graded_dims(graph, 40)) == 40
+
+
+def test_lie_dims_refuse_degree_past_bound():
+    assert len(lie_graded_dims(F2, MAX_LIE_DEGREE)) == MAX_LIE_DEGREE
+    with pytest.raises(ValueError, match="above the bound"):
+        lie_graded_dims(F2, MAX_LIE_DEGREE + 1)
 
 
 def test_graded_dims_container():
