@@ -20,6 +20,7 @@ prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
@@ -73,10 +74,11 @@ def trace_canonical(graph, word):
     return out
 
 
-# the Magnus system is a dense square matrix with one unknown per monomial;
-# a free group of rank 2 has 2047 of them at degree 10 and 4095 at degree 11,
-# where one solve takes tens of seconds, so larger bases are refused before
-# they are built
+# the Magnus system is a dense matrix with one equation per monomial of
+# degree 1..d and one unknown per monomial of degree 1..d-1; a free group of
+# rank 2 has 2047 monomials at degree 10 and 4095 at degree 11, where the
+# test of a conjugate pair takes about 1.5 s and 10 s on one Xeon core, so
+# larger bases are refused before they are built
 MAX_TRACE_MONOMIALS = 2048
 
 
@@ -276,9 +278,15 @@ def magnus_conjugate_test(g, h, d, p, m):
     """Decide conjugacy of the images of g and h in the truncated unit group.
 
     Solvability of M(g)*u = u*M(h) in u with constant term 1 is one exact
-    linear system over Z/p^m: the identity-monomial column moves to the right
-    hand side and the rest is elimination. A found unit is verified by
-    multiplication before being returned.
+    linear system over Z/p^m. Write it as (M(g) - 1)*u - u*(M(h) - 1) = 0:
+    both factors lack a constant term, so the operator raises degree by at
+    least one. The degree-0 equation is then identically zero, and so is
+    the column of every degree-d unknown: those coefficients are free, and
+    the returned unit has them 0. What is left has one unknown per monomial
+    of degree 1..d-1 and one equation per monomial of degree 1..d; the
+    constant term 1 moves to the right-hand side, and the rest is
+    elimination. A found unit is verified by multiplication before being
+    returned.
     """
     import numpy as np
 
@@ -286,29 +294,33 @@ def magnus_conjugate_test(g, h, d, p, m):
     right = magnus_image(h, d, p, m)
     graph = g.graph
     basis = trace_monomials(graph, d)
-    index = {mono: i for i, mono in enumerate(basis)}
+    rows = {mono: i for i, mono in enumerate(basis[1:])}
+    # the constant 1 first, then the unknowns; the basis runs by degree
+    cols = [w for w in basis if len(w) < d]
+    # the constant terms of the two images cancel in every column
+    left_terms = [(t, c) for t, c in left.coeffs.items() if t]
+    right_terms = [(t, c) for t, c in right.coeffs.items() if t]
     q = p**m
-    n = len(basis)
-    mat = np.zeros((n, n), dtype=exact_dtype(q, n))
-    for j, w in enumerate(basis):
-        lw = len(w)
+    mat = np.zeros((len(rows), len(cols)), dtype=exact_dtype(q, len(cols)))
+    for j, w in enumerate(cols):
+        room = d - len(w)
         col = {}
-        for t, c in left.coeffs.items():
-            if len(t) + lw <= d:
+        for t, c in left_terms:
+            if len(t) <= room:
                 key = trace_canonical(graph, t + w)
                 col[key] = col.get(key, 0) + c
-        for t, c in right.coeffs.items():
-            if lw + len(t) <= d:
+        for t, c in right_terms:
+            if len(t) <= room:
                 key = trace_canonical(graph, w + t)
                 col[key] = col.get(key, 0) - c
         for key, c in col.items():
-            mat[index[key], j] = c % q
+            mat[rows[key], j] = c % q
     sol = solve_mod_prime_power(mat[:, 1:], (-mat[:, 0]) % q, p, m)
     if sol is None:
         return Separated(d, p, m)
     coeffs = {(): 1}
-    for j, c in enumerate(sol, start=1):
-        coeffs[basis[j]] = int(c)
+    for w, c in zip(cols[1:], sol):
+        coeffs[w] = int(c)
     unit = TruncatedAlgebraElement(graph, d, q, coeffs)
     verify(
         unit.constant_term() == 1 and left * unit == unit * right,
@@ -368,18 +380,48 @@ def _times_binomial(poly, k, upto):
 def _clique_counts(graph, upto):
     """c_0, ..., c_upto, where c_j is the number of cliques with j vertices.
 
-    Let P(S) be the clique polynomial of the subgraph induced on S. A clique
-    of S misses a vertex v or is v joined to a clique of its neighbours, so
-    P(S) = P(S - v) + t P(S & N(v)). The k vertices of S adjacent to all
-    the rest join every clique of the others freely, a factor (1 + t)^k;
-    on what remains the recursion branches on the vertex with the fewest
-    neighbours there. Each polynomial is memoised on its vertex set and cut
-    past degree upto, and an explicit stack keeps the recursion off
-    Python's call stack, which a path of many vertices would overflow.
+    Let P(S) be the clique polynomial of the subgraph induced on S. Order
+    the vertices v_1, v_2, ... by repeatedly taking one of least degree
+    among those left (a degeneracy order), and let N+(v_i) be the
+    neighbours of v_i later in the order. A nonempty clique is its first
+    vertex v_i joined to a clique of N+(v_i), so
+
+        P(V) = 1 + t sum_i P(N+(v_i)),
+
+    and each N+(v_i) has at most the graph's degeneracy many vertices,
+    which keeps the pieces small on sparse graphs.
     """
     adj = graph.adj
-    whole = frozenset(range(graph.n))
+    degree = [len(a) for a in adj]
+    heap = [(k, v) for v, k in enumerate(degree)]
+    heapq.heapify(heap)
+    taken = [False] * graph.n
     memo = {}
+    counts = [1] + [0] * upto
+    while heap:
+        k, v = heapq.heappop(heap)
+        if taken[v] or k != degree[v]:
+            continue
+        taken[v] = True
+        later = frozenset(w for w in adj[v] if not taken[w])
+        for w in later:
+            degree[w] -= 1
+            heapq.heappush(heap, (degree[w], w))
+        for j, c in enumerate(_clique_polynomial(adj, later, upto, memo)[:upto]):
+            counts[j + 1] += c
+    return counts
+
+
+def _clique_polynomial(adj, whole, upto, memo):
+    """P(whole), cut past degree upto, memoised in memo on vertex sets.
+
+    A clique of S misses a vertex v or is v joined to a clique of its
+    neighbours, so P(S) = P(S - v) + t P(S & N(v)). The k vertices of S
+    adjacent to all the rest join every clique of the others freely, a
+    factor (1 + t)^k; on what remains the recursion branches on the vertex
+    with the fewest neighbours there. An explicit stack keeps the
+    recursion off Python's call stack, which a long chain would overflow.
+    """
     plans = {}
     stack = [whole]
     while stack:
@@ -403,7 +445,7 @@ def _clique_counts(graph, upto):
         poly = [a + b for a, b in zip_longest(memo[without], shifted, fillvalue=0)]
         memo[s] = _times_binomial(poly, peeled, upto)
         stack.pop()
-    return memo[whole] + [0] * (upto + 1 - len(memo[whole]))
+    return memo[whole]
 
 
 # the Newton loop below costs O(d^2) big-integer steps; degree 4096 takes

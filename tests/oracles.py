@@ -3,8 +3,8 @@
 Everything here except the last sections (the ball searches, the
 retraction-core double cosets and the paper's HNN route, which reuse the
 package's word arithmetic, the modular solver by global pivoting, which
-reuses its numpy representation, and the Lie bracket echelon, which
-reuses its truncated algebra) is deliberately written with
+reuses its numpy representation, and the full Magnus system and the Lie
+bracket echelon, which reuse its truncated algebra) is deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
@@ -124,6 +124,22 @@ def clique_polynomial(adj, upto=None):
             if all(b in adj[a] for a, b in itertools.combinations(combo, 2)):
                 coeffs[size] += 1
     return coeffs
+
+
+def listed_clique_counts(adj, upto):
+    """c_0, ..., c_upto by listing each clique of at most upto vertices
+    once, as an increasing tuple grown by one larger common neighbour at a
+    time. The work is the number of cliques times the degree, so it reaches
+    large sparse graphs where clique_polynomial's subset scan cannot."""
+    counts = [1] + [0] * upto
+    level = [(v, frozenset(w for w in adj[v] if w > v)) for v in range(len(adj))]
+    for size in range(1, upto + 1):
+        counts[size] = len(level)
+        level = [
+            (w, frozenset(x for x in common & adj[w] if x > w))
+            for _, common in level for w in common
+        ]
+    return counts
 
 
 def trace_monoid_growth(adj, upto):
@@ -751,6 +767,32 @@ def reference_solve_mod_prime_power(matrix, rhs, p, m):
     if np.any((np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)) % q):
         raise AssertionError("reference modular solution fails the system")
     return x
+
+
+def full_magnus_system(g, h, d, p, m):
+    """The Magnus system on the whole trace basis, as (basis, matrix).
+
+    Column j of the square matrix over Z/p^m is the image of basis[j]
+    under u -> M(g)*u - u*M(h), built by the truncated algebra's own
+    product. It keeps the degree-0 row and the degree-d columns that the
+    package drops as identically zero, so solving columns 1.. against
+    minus column 0 decides conjugacy of the images on the uncut system.
+    """
+    import numpy as np
+    from raag._intlinalg import exact_dtype
+    from raag.nilpotent import TruncatedAlgebraElement, magnus_image, trace_monomials
+
+    left = magnus_image(g, d, p, m)
+    right = magnus_image(h, d, p, m)
+    basis = trace_monomials(g.graph, d)
+    index = {mono: i for i, mono in enumerate(basis)}
+    q = p**m
+    mat = np.zeros((len(basis), len(basis)), dtype=exact_dtype(q, len(basis)))
+    for j, w in enumerate(basis):
+        unit = TruncatedAlgebraElement(g.graph, d, q, {w: 1})
+        for mono, c in (left * unit - unit * right).coeffs.items():
+            mat[index[mono], j] = c
+    return basis, mat
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from raag.graphs import Graph
@@ -32,7 +33,10 @@ from oracles import (
     count_trace_monomials,
     echelon_center_trivial_upto,
     echelon_lie_dims,
+    full_magnus_system,
+    listed_clique_counts,
     poincare_series_product,
+    reference_solve_mod_prime_power,
     trace_monoid_growth,
     witt_free_lie_dims,
 )
@@ -309,6 +313,49 @@ def test_found_unit_conjugates_the_images():
     assert magnus_image(g, 4, 2, 2) * u == u * magnus_image(h, 4, 2, 2)
 
 
+def magnus_pairs(rng, graph, count):
+    """Commutator pairs [u, v] against s [v, u] s^-1, and conjugate pairs."""
+    pairs = []
+    for _ in range(count):
+        u, v, s = (rand_word(rng, graph, rng.randrange(1, 4)) for _ in range(3))
+        pairs.append((u * v * u.inverse() * v.inverse(), s * v * u * v.inverse() * u.inverse() * s.inverse()))
+        g = rand_word(rng, graph, rng.randrange(1, 5))
+        pairs.append((g, s * g * s.inverse()))
+    return pairs
+
+
+@pytest.mark.parametrize(("graph", "max_d"), [(P3, 5), (F3, 4), (C5, 3)], ids=["P3", "F3", "C5"])
+def test_cut_system_decides_as_the_full_one(graph, max_d):
+    # the package solves only the degree 1..d-1 unknowns against the degree
+    # 1..d equations; the full system must show the rest identically zero
+    # and reach the same verdict at every level; p = 100003 at m = 2 runs
+    # on Python integers
+    rng = random.Random(max_d)
+    for i, (g, h) in enumerate(magnus_pairs(rng, graph, 3)):
+        for p, top in ((2, max_d), (3, max_d), (100003, 3)):
+            level = NOT_FOUND
+            for d in range(1, top + 1):
+                for m in (1, 2):
+                    q = p**m
+                    basis, full = full_magnus_system(g, h, d, p, m)
+                    assert not np.any(full[0] % q)
+                    assert not np.any(full[:, [j for j, w in enumerate(basis) if len(w) == d]] % q)
+                    solvable = reference_solve_mod_prime_power(full[:, 1:], (-full[:, 0]) % q, p, m) is not None
+                    res = magnus_conjugate_test(g, h, d, p, m)
+                    if not solvable:
+                        assert res == Separated(d, p, m)
+                        level = (d, m) if level is NOT_FOUND else level
+                        continue
+                    assert isinstance(res, NotSeparatedAtThisLevel)
+                    unit = res.unit
+                    assert unit.constant_term() == 1
+                    assert all(len(w) < d for w in unit.coeffs)
+                    assert magnus_image(g, d, p, m) * unit == unit * magnus_image(h, d, p, m)
+            assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
+            if i % 2:
+                assert level is NOT_FOUND
+
+
 # ---------------------------------------------------------------------------
 # graded Lie dimensions
 
@@ -396,6 +443,32 @@ def test_clique_counts_dense_random_graph():
     counts = nilpotent._clique_counts(graph, 40)
     assert counts[:5] == clique_polynomial(adj_sets(graph), 4)
     assert len(lie_graded_dims(graph, 40)) == 40
+
+
+def path_graph(n):
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, list(zip(names, names[1:])))
+
+
+def test_listed_clique_counts_match_subset_scan():
+    rng = random.Random(1730)
+    for graph in [complete_graph(6)] + [random_graph(rng, rng.randrange(1, 11)) for _ in range(20)]:
+        adj = adj_sets(graph)
+        assert listed_clique_counts(adj, graph.n + 1) == clique_polynomial(adj, graph.n + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 3000])
+def test_clique_counts_long_paths(n):
+    graph = path_graph(n)
+    want = listed_clique_counts(adj_sets(graph), 6)
+    assert want == [1, n, n - 1, 0, 0, 0, 0]
+    assert nilpotent._clique_counts(graph, 6) == want
+
+
+def test_clique_counts_free_group_of_rank_3000():
+    graph = Graph([f"v{i}" for i in range(3000)])
+    assert nilpotent._clique_counts(graph, 6) == listed_clique_counts(adj_sets(graph), 6)
+    assert tuple(lie_graded_dims(graph, 4)) == tuple(witt_free_lie_dims(3000, 4))
 
 
 def test_lie_dims_refuse_degree_past_bound():
