@@ -1,81 +1,24 @@
-"""Exact linear solvers over Z and Z/p^m.
+"""Exact linear solver over Z/p^m.
 
-The integer solver is a small Hermite-style elimination used for lattice
-membership certificates. The modular solver handles the non-field rings
-Z/p^m by elimination in valuation passes: pass v = 0, ..., m-1 sweeps the
-free columns once and pivots only on entries of valuation exactly v.
-Every free entry has valuation at least v during pass v (the proof is in
-`solve_mod_prime_power`), so each pivot has the least valuation of all
-free entries, which keeps back-substitution complete: later choices can
-never repair a failed divisibility check. Each column costs
-one O(rows) test per pass, not a scan of the whole matrix per pivot.
+The solver handles the non-field rings Z/p^m by elimination in valuation
+passes: pass v = 0, ..., m-1 sweeps the free columns once and pivots only
+on entries of valuation exactly v. Every free entry has valuation at
+least v during pass v (the proof is in `solve_mod_prime_power`), so each
+pivot has the least valuation of all free entries, which keeps
+back-substitution complete: later choices can never repair a failed
+divisibility check. Each column costs one O(rows) test per pass, not a
+scan of the whole matrix per pivot.
 Arithmetic stays in int64 only while no intermediate value can reach
 2^63; past that it runs on Python integers. numpy is imported by the
-modular functions that use it, not by this module, so the integer solver
-and every command that runs no modular solve start without it.
+functions that use it, not by this module, so every command that runs no
+modular solve starts without it.
 """
 
 from __future__ import annotations
 
 from ._checks import verify
 
-__all__ = ["exact_dtype", "solve_left_integer", "solve_right_integer", "solve_mod_prime_power"]
-
-
-def solve_left_integer(rows, target):
-    """Integer vector x with sum_i x_i * rows[i] == target, or None.
-
-    rows is a list of equal-length integer sequences; sizes are expected to
-    be tiny. Elimination uses gcd steps with a tracked transform.
-    """
-    target = list(target)
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    if m == 0:
-        return [] if not any(target) else None
-    ncols = len(rows[0])
-    work = [rows[i] + [int(j == i) for j in range(m)] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        pick = next((i for i in range(r, m) if work[i][c]), None)
-        if pick is None:
-            continue
-        work[r], work[pick] = work[pick], work[r]
-        for i in range(r + 1, m):
-            while work[i][c]:
-                q = work[r][c] // work[i][c]
-                work[r] = [a - q * b for a, b in zip(work[r], work[i])]
-                work[r], work[i] = work[i], work[r]
-        pivots.append((r, c))
-        r += 1
-    x = [0] * m
-    t = target
-    for r, c in pivots:
-        if t[c] == 0:
-            continue
-        if t[c] % work[r][c]:
-            return None
-        q = t[c] // work[r][c]
-        t = [a - q * b for a, b in zip(t, work[r][:ncols])]
-        for j in range(m):
-            x[j] += q * work[r][ncols + j]
-    if any(t):
-        return None
-    verify(
-        [sum(x[i] * rows[i][c] for i in range(m)) for c in range(ncols)] == target,
-        "integer solution",
-    )
-    return x
-
-
-def solve_right_integer(matrix, target):
-    """Integer column vector x with matrix @ x == target, or None."""
-    cols = len(matrix[0]) if matrix else 0
-    transposed = [[matrix[i][j] for i in range(len(matrix))] for j in range(cols)]
-    return solve_left_integer(transposed, list(target))
+__all__ = ["exact_dtype", "solve_mod_prime_power"]
 
 
 def exact_dtype(q, ncols):

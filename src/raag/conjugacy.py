@@ -16,14 +16,15 @@ that separates the inputs.
 The centralizer of a single element comes straight from Servatius'
 centralizer theorem: the primitive roots of the pure factors of its
 cyclic normal form, times the special subgroup on their common link.
-Centralizers of sets inside a special subgroup peel one pivot at a time,
-folding the resulting membership constraints into the exact state
-machinery of module cosets, until every element lies in the subgroup.
-There a join splits into its factors, and otherwise the same theorem puts
-the centralizer inside a conjugate of a smaller special subgroup (or of
-the cyclic group on one primitive root), so every answer is exact.
-Centralizers never call a conjugacy decision, and the conjugacy
-decisions never fold.
+Every such centralizer has the shape
+
+    conj * (<r_1> x ... x <r_k> x A_F) * conj^-1,
+
+and so does its intersection with a special subgroup or with another
+shape: a root survives a cut whole or not at all, and the A_F part is
+cut by one double-coset strip. Centralizers of sets inside a
+special subgroup are therefore one fold of such cuts, one per element,
+and every answer is exact. Centralizers never call a conjugacy decision.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from . import cosets, hnn
+from . import cosets
 from ._checks import verify
 from .cosets import abelianization, make_gens
 from .words import Element
@@ -92,80 +93,6 @@ def _tester(u, v, verts):
 # centralizers
 
 
-def _centralizer_core(graph, verts, elems):
-    """Generators of the centralizer of `elems` inside <verts>."""
-    verts = frozenset(verts)
-    elems = [y for y in elems if y]
-    if not verts:
-        return make_gens([])
-    if not elems:
-        return make_gens(_vertex_gens(graph, verts))
-    if len(verts) == 1:
-        # roots are unique in a RAAG, so v^k commutes with y only if v does;
-        # folding on here instead piles up constraints without shrinking verts
-        (x,) = _vertex_gens(graph, verts)
-        return make_gens([x] if all(x * y == y * x for y in elems) else [])
-    outside = frozenset().union(*[y.support() for y in elems]) - verts
-    if not outside:
-        keep = sorted(verts)
-        sub = graph.full_subgraph(keep)
-        inner = _full_centralizer(sub, [y.restrict(sub) for y in elems])
-        return make_gens(x.embed(graph) for x in inner)
-    t = max(outside)
-    split = hnn.HnnSplitting(graph, t)
-    target = next(y for y in elems if t in y.support())
-    rest = [y for y in elems if y is not target]
-    hw = hnn.decompose(split, target)
-    # a pivot-free centralizing element must fix the product of base parts
-    # and lie in every base-prefix conjugate of the associated subgroup;
-    # together those conditions are equivalent to commuting with target
-    state = cosets.CentralizerState(
-        graph, _one(graph), verts, tuple(rest) + (hw.xprod(),), centralizer_in_special
-    )
-    for i in range(hw.n):
-        state = state.constrain_membership(hw.base_prefix(i), split.assoc)
-    return state.generators()
-
-
-def _full_centralizer(graph, elems):
-    """Centralizer generators relative to the whole graph.
-
-    A join is the direct product of its factors, and an element centralizes
-    the set iff each coordinate does. Otherwise an element y of the set has
-    C(y) inside conj * <supp + link> * conj^-1 (Servatius), a proper special
-    subgroup unless supp(core) is every vertex, where C(y) is the cyclic
-    group on the one primitive root; roots are unique in a RAAG, so a power
-    of that root commutes with the set only if the root does.
-    """
-    elems = list(dict.fromkeys(y for y in elems if y))
-    if not elems:
-        return make_gens(_vertex_gens(graph, range(graph.n)))
-    if len(elems) == 1:
-        return _single_centralizer(graph, elems[0])
-    factors = _pure_factor_supports(graph, range(graph.n))
-    if len(factors) > 1:
-        gens = []
-        for comp in factors:
-            sub = graph.full_subgraph(comp)
-            inner = _full_centralizer(sub, [y.retract(comp).restrict(sub) for y in elems])
-            gens += [x.embed(graph) for x in inner]
-        return make_gens(gens)
-    # the widest cyclic support gives the smallest centralizer to start from
-    first = max(elems, key=lambda y: len(y.cyclic_support()))
-    conj, core = first.cyclic_normal_form()
-    supp = core.support()
-    if len(supp) == graph.n:
-        (root,) = _single_centralizer(graph, first)
-        gens = [root] if all(root * y == y * root for y in elems) else []
-    else:
-        link = {v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]}
-        ci = conj.inverse()
-        inner = _centralizer_core(graph, supp | link, [ci * y * conj for y in elems])
-        gens = [conj * x * ci for x in inner]
-    verify(all(x * y == y * x for x in gens for y in elems), "centralizer generator")
-    return make_gens(gens)
-
-
 def _pure_factor_supports(graph, supp):
     """Connected components of the non-commutation graph on `supp`."""
     comps = []
@@ -204,8 +131,9 @@ def _servatius(y):
     """(conj, factors, link) with y == conj * core * conj^-1, core
     cyclically reduced, factors the pairs (U_i, r_i) of the supports and
     primitive roots of the pure factors of core (its retractions onto the
-    components of the non-commutation graph on its support U), and link L
-    every vertex outside U adjacent to all of it.
+    components of the non-commutation graph on its support U), each root
+    flipped to start with a positive letter, and link L every vertex
+    outside U adjacent to all of it.
 
     Servatius' centralizer theorem: for y nontrivial,
     C(y) == conj * (<r_1> x ... x <r_m> x <L>) * conj^-1, inside
@@ -217,23 +145,20 @@ def _servatius(y):
     link = frozenset(
         v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
     )
-    factors = [
-        (comp, _primitive_root(core.retract(comp)))
-        for comp in _pure_factor_supports(graph, supp)
-    ]
+    factors = []
+    for comp in _pure_factor_supports(graph, supp):
+        r = _primitive_root(core.retract(comp))
+        factors.append((comp, r.inverse() if r.letters[0] < 0 else r))
     return conj, factors, link
 
 
 def _single_centralizer(graph, y):
-    """Servatius' centralizer theorem for a nontrivial element (see
-    `_servatius`). Link vertices come first, then the roots, each flipped
-    to start with a positive letter."""
+    """Servatius' centralizer theorem (see `_servatius`): link vertices
+    first, then the roots. The identity has empty core and link
+    everything."""
     conj, factors, link = _servatius(y)
-    out = _vertex_gens(graph, link)
-    for _, r in factors:
-        out.append(r.inverse() if r.letters[0] < 0 else r)
     ci = conj.inverse()
-    gens = [conj * x * ci for x in out]
+    gens = [conj * x * ci for x in _vertex_gens(graph, link) + [r for _, r in factors]]
     verify(all(x * y == y * x for x in gens), "centralizer generator")
     return make_gens(gens)
 
@@ -245,14 +170,74 @@ def centralizer(g):
     The returned list carries the attribute `complete`, which is always
     True: centralizers, of single elements and of sets, are exact.
     """
-    return _full_centralizer(g.graph, [g])
+    return _single_centralizer(g.graph, g)
+
+
+def _centralizer_shape(graph, verts, elems):
+    """(conj, roots, free) with the centralizer of `elems` in A_V, V the
+    vertex indices `verts`, equal to
+    conj * (<r_1> x ... x <r_k> x A_F) * conj^-1, F = free.
+
+    The r_i are primitive roots of cyclically reduced pure factors on
+    supports U_i, and the blocks U_1, ..., U_k, F of M = F ∪ ⋃U_i commute
+    with each other, so A_M is their direct product; conj lies in A_V.
+    The fold starts from (1, [], V) and cuts by one C(y) at a time. In
+    the frame y' = conj^-1 * y * conj the cut is P ∩ C(y'), with
+    P = ∏<r_i> x A_F:
+
+    (a) C(y') ∩ A_M splits over the blocks of M. By (c) with M in place
+        of F it is a' * (∏<s_j> x A_{Z∩L}) * a'^-1 with a' in A_M; each
+        U_j, connected in the non-commutation graph, lies in one block,
+        and Z∩L and a' split over the blocks. So P ∩ C(y') is the product
+        of the cuts of its blocks.
+    (b) <r_i> ∩ C(y') is all of <r_i> or trivial: C(r_i^e) == C(r_i) for
+        e != 0, as r_i^e has root r_i and the link of U_i.
+    (c) A_F ∩ C(y'). With (k, {(U_j, s_j)}, L) from `_servatius(y')`,
+        C(y') == k * Q * k^-1 inside k * A_N * k^-1, N = L ∪ ⋃U_j. For
+        k == a * rep * b from `Element.double_coset_form(F, N)`,
+        A_F ∩ k * A_N * k^-1 == a * A_Z * a^-1 == k * b^-1 * A_Z * b * k^-1
+        (`cosets.intersect_conjugated`), Z the vertices of F∩N adjacent to
+        all of supp(rep). So A_F ∩ C(y') == k * (b^-1 * A_Z * b ∩ Q) * k^-1,
+        which splits over the factors of A_N as in `conjugate_under`
+        (b)-(c), with b_j = b.retract(U_j): <s_j> survives whole if
+        U_j ⊆ Z, and otherwise no nontrivial power of s_j, of cyclic
+        support U_j, lies in b_j^-1 * A_{Z∩U_j} * b_j; the L factor leaves
+        b_L^-1 * A_{Z∩L} * b_L. As b_j and Z commute with rep and with
+        the other factors, the cut is a' * (∏<s_j> x A_{Z∩L}) * a'^-1,
+        the product over U_j ⊆ Z, for a' = a * ∏b_j in A_F.
+
+    a' commutes with every r_i, so the next shape is conj * a', the
+    surviving r_i and s_j, and Z∩L.
+    """
+    conj, roots, free = _one(graph), [], frozenset(verts)
+    for y in elems:
+        y = conj.inverse() * y * conj
+        roots = [r for r in roots if r * y == y * r]
+        k, factors, link = _servatius(y)
+        n_verts = link.union(*(u for u, _ in factors))
+        a, rep, b = k.double_coset_form(free, n_verts)
+        z = frozenset(v for v in free & n_verts if rep.support() <= graph.adj[v])
+        for u, s in factors:
+            if u <= z:
+                a = a * b.retract(u)
+                roots.append(s)
+        conj, free = conj * a, z & link
+    return conj, roots, free
 
 
 def centralizer_in_special(graph, verts, elems):
     """Generators of the centralizer of `elems` inside the special
-    subgroup on the vertex indices `verts`; also the centralizer service
-    handed to module cosets."""
-    return _centralizer_core(graph, frozenset(verts), list(elems))
+    subgroup on the vertex indices `verts`: the vertices of the final
+    shape's F, then its roots (see `_centralizer_shape`), conjugated."""
+    verts, elems = frozenset(verts), list(elems)
+    conj, roots, free = _centralizer_shape(graph, verts, elems)
+    ci = conj.inverse()
+    gens = [conj * x * ci for x in _vertex_gens(graph, free) + roots]
+    verify(
+        all(x.in_special(verts) and all(x * y == y * x for y in elems) for x in gens),
+        "centralizer generator",
+    )
+    return make_gens(gens)
 
 
 # ---------------------------------------------------------------------------

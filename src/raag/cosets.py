@@ -5,19 +5,9 @@ the word left when letters of A are stripped from the front of x's heap
 and then letters of B from its back (`Element.double_coset_form`). So
 membership is one comparison of reduced representatives, and the
 intersection of A with a conjugate of B has a closed form. Both are exact
-and linear in the word length, and neither calls a conjugacy decision;
-`conjugate_under` is built on them.
-
-`CentralizerState` folds a constraint "lie in u<B>u^-1" into a running
-description
-
-    conj * C_{<verts>}(elems) * conj^-1
-
-exactly, by the retraction algebra; the centralizers of sets use it. It
-takes the centralizer generator producer as a callable instead of
-importing it, so this module sits below the modules that implement it:
-
-    centralizer_service(graph, verts, elems) -> Gens
+and linear in the word length, and neither calls a conjugacy decision.
+`conjugate_under` is built on them, and the centralizers of sets in
+module conjugacy cut their shapes with the same strip.
 """
 
 from __future__ import annotations
@@ -30,7 +20,6 @@ from .words import Element
 __all__ = [
     "INCONCLUSIVE",
     "Gens",
-    "CentralizerState",
     "CosetFactors",
     "NotMember",
     "in_double_coset",
@@ -71,48 +60,6 @@ def abelianization(g):
     for lt in g.letters:
         out[abs(lt) - 1] += 1 if lt > 0 else -1
     return tuple(out)
-
-
-class CentralizerState:
-    """The set conj * C_{<verts>}(elems) * conj^-1, closed under folds.
-
-    constrain_membership intersects with u<B>u^-1 (u given in the outer,
-    unshifted frame) and lands back in the same shape: verts shrinks to
-    verts & B and everything is transported by the normalising base change
-    gamma, so arbitrarily many folds stay exact. Materialising a
-    generating set is delegated to the injected centralizer service.
-    """
-
-    def __init__(self, graph, conj, verts, elems, service):
-        self.graph = graph
-        self.conj = conj
-        self.verts = frozenset(verts)
-        self.elems = tuple(y for y in elems if y)
-        self.service = service
-        self._gens = None
-
-    def constrain_membership(self, u, b_verts):
-        b = frozenset(b_verts)
-        z = self.conj.inverse() * u
-        rho_b = z.retract(b)
-        b_z = z.inverse().retract(b)
-        gamma = (rho_b * z.inverse()).retract(self.verts)
-        alpha = gamma * z * b_z
-        gi = gamma.inverse()
-        return CentralizerState(
-            self.graph,
-            self.conj * gi,
-            self.verts & b,
-            (alpha,) + tuple(gamma * y * gi for y in self.elems),
-            self.service,
-        )
-
-    def generators(self):
-        if self._gens is None:
-            inner = self.service(self.graph, self.verts, self.elems)
-            ci = self.conj.inverse()
-            self._gens = make_gens(self.conj * x * ci for x in inner)
-        return make_gens(self._gens)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ parsing and printing boundary.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 __all__ = ["Graph", "load_graph"]
 
@@ -46,8 +47,13 @@ class Graph:
             adj[self.index[u]].add(self.index[v])
             adj[self.index[v]].add(self.index[u])
         self.adj = [frozenset(s) for s in adj]
-        # per vertex, the vertices it does not commute with (the non-neighbours)
-        self.dependents = [
+
+    @cached_property
+    def dependents(self):
+        """Per vertex, the vertices it does not commute with (the
+        non-neighbours). Built on first use: it is quadratic in the vertex
+        count, and the Lie dimensions of a large sparse graph never need it."""
+        return [
             tuple(j for j in range(self.n) if j != i and j not in self.adj[i])
             for i in range(self.n)
         ]

@@ -12,10 +12,10 @@ subgroup. Canonical words produce such a reduced form directly: two pivot
 runs separated only by letters commuting with the pivot would have merged
 during canonicalisation.
 
-The centralizers of sets peel one pivot at a time through these forms, and
-`raag hnn-decompose` prints them. Conjugacy under a special subgroup no
-longer follows this route; the paper's version of it is kept as a test
-oracle.
+`raag hnn-decompose` prints these forms, and nothing else in the package
+uses them. Conjugacy under a special subgroup and the centralizers of
+sets are decided without them; the paper's HNN routes for both are kept
+as test oracles.
 """
 
 from __future__ import annotations
@@ -60,31 +60,13 @@ class HnnWord:
     def n(self):
         return len(self.syllables)
 
-    @property
-    def exponents(self):
-        return tuple(a for a, _ in self.syllables)
-
-    def xprod(self):
-        """Product of the base parts x0 x1 ... xn."""
-        out = self.head
-        for _, x in self.syllables:
-            out = out * x
-        return out
-
-    def base_prefix(self, i):
-        """x0 x1 ... x_i (i ranges over 0..n, where 0 gives the head)."""
-        out = self.head
-        for _, x in self.syllables[:i]:
-            out = out * x
-        return out
-
 
 def decompose(split, g):
     """Syllable form of g with respect to the splitting.
 
     The interior parts land outside the associated subgroup automatically,
-    which keeps the form reduced in Britton's sense; this is checked, since
-    the pivot peeling of set centralizers rests on it.
+    which keeps the form reduced in Britton's sense. This is checked, so a
+    word wrongly flagged canonical cannot yield an unreduced form.
     """
     graph = split.graph
     tv = split.pivot + 1

@@ -1,10 +1,11 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here except the last sections (the ball searches, the
-retraction-core double cosets and the paper's HNN route, which reuse the
-package's word arithmetic, the modular solver by global pivoting, which
-reuses its numpy representation, and the full Magnus system and the Lie
-bracket echelon, which reuse its truncated algebra) is deliberately written with
+retraction-core double cosets and the paper's HNN routes for conjugacy
+under a subgroup and for set centralizers, which reuse the package's word
+arithmetic, the modular solver by global pivoting, which reuses its numpy
+representation, and the full Magnus system and the Lie bracket echelon,
+which reuse its truncated algebra) is deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
@@ -495,8 +496,8 @@ def core_conjugacy_double_coset(y, x, a_verts, b_verts):
 # paper's route: split along a pivot outside the subgroup as an HNN
 # extension, decide the base products under the subgroup, and search the
 # intersection of the base conjugators' centralizer coset with the prefix
-# cosets by a bounded sweep, which can give up. Its folds are the
-# package's exact CentralizerState.
+# cosets by a bounded sweep, which can give up. Its folds are
+# CentralizerState's, below.
 
 
 @dataclass(frozen=True)
@@ -537,6 +538,53 @@ def hnn_element(split, hw):
     return out
 
 
+def hnn_base_prefix(hw, i):
+    """x0 x1 ... x_i of a syllable form (i ranges over 0..n, where 0 gives
+    the head and n the product of all base parts)."""
+    out = hw.head
+    for _, x in hw.syllables[:i]:
+        out = out * x
+    return out
+
+
+class CentralizerState:
+    """The set conj * C_{<verts>}(elems) * conj^-1, closed under folds.
+
+    constrain_membership intersects with u<B>u^-1 (u given in the outer,
+    unshifted frame) and lands back in the same shape: verts shrinks to
+    verts & B and everything is transported by the normalising base change
+    gamma, so arbitrarily many folds stay exact. Generators come from the
+    injected `service(graph, verts, elems)`.
+    """
+
+    def __init__(self, graph, conj, verts, elems, service):
+        self.graph = graph
+        self.conj = conj
+        self.verts = frozenset(verts)
+        self.elems = tuple(y for y in elems if y)
+        self.service = service
+
+    def constrain_membership(self, u, b_verts):
+        b = frozenset(b_verts)
+        z = self.conj.inverse() * u
+        rho_b = z.retract(b)
+        b_z = z.inverse().retract(b)
+        gamma = (rho_b * z.inverse()).retract(self.verts)
+        alpha = gamma * z * b_z
+        gi = gamma.inverse()
+        return CentralizerState(
+            self.graph,
+            self.conj * gi,
+            self.verts & b,
+            (alpha,) + tuple(gamma * y * gi for y in self.elems),
+            self.service,
+        )
+
+    def generators(self):
+        ci = self.conj.inverse()
+        return [self.conj * x * ci for x in self.service(self.graph, self.verts, self.elems)]
+
+
 def _abelian_certificate_empty(graph, rep, gens, cosets):
     """True when exponent sums already rule out the whole instance.
 
@@ -544,7 +592,6 @@ def _abelian_certificate_empty(graph, rep, gens, cosets):
     ab(left*right); two cosets disagreeing there, or a forced vector
     outside the affine lattice reachable from rep, certify emptiness.
     """
-    from raag._intlinalg import solve_left_integer
     from raag.cosets import abelianization
 
     forced = {}
@@ -569,7 +616,7 @@ def coset_intersection_nonempty(rep, state, double_cosets, search_bound, state_c
     """Witness in rep * (the set of `state`) ∩ every listed double coset,
     or a verdict.
 
-    `state` is a raag.cosets.CentralizerState; it is folded down after
+    `state` is a CentralizerState; it is folded down after
     each coset is satisfied, so the sweep always moves inside the exact
     set of still-admissible elements. Returns an Element, EMPTY (certified,
     via the exponent-sum obstruction or an exhausted finite orbit), or
@@ -625,19 +672,18 @@ def _hnn_step(split, xw, yw, subgroup, search_bound):
     base product meets every prefix coset ypref_i <assoc> xpref_i^-1.
     Returns an Element, a NotConjugate, or an Undecided."""
     from raag.conjugacy import Conjugate, NotConjugate, centralizer_in_special
-    from raag.cosets import CentralizerState
     from raag.words import Element
 
     graph = split.graph
-    if xw.exponents != yw.exponents:
+    if [a for a, _ in xw.syllables] != [a for a, _ in yw.syllables]:
         return NotConjugate("hnn-exponent-pattern")
-    xprod, yprod = xw.xprod(), yw.xprod()
+    xprod, yprod = hnn_base_prefix(xw, xw.n), hnn_base_prefix(yw, yw.n)
     res = hnn_conjugate_under(xprod, yprod, subgroup, search_bound)
     if not isinstance(res, Conjugate):
         return res if isinstance(res, Undecided) else NotConjugate("base-product-conjugacy")
     state = CentralizerState(graph, Element(graph), subgroup, (xprod,), centralizer_in_special)
     double_cosets = [
-        SpecialCoset(yw.base_prefix(i), split.assoc, xw.base_prefix(i).inverse())
+        SpecialCoset(hnn_base_prefix(yw, i), split.assoc, hnn_base_prefix(xw, i).inverse())
         for i in range(xw.n)
     ]
     x_elt, y_elt = hnn_element(split, xw), hnn_element(split, yw)
@@ -691,6 +737,164 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
     split = HnnSplitting(graph, t)
     res = _hnn_step(split, decompose(split, g), decompose(split, h), s, search_bound)
     return Conjugate(res) if isinstance(res, Element) else res
+
+
+# ---------------------------------------------------------------------------
+# centralizers of sets by the HNN fold
+#
+# The package cuts a Servatius shape by one centralizer at a time. This is
+# the fold it replaced: peel one pivot outside the subgroup at a time,
+# folding the membership constraints of the pivot's syllable form into a
+# CentralizerState, until every element lies in the subgroup; there a join
+# splits into its factors, and otherwise Servatius' theorem puts the
+# centralizer inside a conjugate of a smaller special subgroup or of the
+# cyclic group on one primitive root.
+
+
+def fold_centralizer_in_special(graph, verts, elems):
+    """Generators of the centralizer of `elems` inside <verts>."""
+    from raag.conjugacy import _vertex_gens
+    from raag.hnn import HnnSplitting, decompose
+    from raag.words import Element
+
+    verts = frozenset(verts)
+    elems = [y for y in elems if y]
+    if not verts:
+        return []
+    if not elems:
+        return _vertex_gens(graph, verts)
+    if len(verts) == 1:
+        # roots are unique in a RAAG, so v^k commutes with y only if v does;
+        # folding on here instead piles up constraints without shrinking verts
+        (x,) = _vertex_gens(graph, verts)
+        return [x] if all(x * y == y * x for y in elems) else []
+    outside = frozenset().union(*[y.support() for y in elems]) - verts
+    if not outside:
+        sub = graph.full_subgraph(verts)
+        inner = _fold_full_centralizer(sub, [y.restrict(sub) for y in elems])
+        return [x.embed(graph) for x in inner]
+    t = max(outside)
+    split = HnnSplitting(graph, t)
+    target = next(y for y in elems if t in y.support())
+    rest = [y for y in elems if y is not target]
+    hw = decompose(split, target)
+    # a pivot-free centralizing element must fix the product of base parts
+    # and lie in every base-prefix conjugate of the associated subgroup;
+    # together those conditions are equivalent to commuting with target
+    state = CentralizerState(
+        graph, Element(graph), verts, tuple(rest) + (hnn_base_prefix(hw, hw.n),),
+        fold_centralizer_in_special,
+    )
+    for i in range(hw.n):
+        state = state.constrain_membership(hnn_base_prefix(hw, i), split.assoc)
+    return state.generators()
+
+
+def _fold_full_centralizer(graph, elems):
+    """Centralizer generators relative to the whole graph: a join splits
+    into its factors; otherwise the element of widest cyclic support y has
+    C(y) inside conj * <supp + link> * conj^-1, or is the cyclic group on
+    its root when supp(core) is every vertex."""
+    from raag.conjugacy import _pure_factor_supports, _single_centralizer, _vertex_gens
+
+    elems = list(dict.fromkeys(y for y in elems if y))
+    if not elems:
+        return _vertex_gens(graph, range(graph.n))
+    if len(elems) == 1:
+        return list(_single_centralizer(graph, elems[0]))
+    factors = _pure_factor_supports(graph, range(graph.n))
+    if len(factors) > 1:
+        gens = []
+        for comp in factors:
+            sub = graph.full_subgraph(comp)
+            inner = _fold_full_centralizer(sub, [y.retract(comp).restrict(sub) for y in elems])
+            gens += [x.embed(graph) for x in inner]
+        return gens
+    first = max(elems, key=lambda y: len(y.cyclic_support()))
+    conj, core = first.cyclic_normal_form()
+    supp = core.support()
+    if len(supp) == graph.n:
+        (root,) = _single_centralizer(graph, first)
+        return [root] if all(root * y == y * root for y in elems) else []
+    link = {v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]}
+    ci = conj.inverse()
+    inner = fold_centralizer_in_special(graph, supp | link, [ci * y * conj for y in elems])
+    return [conj * x * ci for x in inner]
+
+
+def in_centralizer_shape(x, conj, roots, free):
+    """Whether x lies in conj * (<r_1> x ... x <r_k> x A_free) * conj^-1,
+    for commuting blocks as `raag.conjugacy._centralizer_shape` returns
+    them: the frame-shifted x must lie in A_M, and each root coordinate
+    must be a power of its root (|r^n| == |n| * |r|, r cyclically
+    reduced)."""
+    x = conj.inverse() * x * conj
+    if not x.in_special(frozenset(free).union(*(r.support() for r in roots))):
+        return False
+    for r in roots:
+        part = x.retract(r.support())
+        n = len(part) // len(r)
+        if part not in (r**n, r**-n):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# integer linear systems by Hermite-style elimination
+
+
+def solve_left_integer(rows, target):
+    """Integer vector x with sum_i x_i * rows[i] == target, or None.
+
+    rows is a list of equal-length integer sequences; sizes are expected to
+    be tiny. Elimination uses gcd steps with a tracked transform.
+    """
+    target = list(target)
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    if m == 0:
+        return [] if not any(target) else None
+    ncols = len(rows[0])
+    work = [rows[i] + [int(j == i) for j in range(m)] for i in range(m)]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        pick = next((i for i in range(r, m) if work[i][c]), None)
+        if pick is None:
+            continue
+        work[r], work[pick] = work[pick], work[r]
+        for i in range(r + 1, m):
+            while work[i][c]:
+                q = work[r][c] // work[i][c]
+                work[r] = [a - q * b for a, b in zip(work[r], work[i])]
+                work[r], work[i] = work[i], work[r]
+        pivots.append((r, c))
+        r += 1
+    x = [0] * m
+    t = target
+    for r, c in pivots:
+        if t[c] == 0:
+            continue
+        if t[c] % work[r][c]:
+            return None
+        q = t[c] // work[r][c]
+        t = [a - q * b for a, b in zip(t, work[r][:ncols])]
+        for j in range(m):
+            x[j] += q * work[r][ncols + j]
+    if any(t):
+        return None
+    if [sum(x[i] * rows[i][c] for i in range(m)) for c in range(ncols)] != target:
+        raise AssertionError("integer solution fails to multiply out")
+    return x
+
+
+def solve_right_integer(matrix, target):
+    """Integer column vector x with matrix @ x == target, or None."""
+    cols = len(matrix[0]) if matrix else 0
+    transposed = [[matrix[i][j] for i in range(len(matrix))] for j in range(cols)]
+    return solve_left_integer(transposed, list(target))
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
 with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
+    # the set fold keeps the bogus root a of a b, which fails its own check
+    corrupted("set centralizer", lambda: conjugacy.centralizer_in_special(f2, {0, 1}, [ab]))
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: np.ones(m.shape[1], dtype=int)):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
 
@@ -74,6 +76,7 @@ def test_corrupted_witnesses_raise_under_optimize():
         "conjugate under raised",
         "conjugate raised",
         "centralizer raised",
+        "set centralizer raised",
         "magnus unit raised",
         "reduced form raised",
         "pivot run raised",

