@@ -1,4 +1,4 @@
-"""Exact linear solver over Z/p^m.
+"""Exact linear solver over Z/p^m, on sparse rows of Python integers.
 
 The solver handles the non-field rings Z/p^m by elimination in valuation
 passes: pass v = 0, ..., m-1 sweeps the free columns once and pivots only
@@ -6,33 +6,36 @@ on entries of valuation exactly v. Every free entry has valuation at
 least v during pass v (the proof is in `solve_mod_prime_power`), so each
 pivot has the least valuation of all free entries, which keeps
 back-substitution complete: later choices can never repair a failed
-divisibility check. Each column costs one O(rows) test per pass, not a
-scan of the whole matrix per pivot.
-Arithmetic stays in int64 only while no intermediate value can reach
-2^63; past that it runs on Python integers. numpy is imported by the
-functions that use it, not by this module, so every command that runs no
-modular solve starts without it.
+divisibility check.
+A system is a `SparseMatrix`: one {column: residue} dict per equation, so
+elimination touches only nonzero entries and the fill-in they create. A
+column -> rows index finds each pivot and the rows it clears without
+scanning the column. Python integers keep every modulus exact.
 """
 
 from __future__ import annotations
 
 from ._checks import verify
 
-__all__ = ["exact_dtype", "solve_mod_prime_power"]
+__all__ = ["SparseMatrix", "solve_mod_prime_power"]
 
 
-def exact_dtype(q, ncols):
-    """int64 when a row of `ncols` residues mod q dotted with another, plus
-    one more residue, stays below 2^63 ((ncols+1) * q^2 < 2^63); otherwise
-    object, which holds Python integers."""
-    import numpy as np
+class SparseMatrix(list):
+    """Equation rows as {column: coefficient} dicts; `shape` is
+    (equations, unknowns), since the rows do not show the unknowns that
+    no equation uses."""
 
-    return np.int64 if (ncols + 1) * q * q < 2**63 else object
+    __slots__ = ("shape",)
+
+    def __init__(self, rows, ncols):
+        super().__init__(rows)
+        self.shape = (len(self), ncols)
 
 
 def solve_mod_prime_power(matrix, rhs, p, m):
-    """Solve matrix @ x == rhs over Z/p^m; returns an int array or None.
+    """Solve matrix @ x == rhs over Z/p^m; returns a list of ints or None.
 
+    matrix is a SparseMatrix; rhs has one integer per equation.
     Elimination runs in valuation passes v = 0, ..., m-1. Pass v sweeps the
     free columns once, left to right; in column c it takes the first free
     row whose entry has valuation exactly v, scales that row by a unit so
@@ -53,48 +56,70 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     the system. The solution is checked against the system before it is
     returned.
     """
-    import numpy as np
-
     q = p**m
-    matrix = np.asarray(matrix)
-    dtype = exact_dtype(q, matrix.shape[-1])
-    a = np.asarray(matrix, dtype=dtype) % q
-    b = np.asarray(rhs, dtype=dtype) % q
-    neq, nvar = a.shape if a.ndim == 2 else (0, 0)
-    if neq == 0:
-        return np.zeros(0, dtype=dtype)
-    row_free = np.ones(neq, dtype=bool)
-    col_free = np.ones(nvar, dtype=bool)
+    nvar = matrix.shape[1]
+    rows = [{c: x % q for c, x in row.items() if x % q} for row in matrix]
+    b = [x % q for x in rhs]
+    # the free rows holding a nonzero entry in each column
+    holders = [set() for _ in range(nvar)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
     pivots = []
+    col_free = list(range(nvar))
     for v in range(m):
         pv = p**v
-        for c in np.flatnonzero(col_free):
+        above = pv * p
+        left = []
+        for c in col_free:
             # free entries of this column are divisible by p^v
-            rows = np.flatnonzero(row_free & (a[:, c] % (pv * p) != 0))
-            if not len(rows):
+            held = holders[c]
+            r = min((r for r in held if rows[r][c] % above), default=None)
+            if r is None:
+                left.append(c)
                 continue
-            r = rows[0]
-            inv = pow(int(a[r, c]) // pv, -1, q)
-            a[r] = (a[r] * inv) % q
-            b[r] = (b[r] * inv) % q
-            row_free[r] = False
-            col_free[c] = False
+            inv = pow(rows[r][c] // pv, -1, q)
+            prow = rows[r] = {j: x * inv % q for j, x in rows[r].items()}
+            for j in prow:
+                holders[j].discard(r)
+            b[r] = b[r] * inv % q
             pivots.append((r, c, v))
-            idx = np.flatnonzero(row_free & (a[:, c] != 0))
-            if len(idx):
-                factors = a[idx, c] // pv
-                a[idx] = (a[idx] - factors[:, None] * a[r]) % q
-                b[idx] = (b[idx] - factors * b[r]) % q
+            # the pivot is now p^v, which divides every entry it clears
+            entries = [(j, x) for j, x in prow.items() if j != c]
+            for r2 in held:
+                row2 = rows[r2]
+                f = row2.pop(c) // pv
+                for j, x in entries:
+                    y = row2.get(j)
+                    if y is None:
+                        # fill-in
+                        y = -f * x % q
+                        if y:
+                            row2[j] = y
+                            holders[j].add(r2)
+                    else:
+                        y = (y - f * x) % q
+                        if y:
+                            row2[j] = y
+                        else:
+                            del row2[j]
+                            holders[j].discard(r2)
+                b[r2] = (b[r2] - f * b[r]) % q
+            held.clear()
+        col_free = left
     # the free rows are identically 0 mod q now; check consistency
-    if np.any(b[row_free] % q):
+    taken = {r for r, _, _ in pivots}
+    if any(b[r] for r in range(len(rows)) if r not in taken):
         return None
-    x = np.zeros(nvar, dtype=dtype)
+    x = [0] * nvar
     for r, c, v in reversed(pivots):
-        rhs_r = int(b[r] - a[r] @ x) % q
+        rhs_r = (b[r] - sum(x[j] * a for j, a in rows[r].items())) % q
         pv = p**v
         if rhs_r % pv:
             return None
         x[c] = (rhs_r // pv) % (q // pv)
-    residual = np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)
-    verify(not np.any(residual % q), "modular solution")
+    verify(
+        all((sum(x[j] * a for j, a in row.items()) - t) % q == 0 for row, t in zip(matrix, rhs)),
+        "modular solution",
+    )
     return x

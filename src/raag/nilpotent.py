@@ -8,8 +8,8 @@ Over Z/p^m the units with constant term 1 form a finite p-group, so a pair of
 group elements whose images fail to be conjugate there is certified
 non-conjugate in the group itself. Deciding conjugacy of two UNITS is linear
 algebra: M(g)·u = u·M(h) with the affine constraint that u has constant term
-1 is a linear system over Z/p^m, solved exactly. That test is the only part
-of the module that uses numpy, and it imports numpy when it runs.
+1 is a linear system over Z/p^m; it is almost all zeros, so it is built
+and solved on its nonzero entries, exactly, in Python integers.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -26,7 +26,7 @@ from itertools import zip_longest
 from math import comb
 
 from ._checks import require_prime, verify
-from ._intlinalg import exact_dtype, solve_mod_prime_power
+from ._intlinalg import SparseMatrix, solve_mod_prime_power
 from .words import _canonical
 
 __all__ = [
@@ -74,11 +74,12 @@ def trace_canonical(graph, word):
     return out
 
 
-# the Magnus system is a dense matrix with one equation per monomial of
-# degree 1..d and one unknown per monomial of degree 1..d-1; a free group of
-# rank 2 has 2047 monomials at degree 10 and 4095 at degree 11, where the
-# test of a conjugate pair takes about 1.5 s and 10 s on one Xeon core, so
-# larger bases are refused before they are built
+# the Magnus system has one equation per monomial of degree 1..d and one
+# unknown per monomial of degree 1..d-1; a free group of rank 2 has 2047
+# monomials at degree 10 and 4095 at degree 11, where the test of a
+# conjugate pair takes about 0.2 s and 0.4-0.7 s on one Xeon core (Python
+# 3.11), and elimination fill-in makes each further degree cost about 2-4
+# times the last, so larger bases are refused before they are built
 MAX_TRACE_MONOMIALS = 2048
 
 
@@ -288,20 +289,19 @@ def magnus_conjugate_test(g, h, d, p, m):
     elimination. A found unit is verified by multiplication before being
     returned.
     """
-    import numpy as np
-
     left = magnus_image(g, d, p, m)
     right = magnus_image(h, d, p, m)
     graph = g.graph
     basis = trace_monomials(graph, d)
-    rows = {mono: i for i, mono in enumerate(basis[1:])}
+    index = {mono: i for i, mono in enumerate(basis[1:])}
     # the constant 1 first, then the unknowns; the basis runs by degree
     cols = [w for w in basis if len(w) < d]
     # the constant terms of the two images cancel in every column
     left_terms = [(t, c) for t, c in left.coeffs.items() if t]
     right_terms = [(t, c) for t, c in right.coeffs.items() if t]
     q = p**m
-    mat = np.zeros((len(rows), len(cols)), dtype=exact_dtype(q, len(cols)))
+    rows = [{} for _ in index]
+    rhs = [0] * len(rows)
     for j, w in enumerate(cols):
         room = d - len(w)
         col = {}
@@ -314,13 +314,19 @@ def magnus_conjugate_test(g, h, d, p, m):
                 key = trace_canonical(graph, w + t)
                 col[key] = col.get(key, 0) - c
         for key, c in col.items():
-            mat[rows[key], j] = c % q
-    sol = solve_mod_prime_power(mat[:, 1:], (-mat[:, 0]) % q, p, m)
+            c %= q
+            if not c:
+                continue
+            if j:
+                rows[index[key]][j - 1] = c
+            else:
+                # the constant column moves to the right-hand side
+                rhs[index[key]] = -c % q
+    sol = solve_mod_prime_power(SparseMatrix(rows, len(cols) - 1), rhs, p, m)
     if sol is None:
         return Separated(d, p, m)
     coeffs = {(): 1}
-    for w, c in zip(cols[1:], sol):
-        coeffs[w] = int(c)
+    coeffs.update(zip(cols[1:], sol))
     unit = TruncatedAlgebraElement(graph, d, q, coeffs)
     verify(
         unit.constant_term() == 1 and left * unit == unit * right,

@@ -3,9 +3,10 @@
 Everything here except the last sections (the ball searches, the
 retraction-core double cosets and the paper's HNN routes for conjugacy
 under a subgroup and for set centralizers, which reuse the package's word
-arithmetic, the modular solver by global pivoting, which reuses its numpy
-representation, and the full Magnus system and the Lie bracket echelon,
-which reuse its truncated algebra) is deliberately written with
+arithmetic, the dense modular solver, which runs the package's
+valuation passes on whole numpy rows, the sparse-form converters, and the
+full Magnus system and the Lie bracket echelon, which reuse its truncated
+algebra) is deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
@@ -898,6 +899,88 @@ def solve_right_integer(matrix, target):
 
 
 # ---------------------------------------------------------------------------
+# linear systems over Z/p^m on dense numpy matrices
+
+
+def exact_dtype(q, ncols):
+    """int64 when a row of `ncols` residues mod q dotted with another, plus
+    one more residue, stays below 2^63 ((ncols+1) * q^2 < 2^63); otherwise
+    object, which holds Python integers."""
+    import numpy as np
+
+    return np.int64 if (ncols + 1) * q * q < 2**63 else object
+
+
+def sparse_matrix(matrix):
+    """The package's sparse form of a dense matrix (any nested sequence)."""
+    from raag._intlinalg import SparseMatrix
+
+    rows = [[int(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    return SparseMatrix([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
+
+
+def dense_matrix(matrix):
+    """A SparseMatrix written out as a list of lists."""
+    ncols = matrix.shape[1]
+    return [[row.get(j, 0) for j in range(ncols)] for row in matrix]
+
+
+def dense_solve_mod_prime_power(matrix, rhs, p, m):
+    """The package's valuation-pass elimination on a dense numpy matrix;
+    an int array or None.
+
+    Pass v = 0, ..., m-1 sweeps the free columns left to right and pivots
+    on the first free row whose entry has valuation exactly v, updating
+    whole rows; the package runs the same passes on nonzero entries only,
+    so the two must return the same vector.
+    """
+    import numpy as np
+
+    q = p**m
+    matrix = np.asarray(matrix)
+    dtype = exact_dtype(q, matrix.shape[-1])
+    a = np.asarray(matrix, dtype=dtype) % q
+    b = np.asarray(rhs, dtype=dtype) % q
+    neq, nvar = a.shape if a.ndim == 2 else (0, 0)
+    if neq == 0:
+        return np.zeros(0, dtype=dtype)
+    row_free = np.ones(neq, dtype=bool)
+    col_free = np.ones(nvar, dtype=bool)
+    pivots = []
+    for v in range(m):
+        pv = p**v
+        for c in np.flatnonzero(col_free):
+            rows = np.flatnonzero(row_free & (a[:, c] % (pv * p) != 0))
+            if not len(rows):
+                continue
+            r = rows[0]
+            inv = pow(int(a[r, c]) // pv, -1, q)
+            a[r] = (a[r] * inv) % q
+            b[r] = (b[r] * inv) % q
+            row_free[r] = False
+            col_free[c] = False
+            pivots.append((r, c, v))
+            idx = np.flatnonzero(row_free & (a[:, c] != 0))
+            if len(idx):
+                factors = a[idx, c] // pv
+                a[idx] = (a[idx] - factors[:, None] * a[r]) % q
+                b[idx] = (b[idx] - factors * b[r]) % q
+    if np.any(b[row_free] % q):
+        return None
+    x = np.zeros(nvar, dtype=dtype)
+    for r, c, v in reversed(pivots):
+        rhs_r = int(b[r] - a[r] @ x) % q
+        pv = p**v
+        if rhs_r % pv:
+            return None
+        x[c] = (rhs_r // pv) % (q // pv)
+    if np.any((np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)) % q):
+        raise AssertionError("dense modular solution fails the system")
+    return x
+
+
+# ---------------------------------------------------------------------------
 # linear systems over Z/p^m by global minimum-valuation pivoting
 
 
@@ -917,7 +1000,6 @@ def reference_solve_mod_prime_power(matrix, rhs, p, m):
     the valuation-pass invariant the package relies on.
     """
     import numpy as np
-    from raag._intlinalg import exact_dtype
 
     q = p**m
     matrix = np.asarray(matrix)
@@ -983,7 +1065,6 @@ def full_magnus_system(g, h, d, p, m):
     minus column 0 decides conjugacy of the images on the uncut system.
     """
     import numpy as np
-    from raag._intlinalg import exact_dtype
     from raag.nilpotent import TruncatedAlgebraElement, magnus_image, trace_monomials
 
     left = magnus_image(g, d, p, m)

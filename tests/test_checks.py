@@ -12,7 +12,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SCRIPT = r"""
 from unittest import mock
 
-import numpy as np
 from raag import conjugacy, cosets, hnn, nilpotent
 from raag.graphs import Graph
 from raag.words import Element, parse
@@ -48,7 +47,7 @@ with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
     # the set fold keeps the bogus root a of a b, which fails its own check
     corrupted("set centralizer", lambda: conjugacy.centralizer_in_special(f2, {0, 1}, [ab]))
-with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: np.ones(m.shape[1], dtype=int)):
+with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: [1] * m.shape[1]):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
 
 # words wrongly flagged canonical: in a b a on the path a-b-c the interior

@@ -259,17 +259,38 @@ res = magnus_conjugate_test(parse(graph, "a b c"), parse(graph, "c b a"), 4, 2, 
 """
 
 
-def test_numpy_loaded_only_by_a_modular_solve():
-    # every command but magnus-separate runs without numpy, so importing the
-    # CLI must not load it
-    out = fresh_python("import sys, raag, raag.cli; print('numpy' in sys.modules)")
-    assert out == "False\n"
+def test_no_command_loads_numpy(graphs):
+    # the library solves its modular systems in Python integers; numpy is
+    # only a test dependency, so no command, magnus-separate included, and
+    # no Magnus test may load it
+    commands = [
+        ["normal-form", "--graph", graphs["path3"], "b a b^-1 c"],
+        ["equal", "--graph", graphs["path3"], "a b", "b a"],
+        ["conjugate", "--graph", graphs["discrete2"], "a b", "b a"],
+        ["conjugate-under", "--graph", graphs["discrete2"], "b", "a b a^-1", "--subgroup", "a"],
+        ["centralizer", "--graph", graphs["path3"], "a c"],
+        ["double-coset", "--graph", graphs["path3"], "c a", "a c a c^-1", "--left", "a,b", "--right", "b,c"],
+        ["hnn-decompose", "--graph", graphs["path3"], "a c^2 b c^-1 a", "--pivot", "c"],
+        ["magnus-separate", "--graph", graphs["discrete2"], "a b a^-1 b^-1", "b a b^-1 a^-1"],
+        ["magnus-separate", "--graph", graphs["discrete2"], "a b", "b a", "--max-degree", "3"],
+        ["lie-dims", "--graph", graphs["discrete2"], "--max-degree", "4"],
+        ["center", "--graph", graphs["path3"]],
+        ["pgroup-witness", "-p", "2", "-n", "2", "-r", "1", "-s", "1"],
+    ]
+    out = fresh_python(
+        "import sys\nfrom raag.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy' in sys.modules)"
+    )
+    # every command exits 0 but the second magnus-separate: a b and b a are
+    # conjugate, so no level separates them and it exits 2
+    assert out.splitlines()[-1] == f"{[0] * 8 + [2] + [0] * 3} False"
     out = fresh_python(
         MAGNUS_P3 + "import sys; print('numpy' in sys.modules, sorted(res.unit.coeffs.items()))"
     )
     here = {}
     exec(MAGNUS_P3, here)
-    assert out == f"True {sorted(here['res'].unit.coeffs.items())}\n"
+    assert out == f"False {sorted(here['res'].unit.coeffs.items())}\n"
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,14 @@ from raag import nilpotent
 from raag._intlinalg import solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element
-from oracles import reference_solve_mod_prime_power, solve_left_integer, solve_right_integer
+from oracles import (
+    dense_matrix,
+    dense_solve_mod_prime_power,
+    reference_solve_mod_prime_power,
+    solve_left_integer,
+    solve_right_integer,
+    sparse_matrix,
+)
 
 
 def test_left_integer_simple():
@@ -46,15 +53,15 @@ def test_left_integer_random_solvable():
 
 def test_mod_prime_power_valuation_pivoting():
     # needs the low-valuation entry even though it is not first in its column
-    x = solve_mod_prime_power([[2, 1]], [1], 2, 2)
+    x = solve_mod_prime_power(sparse_matrix([[2, 1]]), [1], 2, 2)
     assert x is not None
     assert (2 * x[0] + x[1]) % 4 == 1
 
 
 def test_mod_prime_power_no_solution():
-    assert solve_mod_prime_power([[2]], [1], 2, 2) is None
-    assert solve_mod_prime_power([[0]], [2], 3, 1) is None
-    assert solve_mod_prime_power([[3, 6]], [1], 3, 2) is None
+    assert solve_mod_prime_power(sparse_matrix([[2]]), [1], 2, 2) is None
+    assert solve_mod_prime_power(sparse_matrix([[0]]), [2], 3, 1) is None
+    assert solve_mod_prime_power(sparse_matrix([[3, 6]]), [1], 3, 2) is None
 
 
 def test_mod_prime_power_larger_system():
@@ -65,7 +72,7 @@ def test_mod_prime_power_larger_system():
         sol = np.array([rng.randrange(q) for _ in range(n)])
         a = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(n)])
         b = (a @ sol) % q
-        x = solve_mod_prime_power(a, b, p, m)
+        x = solve_mod_prime_power(sparse_matrix(a), b, p, m)
         assert x is not None
         assert not np.any((a @ x - b) % q)
 
@@ -79,7 +86,7 @@ def test_mod_prime_power_large_modulus_is_exact():
     sol = [rng.randrange(q) for _ in range(n)]
     a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
     b = [sum(r * s for r, s in zip(row, sol)) % q for row in a]
-    x = solve_mod_prime_power(a, b, p, m)
+    x = solve_mod_prime_power(sparse_matrix(a), b, p, m)
     assert x is not None
     assert all(sum(r * int(v) for r, v in zip(row, x)) % q == t for row, t in zip(a, b))
 
@@ -132,7 +139,7 @@ def test_mod_prime_power_matches_enumeration():
                         [_weighted(rng, p, m) for _ in range(neq)],
                     ]
                     for b in targets:
-                        x = solve_mod_prime_power(a, b, p, m)
+                        x = solve_mod_prime_power(sparse_matrix(a), b, p, m)
                         ref = reference_solve_mod_prime_power(a, b, p, m)
                         solvable = tuple(b) in image
                         assert (x is not None) == solvable == (ref is not None), (p, m, a, b)
@@ -183,9 +190,38 @@ def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypat
                 del systems[:]
                 nilpotent.magnus_conjugate_test(g, h, d, p, m)
                 (matrix, rhs, _, _), = systems
-                ref = reference_solve_mod_prime_power(matrix, rhs, p, m)
+                ref = reference_solve_mod_prime_power(dense_matrix(matrix), rhs, p, m)
                 assert (solve(matrix, rhs, p, m) is None) == (ref is None)
                 verdicts.append(ref is None)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
+    # the sparse solver runs the dense valuation passes on nonzeros only:
+    # same pivots, so the same vector (or None on both sides)
+    solve = nilpotent.solve_mod_prime_power
+    verdicts = []
+
+    def compare(matrix, rhs, p, m):
+        x = solve(matrix, rhs, p, m)
+        ref = dense_solve_mod_prime_power(dense_matrix(matrix), rhs, p, m)
+        assert x == (None if ref is None else [int(v) for v in ref]), (matrix.shape, p, m)
+        verdicts.append(x is None)
+        return x
+
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", compare)
+    rng = random.Random(37)
+    f2 = Graph(["a", "b"])
+    p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    f3 = Graph(["a", "b", "c"])
+    c5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+    for graph, top in ((p3, 7), (f3, 5), (c5, 4), (f2, 8)):
+        for g, h in [*_commutator_pairs(rng, graph, 2), *_conjugate_pairs(rng, graph, 2)]:
+            for d in range(1, top + 1):
+                for p, m in ((2, 1), (2, 2), (3, 1), (3, 2)):
+                    nilpotent.magnus_conjugate_test(g, h, d, p, m)
+            for d in range(1, 4):
+                nilpotent.magnus_conjugate_test(g, h, d, 100003, 2)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -199,7 +235,7 @@ def test_mod_prime_power_revisits_a_column_in_the_next_pass():
     image = _image(a, 4)
     assert len(image) == 32
     for b in itertools.product(range(4), repeat=3):
-        x = solve_mod_prime_power(a, list(b), p, m)
+        x = solve_mod_prime_power(sparse_matrix(a), list(b), p, m)
         assert (x is not None) == (b in image) == (reference_solve_mod_prime_power(a, list(b), p, m) is not None)
         if x is not None:
             assert (np.array(a) @ x % 4).tolist() == list(b)
