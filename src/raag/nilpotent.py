@@ -11,6 +11,13 @@ algebra: M(g)·u = u·M(h) with the affine constraint that u has constant term
 1 is a linear system over Z/p^m; it is almost all zeros, so it is built
 and solved on its nonzero entries, exactly, in Python integers.
 
+A monomial is the lex-least word of its trace. Appending a letter v to one
+is an insertion: step back over the longest suffix of letters adjacent to
+v, forward past those smaller than v, and put v there (Anisimov-Knuth).
+`TraceAlgebra(graph, d)` lists the monomials of degree <= d and tabulates
+that insertion once, as integer append tables; images, the columns of the
+Magnus system and the check of a found unit then run on integer indices.
+
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
 the group's lower central series. They follow in closed form from the
@@ -27,7 +34,6 @@ from math import comb
 
 from ._checks import require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
-from .words import _canonical
 
 __all__ = [
     "TruncatedAlgebraElement",
@@ -37,6 +43,7 @@ __all__ = [
     "GradedDims",
     "trace_canonical",
     "trace_monomials",
+    "TraceAlgebra",
     "MAX_TRACE_MONOMIALS",
     "magnus_image",
     "magnus_conjugate_test",
@@ -51,57 +58,187 @@ __all__ = [
 # trace monomials
 
 # monomials are canonical positive trace words, stored as tuples of vertex
-# indices; canonicalization is the group normal form restricted to positive
-# letters, which never cancels and lands on the lex-least representative
-
-
-def _monomial_cache(graph):
-    cache = getattr(graph, "_trace_cache", None)
-    if cache is None:
-        cache = {}
-        graph._trace_cache = cache
-    return cache
+# indices: the lex-least word of each trace, which is the group normal form
+# restricted to positive letters
 
 
 def trace_canonical(graph, word):
-    """Canonical form of a positive trace word (tuple of vertex indices)."""
-    cache = _monomial_cache(graph)
-    out = cache.get(word)
-    if out is None:
-        letters = _canonical(graph, tuple(v + 1 for v in word))
-        out = tuple(lt - 1 for lt in letters)
-        cache[word] = out
+    """Canonical form of a positive trace word (tuple of vertex indices).
+
+    The letters are appended one at a time to a canonical word w by the
+    insertion rule: step back over the longest suffix s of w whose letters
+    are adjacent to v, step forward past the letters of s smaller than v,
+    and insert v there.
+
+    Proof. A word is the lex-least one of its trace exactly when it has no
+    factor b.u.a with a < b, where a commutes with b and with every letter
+    of u (Anisimov-Knuth). Write the result as x.v.y: y is the rest of s,
+    every letter of s before v is smaller than v, and the letter before s,
+    if any, does not commute with v. The word is equivalent to w.v, since v
+    commutes with y, and a factor b.u.a as above would have to involve v.
+    v inside u: deleting v leaves such a factor in w. v = a: b.u commutes
+    with v, so it lies in the part of s before v, whose letters are all
+    smaller than v, against a < b. v = b: u.a lies in y, whose first letter
+    y1 is larger than v > a, so u is not empty and starts with y1; then
+    y1, the rest of u and a form such a factor in w.
+    """
+    out = ()
+    for v in word:
+        out = _append(graph.adj[v], out, v)
     return out
+
+
+def _append(near, w, v):
+    """The canonical form of w.v for a canonical w; near is v's link."""
+    i = len(w)
+    while i and w[i - 1] in near:
+        i -= 1
+    while i < len(w) and w[i] < v:
+        i += 1
+    return w[:i] + (v,) + w[i:]
 
 
 # the Magnus system has one equation per monomial of degree 1..d and one
 # unknown per monomial of degree 1..d-1; a free group of rank 2 has 2047
 # monomials at degree 10 and 4095 at degree 11, where the test of a
-# conjugate pair takes about 0.2 s and 0.4-0.7 s on one Xeon core (Python
-# 3.11), and elimination fill-in makes each further degree cost about 2-4
+# conjugate pair takes about 0.09 s and 0.3-0.5 s on one Xeon core (Python
+# 3.11), and elimination fill-in makes each further degree cost about 3-4
 # times the last, so larger bases are refused before they are built
 MAX_TRACE_MONOMIALS = 2048
+
+
+def _extend(word, free, apart, later):
+    """The canonical monomials word.v for the letters v in `free`, the bit
+    set of letters that word takes, each paired with its own such set."""
+    return [
+        (word + (v,), apart[v] | later[v] & free)
+        for v in range(len(apart)) if free >> v & 1
+    ]
 
 
 def trace_monomials(graph, cap):
     """All canonical trace monomials of degree <= cap, by degree then lex.
 
+    By the insertion rule (see trace_canonical), w.v is canonical exactly
+    when every letter of the longest suffix of w adjacent to v is smaller
+    than v. For w = w'.u that holds when v is not adjacent to u, or when it
+    is adjacent, larger than u, and w'.v is canonical. So the letters each
+    monomial takes follow from its parent's, and extending each level in
+    lex order, letter by letter, lists the next level in lex order.
+
     Raises ValueError as soon as more than MAX_TRACE_MONOMIALS have been
     found, without building the rest of the basis.
     """
-    levels = [[()]]
-    count = 1
+    n = graph.n
+    near = [sum(1 << j for j in graph.adj[u]) for u in range(n)]
+    apart = [~b & ((1 << n) - 1) for b in near]
+    later = [b >> (u + 1) << (u + 1) for u, b in enumerate(near)]
+    level = [((), (1 << n) - 1)]
+    basis = [()]
     for d in range(1, cap + 1):
-        new = set()
-        for w in levels[-1]:
-            new.update(trace_canonical(graph, w + (v,)) for v in range(graph.n))
-            if count + len(new) > MAX_TRACE_MONOMIALS:
+        new = []
+        for word, free in level:
+            new += _extend(word, free, apart, later)
+            if len(basis) + len(new) > MAX_TRACE_MONOMIALS:
                 raise ValueError(
                     f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {d}"
                 )
-        count += len(new)
-        levels.append(sorted(new))
-    return [m for level in levels for m in level]
+        basis += [word for word, _ in new]
+        level = new
+    return basis
+
+
+class TraceAlgebra:
+    """The trace monomials of degree <= d, with integer append tables.
+
+    basis lists them as trace_monomials does, index maps each to its place
+    and degree gives its length; rows counts those of degree < d, which
+    come first. For i < rows, right[i][v] and left[i][v] are the indices of
+    the canonical forms of basis[i].v and v.basis[i]; parent[i] and tail[i]
+    are those of basis[i] without its last and without its first letter.
+    Rows of degree d are empty: their products leave the truncation.
+
+    With w = w'.u, w.v is canonical when v is not adjacent to u, or is
+    larger than u with w'.v canonical (see trace_monomials); then it is the
+    next monomial of degree |w| + 1. Otherwise v commutes with u, and w.v
+    is the canonical form of canonical(w'.v).u. That word precedes w in lex
+    order (it is w'.v with v < u, or inserts v before a larger letter of
+    w'), so its row is built already. The left table follows from
+    v.w'.u = (v.w').u, and the tail from w[1:] = w'[1:].u, both canonical.
+    """
+
+    def __init__(self, graph, d):
+        self.graph = graph
+        self.d = d
+        self.basis = basis = trace_monomials(graph, d)
+        self.index = {w: i for i, w in enumerate(basis)}
+        self.degree = [len(w) for w in basis]
+        self.rows = rows = len(basis) - self.degree.count(d)
+        n = graph.n
+        adj = graph.adj
+        right = [[] for _ in basis]
+        parent = [0] * len(basis)
+        born = 1
+        for i in range(rows):
+            row = right[i]
+            w = basis[i]
+            if not w:
+                row += range(1, n + 1)
+                born += n
+                continue
+            u = w[-1]
+            p = parent[i]
+            up = right[p]
+            for v in range(n):
+                j = up[v]
+                if v in adj[u] and (v < u or parent[j] != p):
+                    row.append(right[j][u])
+                else:
+                    parent[born] = i
+                    row.append(born)
+                    born += 1
+        left = [[] for _ in basis]
+        tail = [0] * len(basis)
+        left[0] = right[0]
+        for i in range(1, rows):
+            u = basis[i][-1]
+            p = parent[i]
+            left[i] = [right[j][u] for j in left[p]]
+            if p:
+                tail[i] = right[tail[p]][u]
+        self.right, self.left, self.parent, self.tail = right, left, parent, tail
+
+    def image(self, x, q):
+        """M(x) over Z/q, as {index: coefficient}."""
+        right = self.right
+        return _image(x.letters, q, 0, lambda term, v, s: {
+            right[i][v]: s * c for i, c in term.items() if right[i]
+        })
+
+    def mul(self, x, y, q):
+        """x.y over Z/q, on {index: coefficient} maps: the sum over the
+        monomials s of y of y_s (x.s), with x.s = (x.parent(s)).(last of s)."""
+        right, parent, basis = self.right, self.parent, self.basis
+        memo = {0: x}
+
+        def times(s):
+            if s not in memo:
+                u = basis[s][-1]
+                memo[s] = {right[i][u]: c for i, c in times(parent[s]).items() if right[i]}
+            return memo[s]
+
+        out = {}
+        for s, b in y.items():
+            for i, c in times(s).items():
+                out[i] = out.get(i, 0) + b * c
+        return {i: c % q for i, c in out.items() if c % q}
+
+    def element(self, coeffs, q):
+        """The TruncatedAlgebraElement with these {index: coefficient}."""
+        basis = self.basis
+        return TruncatedAlgebraElement(
+            self.graph, self.d, q, {basis[i]: c for i, c in coeffs.items()}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +361,13 @@ class TruncatedAlgebraElement:
 # the unit embedding
 
 
+def _modulus(d, p, m):
+    require_prime(p)
+    if d < 1 or m < 1:
+        raise ValueError("need d >= 1 and m >= 1")
+    return p**m
+
+
 def magnus_image(x, d, p, m):
     """Image of a group element under v -> 1 + v, truncated at degree d,
     coefficients in Z/p^m.
@@ -231,20 +375,35 @@ def magnus_image(x, d, p, m):
     Inverse letters map to the truncated geometric series, so letter and
     inverse multiply to exactly 1 in the truncation and the whole map is a
     homomorphism into the units with constant term 1. p must be prime.
+    Only the monomials the image reaches are built, each by one insertion
+    (see trace_canonical); TraceAlgebra.image is the same map on the
+    indices of the whole basis, which is cheaper once the tables exist.
     """
-    require_prime(p)
-    if d < 1 or m < 1:
-        raise ValueError("need d >= 1 and m >= 1")
-    q = p**m
-    graph = x.graph
-    out = TruncatedAlgebraElement.one(graph, d, q)
-    for lt in x.letters:
-        v = lt - 1 if lt > 0 else -lt - 1
-        if lt > 0:
-            series = {(): 1, (v,): 1}
-        else:
-            series = {(v,) * k: (-1) ** k for k in range(d + 1)}
-        out = out * TruncatedAlgebraElement(graph, d, q, series)
+    q = _modulus(d, p, m)
+    adj = x.graph.adj
+    coeffs = _image(x.letters, q, (), lambda term, v, s: {
+        _append(adj[v], w, v): s * c for w, c in term.items() if len(w) < d
+    })
+    return TruncatedAlgebraElement(x.graph, d, q, coeffs)
+
+
+def _image(letters, q, one, shift):
+    """The image over Z/q of the word `letters`, on monomial keys with
+    `one` the empty monomial; shift(term, v, s) is s.term.v, cut past the
+    truncation. Each letter v multiplies by 1 + v, and each inverse letter
+    by 1 - v + v^2 - ..., which stops at the truncation."""
+    out = {one: 1}
+    for lt in letters:
+        v = abs(lt) - 1
+        term = out
+        out = dict(out)
+        while term:
+            term = shift(term, v, 1 if lt > 0 else -1)
+            for k, c in term.items():
+                out[k] = out.get(k, 0) + c
+            if lt > 0:
+                break
+        out = {k: c % q for k, c in out.items() if c % q}
     return out
 
 
@@ -289,50 +448,45 @@ def magnus_conjugate_test(g, h, d, p, m):
     elimination. A found unit is verified by multiplication before being
     returned.
     """
-    left = magnus_image(g, d, p, m)
-    right = magnus_image(h, d, p, m)
-    graph = g.graph
-    basis = trace_monomials(graph, d)
-    index = {mono: i for i, mono in enumerate(basis[1:])}
-    # the constant 1 first, then the unknowns; the basis runs by degree
-    cols = [w for w in basis if len(w) < d]
-    # the constant terms of the two images cancel in every column
-    left_terms = [(t, c) for t, c in left.coeffs.items() if t]
-    right_terms = [(t, c) for t, c in right.coeffs.items() if t]
-    q = p**m
-    rows = [{} for _ in index]
+    q = _modulus(d, p, m)
+    algebra = TraceAlgebra(g.graph, d)
+    basis, right, left = algebra.basis, algebra.right, algebra.left
+    image_g, image_h = algebra.image(g, q), algebra.image(h, q)
+    # column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
+    # w.(M(h) - 1) for w = basis[j] of degree < d; each is a shorter word's
+    # with one more letter, at the end (from the parent) or at the front
+    # (from the tail); the constant terms of the two images cancel
+    gw = [{i: c for i, c in image_g.items() if i}]
+    wh = [{i: c for i, c in image_h.items() if i}]
+    rows = [{} for _ in basis[1:]]
     rhs = [0] * len(rows)
-    for j, w in enumerate(cols):
-        room = d - len(w)
-        col = {}
-        for t, c in left_terms:
-            if len(t) <= room:
-                key = trace_canonical(graph, t + w)
-                col[key] = col.get(key, 0) + c
-        for t, c in right_terms:
-            if len(t) <= room:
-                key = trace_canonical(graph, w + t)
-                col[key] = col.get(key, 0) - c
-        for key, c in col.items():
+    for j in range(algebra.rows):
+        if j:
+            u, v = basis[j][-1], basis[j][0]
+            gw.append({right[i][u]: c for i, c in gw[algebra.parent[j]].items() if right[i]})
+            wh.append({left[i][v]: c for i, c in wh[algebra.tail[j]].items() if left[i]})
+        col = dict(gw[j])
+        for i, c in wh[j].items():
+            col[i] = col.get(i, 0) - c
+        for i, c in col.items():
             c %= q
             if not c:
                 continue
             if j:
-                rows[index[key]][j - 1] = c
+                rows[i - 1][j - 1] = c
             else:
                 # the constant column moves to the right-hand side
-                rhs[index[key]] = -c % q
-    sol = solve_mod_prime_power(SparseMatrix(rows, len(cols) - 1), rhs, p, m)
+                rhs[i - 1] = -c % q
+    sol = solve_mod_prime_power(SparseMatrix(rows, algebra.rows - 1), rhs, p, m)
     if sol is None:
         return Separated(d, p, m)
-    coeffs = {(): 1}
-    coeffs.update(zip(cols[1:], sol))
-    unit = TruncatedAlgebraElement(graph, d, q, coeffs)
+    unit = {0: 1}
+    unit.update((j, c) for j, c in enumerate(sol, 1) if c)
     verify(
-        unit.constant_term() == 1 and left * unit == unit * right,
+        algebra.mul(image_g, unit, q) == algebra.mul(unit, image_h, q),
         "conjugating unit",
     )
-    return NotSeparatedAtThisLevel(unit)
+    return NotSeparatedAtThisLevel(algebra.element(unit, q))
 
 
 def find_separating_level(g, h, p, max_d=6, max_m=2):

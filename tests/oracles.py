@@ -5,8 +5,9 @@ retraction-core double cosets and the paper's HNN routes for conjugacy
 under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
 valuation passes on whole numpy rows, the sparse-form converters, and the
-full Magnus system and the Lie bracket echelon, which reuse its truncated
-algebra) is deliberately written with
+full Magnus system, the piled Magnus test, which reuses the group normal
+form, and the Lie bracket echelon, which reuse its truncated algebra) is
+deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
 with the package is then a meaningful check rather than a tautology.
@@ -18,6 +19,7 @@ in the sections that reuse the package, which take its Graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1078,6 +1080,109 @@ def full_magnus_system(g, h, d, p, m):
         for mono, c in (left * unit - unit * right).coeffs.items():
             mat[index[mono], j] = c
     return basis, mat
+
+
+# ---------------------------------------------------------------------------
+# the Magnus test on products of piled trace words
+#
+# The package canonicalises positive trace words by the lex insertion rule
+# and runs the Magnus test on integer append tables. These keep the route
+# it replaced: each product of monomials goes through the group's
+# pile/depile normal form (behind a cache), the images are products of
+# truncated algebra elements, and each column of the system is a sum of
+# such products.
+
+
+@functools.lru_cache(maxsize=None)
+def piled_trace_canonical(graph, word):
+    """Canonical form of a positive trace word by the group normal form."""
+    from raag.words import _canonical
+
+    return tuple(lt - 1 for lt in _canonical(graph, tuple(v + 1 for v in word)))
+
+
+def piled_trace_monomials(graph, cap):
+    """The canonical monomials of degree <= cap, by degree then lex: each
+    level is the set of canonical forms of the last one times a letter."""
+    levels = [[()]]
+    for _ in range(cap):
+        levels.append(sorted({
+            piled_trace_canonical(graph, w + (v,)) for w in levels[-1] for v in range(graph.n)
+        }))
+    return [w for level in levels for w in level]
+
+
+def piled_product(x, y):
+    """x * y of two TruncatedAlgebraElements, monomials piled."""
+    from raag.nilpotent import TruncatedAlgebraElement
+
+    out = {}
+    for m1, c1 in x.coeffs.items():
+        for m2, c2 in y.coeffs.items():
+            if len(m1) + len(m2) <= x.cap:
+                key = piled_trace_canonical(x.graph, m1 + m2)
+                out[key] = out.get(key, 0) + c1 * c2
+    return TruncatedAlgebraElement(x.graph, x.cap, x.modulus, out)
+
+
+def piled_magnus_image(x, d, p, m):
+    """M(x) over Z/p^m as a product of one truncated series per letter."""
+    from raag.nilpotent import TruncatedAlgebraElement
+
+    q = p**m
+    out = TruncatedAlgebraElement.one(x.graph, d, q)
+    for lt in x.letters:
+        v = abs(lt) - 1
+        if lt > 0:
+            series = {(): 1, (v,): 1}
+        else:
+            series = {(v,) * k: (-1) ** k for k in range(d + 1)}
+        out = piled_product(out, TruncatedAlgebraElement(x.graph, d, q, series))
+    return out
+
+
+def piled_magnus_conjugate_test(g, h, d, p, m):
+    """The Magnus test with every column summed from piled products: one
+    unknown per monomial of degree 1..d-1, one equation per monomial of
+    degree 1..d, solved by the package's solver; a found unit is checked
+    by piled products."""
+    from raag._intlinalg import SparseMatrix, solve_mod_prime_power
+    from raag.nilpotent import NotSeparatedAtThisLevel, Separated, TruncatedAlgebraElement
+
+    graph = g.graph
+    left = piled_magnus_image(g, d, p, m)
+    right = piled_magnus_image(h, d, p, m)
+    basis = piled_trace_monomials(graph, d)
+    index = {mono: i for i, mono in enumerate(basis[1:])}
+    cols = [w for w in basis if len(w) < d]
+    q = p**m
+    rows = [{} for _ in index]
+    rhs = [0] * len(rows)
+    for j, w in enumerate(cols):
+        col = {}
+        for t, c in left.coeffs.items():
+            if t and len(t) + len(w) <= d:
+                key = piled_trace_canonical(graph, t + w)
+                col[key] = col.get(key, 0) + c
+        for t, c in right.coeffs.items():
+            if t and len(t) + len(w) <= d:
+                key = piled_trace_canonical(graph, w + t)
+                col[key] = col.get(key, 0) - c
+        for key, c in col.items():
+            if c % q:
+                if j:
+                    rows[index[key]][j - 1] = c % q
+                else:
+                    rhs[index[key]] = -c % q
+    sol = solve_mod_prime_power(SparseMatrix(rows, len(cols) - 1), rhs, p, m)
+    if sol is None:
+        return Separated(d, p, m)
+    coeffs = {(): 1}
+    coeffs.update(zip(cols[1:], sol))
+    unit = TruncatedAlgebraElement(graph, d, q, coeffs)
+    if piled_product(left, unit) != piled_product(unit, right):
+        raise AssertionError("piled Magnus unit fails to conjugate the images")
+    return NotSeparatedAtThisLevel(unit)
 
 
 # ---------------------------------------------------------------------------

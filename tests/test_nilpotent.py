@@ -18,6 +18,7 @@ from raag.nilpotent import (
     GradedDims,
     NotSeparatedAtThisLevel,
     Separated,
+    TraceAlgebra,
     TruncatedAlgebraElement,
     find_separating_level,
     lie_center_trivial_upto,
@@ -35,6 +36,11 @@ from oracles import (
     echelon_lie_dims,
     full_magnus_system,
     listed_clique_counts,
+    piled_magnus_conjugate_test,
+    piled_magnus_image,
+    piled_product,
+    piled_trace_canonical,
+    piled_trace_monomials,
     poincare_series_product,
     reference_solve_mod_prime_power,
     trace_monoid_growth,
@@ -107,17 +113,54 @@ def test_trace_basis_bound_covers_the_benchmark_sizes():
     assert len(trace_monomials(F2, 10)) == 2047 <= MAX_TRACE_MONOMIALS
 
 
+def test_trace_canonical_matches_piles():
+    # the insertion rule against the group's pile/depile normal form, on
+    # every positive word of length <= 6
+    for graph in CORPUS:
+        for k in range(7):
+            for word in itertools.product(range(graph.n), repeat=k):
+                assert trace_canonical(graph, word) == piled_trace_canonical(graph, word), (graph, word)
+
+
+@pytest.mark.parametrize("graph", [P3, C5, F3, K3], ids=["P3", "C5", "F3", "K3"])
+def test_append_tables_match_piles(graph):
+    for d in range(1, 6):
+        algebra = TraceAlgebra(graph, d)
+        basis = algebra.basis
+        assert basis == piled_trace_monomials(graph, d)
+        assert algebra.rows == sum(1 for w in basis if len(w) < d)
+        assert all(basis[i] == w and algebra.degree[i] == len(w) for w, i in algebra.index.items())
+        for i, w in enumerate(basis):
+            if len(w) == d:
+                assert algebra.right[i] == algebra.left[i] == []
+                continue
+            for v in range(graph.n):
+                assert basis[algebra.right[i][v]] == piled_trace_canonical(graph, w + (v,))
+                assert basis[algebra.left[i][v]] == piled_trace_canonical(graph, (v,) + w)
+            if w:
+                assert basis[algebra.parent[i]] == w[:-1]
+                assert basis[algebra.tail[i]] == w[1:]
+    # products on indices against piled products of the same elements
+    rng = random.Random(graph.n)
+    for _ in range(20):
+        x, y = ({rng.randrange(len(basis)): rng.randrange(1, 9) for _ in range(12)} for _ in "xy")
+        want = piled_product(algebra.element(x, 9), algebra.element(y, 9))
+        assert algebra.element(algebra.mul(x, y, 9), 9) == want
+
+
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
-    # 19531 monomials up to degree 6 on five free letters, 3906 up to degree 5
+    # 19531 monomials up to degree 6 on five free letters, 3906 up to degree 5;
+    # the bound is checked after each monomial's extensions, so at most n
+    # monomials are built past it
     edgeless5 = Graph(list("abcde"))
-    calls = []
-    canonical = nilpotent.trace_canonical
+    built = []
+    extend = nilpotent._extend
     monkeypatch.setattr(
-        nilpotent, "trace_canonical", lambda graph, word: calls.append(word) or canonical(graph, word)
+        nilpotent, "_extend", lambda *args: built.extend(out := extend(*args)) or out
     )
     with pytest.raises(ValueError, match=f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5"):
         trace_monomials(edgeless5, 6)
-    assert len(calls) <= MAX_TRACE_MONOMIALS + edgeless5.n
+    assert len(built) <= MAX_TRACE_MONOMIALS + edgeless5.n
 
 
 def test_separating_level_stops_at_the_basis_bound(monkeypatch):
@@ -354,6 +397,46 @@ def test_cut_system_decides_as_the_full_one(graph, max_d):
             assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
             if i % 2:
                 assert level is NOT_FOUND
+
+
+@pytest.mark.parametrize(
+    ("graph", "max_d"), [(P3, 7), (F3, 5), (C5, 4), (F2, 8)], ids=["P3", "F3", "C5", "F2"]
+)
+def test_magnus_test_matches_piled_products(graph, max_d):
+    # the test on append tables against the same test summed from piled
+    # products: the same verdicts, the same units, the same levels, on
+    # nontrivial commutators [u, v] against s [v, u] s^-1 and on distinct
+    # conjugates g, s g s^-1
+    rng = random.Random(100 + max_d)
+    pairs = []
+    while len(pairs) < 4:
+        g, h = magnus_pairs(rng, graph, 1)[len(pairs) % 2]
+        if not g.is_identity() and g != h:
+            pairs.append((g, h))
+    for g, h in pairs:
+        for p, top in ((2, max_d), (3, max_d), (100003, 3)):
+            level = NOT_FOUND
+            for d in range(1, top + 1):
+                for m in (1, 2):
+                    res = magnus_conjugate_test(g, h, d, p, m)
+                    assert res == piled_magnus_conjugate_test(g, h, d, p, m), (g, h, d, p, m)
+                    if level is NOT_FOUND and isinstance(res, Separated):
+                        level = (d, m)
+            image = piled_magnus_image(g, top, p, 2)
+            algebra = TraceAlgebra(graph, top)
+            assert magnus_image(g, top, p, 2) == image == algebra.element(algebra.image(g, p**2), p**2)
+            assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
+
+
+def test_nothing_is_cached_on_the_graph():
+    graph = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    before = set(vars(graph))
+    g, h = parse(graph, "a b c"), parse(graph, "c b a")
+    magnus_conjugate_test(g, h, 4, 2, 2)
+    find_separating_level(g, parse(graph, "a c"), 2, max_d=3)
+    lie_graded_dims(graph, 5)
+    assert "_trace_cache" not in vars(graph)
+    assert set(vars(graph)) - before <= {"dependents"}
 
 
 # ---------------------------------------------------------------------------
