@@ -154,9 +154,10 @@ class TraceAlgebra:
     basis lists them as trace_monomials does, index maps each to its place
     and degree gives its length; rows counts those of degree < d, which
     come first. For i < rows, right[i][v] and left[i][v] are the indices of
-    the canonical forms of basis[i].v and v.basis[i]; parent[i] and tail[i]
-    are those of basis[i] without its last and without its first letter.
-    Rows of degree d are empty: their products leave the truncation.
+    the canonical forms of basis[i].v and v.basis[i], and for i > 0,
+    parent[i] and tail[i] are those of basis[i] without its last and
+    without its first letter. Rows of degree d are empty: their products
+    leave the truncation.
 
     With w = w'.u, w.v is canonical when v is not adjacent to u, or is
     larger than u with w'.v canonical (see trace_monomials); then it is the
