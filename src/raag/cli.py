@@ -3,7 +3,8 @@
 One subcommand per question, text in and text out, deterministic for fixed
 inputs. Exit status is a tri-state: 0 for a decided query, 1 for usage or
 input errors (reported on stderr), and 2 when `magnus-separate` finds no
-separating level within its degree and precision bounds.
+separating level within its degree and precision bounds (always, for a
+conjugate pair).
 Graphs come from JSON files, words use the same grammar the parser accepts,
 and every printed witness is a parseable word that re-verifies.
 """

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from math import comb
 
+from . import conjugacy
 from ._checks import require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
 
@@ -494,14 +495,19 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     """Least (d, m), degree scanned first, at which the images separate.
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
-    unit; conjugate inputs always come back NOT_FOUND. p must be prime,
-    and max_d and max_m at least 1, so that the grid is not empty. The scan
-    raises ValueError at the first degree whose trace basis is larger than
+    unit. p must be prime, and max_d and max_m at least 1, so that the grid
+    is not empty. Conjugacy is decided first, exactly: if x g x^-1 = h
+    (a verified conjugator), the unit M(x^-1) conjugates the images at
+    every level, so conjugate pairs return NOT_FOUND before any trace
+    basis is built. Only non-conjugate pairs scan the grid, which raises
+    ValueError at the first degree whose trace basis is larger than
     MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
     """
     require_prime(p)
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
+    if isinstance(conjugacy.conjugate(g, h), conjugacy.Conjugate):
+        return NOT_FOUND
     for d in range(1, max_d + 1):
         for m in range(1, max_m + 1):
             if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):

@@ -8,7 +8,9 @@ carries an automorphism alpha of order p^r, and B = A : <alpha> is a finite
 p-group in which the images of two specific elements g and h land in distinct
 conjugacy classes even though they satisfy the same power and twisted-power
 relations. Everything here is verified by exact enumeration: the relations by
-direct computation, the conjugacy classes by running over all of B.
+direct computation, the conjugacy classes by running over all of B. A class
+takes the powers alpha^k, k < p^r, tabled once per call from the matrix as it
+stands, and one conjugate per element of B by the expanded group law.
 
 A is written additively as vectors of residues; B multiplies by
 (a, i)(b, j) = (a + alpha^i(b), i + j). The automorphism is stored as a
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from ._checks import require_prime
 
@@ -219,7 +222,34 @@ class WitnessGroup:
             yield PGroupElement(tup[:-1], tup[-1])
 
     def conjugacy_class(self, x):
-        return {self.conjugate(x, b) for b in self.elements()}
+        """The class of x = (v, j): b x b^-1 = (a + alpha^i(v) - alpha^j(a), j)
+        for every b = (a, i) of B.
+
+        alpha^k is tabled for k < p^r, as the images of the basis vectors,
+        once per call from alpha_matrix as it stands.
+        """
+        powers = [list(self._basis_vectors())]
+        for _ in range(1, self.params.p**self.params.r):
+            powers.append([self.alpha_apply(row) for row in powers[-1]])
+        v, j = x.vector, x.alpha_exp
+        twisted = [[sum(map(mul, v, col)) for col in zip(*rows)] for rows in powers]
+        # the columns of 1 - alpha^j: entry k of a - alpha^j(a) is
+        # sum(a * untwist[k]), and of alpha^i(v) is twisted[i][k]
+        untwist = [
+            tuple(int(k == i) - c for i, c in enumerate(col))
+            for k, col in enumerate(zip(*powers[j]))
+        ]
+        moduli = self.moduli
+        return {
+            PGroupElement(
+                tuple(
+                    (sum(map(mul, b.vector, col)) + t) % q
+                    for col, t, q in zip(untwist, twisted[b.alpha_exp], moduli)
+                ),
+                j,
+            )
+            for b in self.elements()
+        }
 
     def verify_relations(self):
         """The four defining relations, checked through the homomorphism."""

@@ -6,7 +6,8 @@ under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
 valuation passes on whole numpy rows, the sparse-form converters, and the
 full Magnus system, the piled Magnus test, which reuses the group normal
-form, and the Lie bracket echelon, which reuse its truncated algebra) is
+form, the Lie bracket echelon, which reuse its truncated algebra, and the
+p-group class, which reuses the witness group's law) is
 deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
@@ -1289,3 +1290,17 @@ def echelon_center_trivial_upto(graph, max_degree, p):
             if _insert_echelon(pivots, stacked, p) is None:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# p-group classes by conjugating with every element
+#
+# The package's class of x runs over B with the powers of alpha tabled and
+# the expanded group law. This is the route it replaced: one conjugate
+# b x b^-1 per element b, each through the group's own multiply and
+# inverse, which apply alpha one power at a time.
+
+
+def enumerated_conjugacy_class(group, x):
+    """The class of x in a WitnessGroup, conjugating by every element."""
+    return {group.conjugate(x, b) for b in group.elements()}

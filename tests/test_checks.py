@@ -49,6 +49,10 @@ with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("set centralizer", lambda: conjugacy.centralizer_in_special(f2, {0, 1}, [ab]))
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: [1] * m.shape[1]):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
+# the separating-level scan decides conjugacy first; a bogus conjugator
+# must raise there rather than come back as NOT_FOUND
+with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
+    corrupted("separating level", lambda: nilpotent.find_separating_level(ab, ba, 2))
 
 # words wrongly flagged canonical: in a b a on the path a-b-c the interior
 # syllable b commutes with the pivot a, and a a^-1 is a run of mixed signs
@@ -77,6 +81,7 @@ def test_corrupted_witnesses_raise_under_optimize():
         "centralizer raised",
         "set centralizer raised",
         "magnus unit raised",
+        "separating level raised",
         "reduced form raised",
         "pivot run raised",
     ], proc.stdout

@@ -314,10 +314,19 @@ def test_empty_level_grid_exits_one(graphs, capsys, argv):
 
 
 def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
-    # a conjugate pair would try every degree up to 40; on five free letters
-    # the basis passes the bound at degree 5 (3906 monomials), which ends the
-    # scan before that basis is built
+    # [[[[a, b], c], d], e] against 1 separates at no degree below 5, so it
+    # would try every degree up to 40; on five free letters the basis passes
+    # the bound at degree 5 (3906 monomials), which ends the scan before that
+    # basis is built
     from raag import nilpotent
+    from raag.graphs import Graph
+    from raag.words import parse
+
+    free5 = Graph(list("abcde"))
+    word = parse(free5, "a")
+    for name in "bcde":
+        y = parse(free5, name)
+        word = word * y * word.inverse() * y.inverse()
 
     sizes = []
     monomials = nilpotent.trace_monomials
@@ -329,11 +338,21 @@ def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
 
     monkeypatch.setattr(nilpotent, "trace_monomials", basis)
     code, out, err = run(
-        capsys, "magnus-separate", "--graph", graphs["discrete5"], "a b", "b a",
+        capsys, "magnus-separate", "--graph", graphs["discrete5"], str(word), "1",
         "--max-degree", "40",
     )
     assert (code, out) == (1, "") and "error: more than" in err
     assert max(sizes) == 781
+
+
+def test_magnus_separate_conjugate_pair_exits_two_at_any_degree(graphs, capsys):
+    # conjugacy is decided before the level grid, so the bound that a
+    # non-conjugate pair meets at degree 5 is never reached
+    code, out, err = run(
+        capsys, "magnus-separate", "--graph", graphs["discrete5"], "a b", "b a",
+        "--max-degree", "40",
+    )
+    assert (code, out, err) == (2, "NOT SEPARATED (d <= 40, m <= 2)\n", "")
 
 
 def test_oversized_exponent_exits_one(graphs, capsys):

@@ -163,9 +163,23 @@ def test_trace_basis_bound_refuses_before_building(monkeypatch):
     assert len(built) <= MAX_TRACE_MONOMIALS + edgeless5.n
 
 
+def commutator(x, y):
+    return x * y * x.inverse() * y.inverse()
+
+
+def left_normed(graph, names):
+    """[[...[[x1, x2], x3], ...], xk] over the named vertices."""
+    out = parse(graph, names[0])
+    for name in names[1:]:
+        out = commutator(out, parse(graph, name))
+    return out
+
+
 def test_separating_level_stops_at_the_basis_bound(monkeypatch):
-    # a conjugate pair is tried at every level up to degree 4 (781
-    # monomials); degree 5 is past the bound and ends the scan
+    # a weight-5 commutator lies in the fifth term of the lower central
+    # series, so its image is trivial below degree 5: the pair with the
+    # identity is tried at every level up to degree 4 (781 monomials), and
+    # degree 5 is past the bound and ends the scan
     edgeless5 = Graph(list("abcde"))
     tried, sizes = [], []
     test, monomials = nilpotent.magnus_conjugate_test, nilpotent.trace_monomials
@@ -179,7 +193,7 @@ def test_separating_level_stops_at_the_basis_bound(monkeypatch):
     monkeypatch.setattr(
         nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
     )
-    g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
+    g, h = left_normed(edgeless5, "abcde"), parse(edgeless5, "1")
     with pytest.raises(ValueError, match="trace monomials up to degree 5"):
         find_separating_level(g, h, 2, max_d=6)
     assert tried == [(d, m) for d in range(1, 5) for m in (1, 2)] + [(5, 1)]
@@ -193,8 +207,29 @@ def test_separating_level_answers_below_the_basis_bound():
     comm = parse(C5, "a c a^-1 c^-1")
     assert find_separating_level(comm, parse(C5, "c a c^-1 a^-1"), 2) == (2, 2)
     assert find_separating_level(comm, parse(C5, "a d a^-1 d^-1"), 3) == (2, 1)
+    # a weight-6 commutator against the identity separates at no degree
+    # below 6, where the basis passes the bound
     with pytest.raises(ValueError, match="up to degree 6"):
-        find_separating_level(parse(C5, "a b"), parse(C5, "b a"), 2)
+        find_separating_level(left_normed(C5, "acacac"), parse(C5, "1"), 2)
+
+
+def test_conjugate_pairs_never_reach_the_grid(monkeypatch):
+    # conjugacy is decided first; a conjugate pair builds no trace basis and
+    # runs no Magnus test, even where its grid passes the basis bound
+    def refuse(*args):
+        raise AssertionError("the level grid was scanned")
+
+    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
+    monkeypatch.setattr(nilpotent, "trace_monomials", refuse)
+    assert find_separating_level(parse(C5, "a b"), parse(C5, "b a"), 2) is NOT_FOUND
+    edgeless5 = Graph(list("abcde"))
+    g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
+    assert find_separating_level(g, h, 2, max_d=40) is NOT_FOUND
+    rng = random.Random(31)
+    for graph in CORPUS:
+        g = rand_word(rng, graph, rng.randrange(2, 6))
+        s = rand_word(rng, graph, rng.randrange(1, 4))
+        assert find_separating_level(g, s * g * s.inverse(), 3, max_d=6) is NOT_FOUND
 
 
 def test_generators_commute_exactly_when_adjacent():

@@ -11,6 +11,7 @@ from raag.pgroup import (
     WitnessParams,
     build_witness_group,
 )
+from oracles import enumerated_conjugacy_class
 
 CONFIRMED = [(2, 2, 1, 1), (3, 2, 1, 1), (2, 3, 1, 2), (2, 3, 2, 1)]
 
@@ -132,6 +133,23 @@ def test_class_of_g_matches_formula(group):
     }
     assert cls == formula
     assert len(cls) == p.p**p.r
+
+
+def test_class_matches_conjugating_by_every_element():
+    small = WitnessGroup(WitnessParams(2, 2, 1, 1))
+    for x in small.elements():
+        assert small.conjugacy_class(x) == enumerated_conjugacy_class(small, x)
+    for args in ((2, 3, 2, 1), (3, 2, 1, 1)):
+        group = WitnessGroup(WitnessParams(*args))
+        g, h, t = group.phi("g"), group.phi("h"), group.phi("t")
+        xs = [g, h, group.multiply(t, g), group.multiply(group.power(t, 2), h)]
+        before = [group.conjugacy_class(x) for x in xs]
+        assert before == [enumerated_conjugacy_class(group, x) for x in xs]
+        # alpha is tabled per call: a corrupted matrix shows in the next class
+        group.alpha_matrix[0][group.params.m - 1] = 0
+        after = [group.conjugacy_class(x) for x in xs]
+        assert after == [enumerated_conjugacy_class(group, x) for x in xs]
+        assert after[0] != before[0]
 
 
 def test_images_of_g_and_h_not_conjugate(group):
