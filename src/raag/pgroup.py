@@ -228,23 +228,19 @@ class WitnessGroup:
         alpha^k is tabled for k < p^r, as the images of the basis vectors,
         once per call from alpha_matrix as it stands.
         """
+        order = self.params.p**self.params.r
         powers = [list(self._basis_vectors())]
-        for _ in range(1, self.params.p**self.params.r):
+        for _ in range(1, order):
             powers.append([self.alpha_apply(row) for row in powers[-1]])
-        v, j = x.vector, x.alpha_exp
+        v, j = x.vector, x.alpha_exp % order
         twisted = [[sum(map(mul, v, col)) for col in zip(*rows)] for rows in powers]
-        # the columns of 1 - alpha^j: entry k of a - alpha^j(a) is
-        # sum(a * untwist[k]), and of alpha^i(v) is twisted[i][k]
-        untwist = [
-            tuple(int(k == i) - c for i, c in enumerate(col))
-            for k, col in enumerate(zip(*powers[j]))
-        ]
+        cols_j = list(zip(*powers[j]))
         moduli = self.moduli
         return {
             PGroupElement(
                 tuple(
-                    (sum(map(mul, b.vector, col)) + t) % q
-                    for col, t, q in zip(untwist, twisted[b.alpha_exp], moduli)
+                    (a - sum(map(mul, b.vector, col)) + t) % q
+                    for a, col, t, q in zip(b.vector, cols_j, twisted[b.alpha_exp], moduli)
                 ),
                 j,
             )

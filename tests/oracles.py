@@ -6,7 +6,8 @@ under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
 valuation passes on whole numpy rows, the sparse-form converters, and the
 full Magnus system, the piled Magnus test, which reuses the group normal
-form, the Lie bracket echelon, which reuse its truncated algebra, and the
+form, the Magnus level grid, which scans the package's own test, the Lie
+bracket echelon, which reuse its truncated algebra, and the
 p-group class, which reuses the witness group's law) is
 deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
@@ -1184,6 +1185,27 @@ def piled_magnus_conjugate_test(g, h, d, p, m):
     if piled_product(left, unit) != piled_product(unit, right):
         raise AssertionError("piled Magnus unit fails to conjugate the images")
     return NotSeparatedAtThisLevel(unit)
+
+
+# ---------------------------------------------------------------------------
+# the level grid without the conjugacy shortcut
+#
+# The package's find_separating_level returns NOT_FOUND on a conjugate pair
+# before it builds any trace basis. Checks that the Magnus test never
+# separates a conjugate pair must still run its solver on such pairs.
+
+
+def grid_separating_level(g, h, p, max_d=6, max_m=2):
+    """Least (d, m), degree first, at which the package's Magnus test
+    separates g and h, or NOT_FOUND: every level of the grid is solved,
+    whether or not the pair is conjugate."""
+    from raag.nilpotent import NOT_FOUND, Separated, magnus_conjugate_test
+
+    for d in range(1, max_d + 1):
+        for m in range(1, max_m + 1):
+            if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
+                return d, m
+    return NOT_FOUND
 
 
 # ---------------------------------------------------------------------------

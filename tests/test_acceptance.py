@@ -17,6 +17,7 @@ from oracles import (
     ball_oracle_conjugate,
     canonical_double_coset_data,
     cayley_ball,
+    grid_separating_level,
     poincare_series_product,
     reference_normal_form,
     subgroup_ball,
@@ -307,6 +308,10 @@ def test_criterion_8_separating_levels(conjugacy_corpus):
     false_separations = 0
     for g, h in rng.sample(conj_pairs, min(24, len(conj_pairs))):
         for p in (2, 3):
+            # the grid is scanned in full: find_separating_level alone
+            # would decide these pairs conjugate before any Magnus test
+            if grid_separating_level(g, h, p) is not NOT_FOUND:
+                false_separations += 1
             if find_separating_level(g, h, p) is not NOT_FOUND:
                 false_separations += 1
     report(

@@ -35,6 +35,7 @@ from oracles import (
     echelon_center_trivial_upto,
     echelon_lie_dims,
     full_magnus_system,
+    grid_separating_level,
     listed_clique_counts,
     piled_magnus_conjugate_test,
     piled_magnus_image,
@@ -213,25 +214,6 @@ def test_separating_level_answers_below_the_basis_bound():
         find_separating_level(left_normed(C5, "acacac"), parse(C5, "1"), 2)
 
 
-def test_conjugate_pairs_never_reach_the_grid(monkeypatch):
-    # conjugacy is decided first; a conjugate pair builds no trace basis and
-    # runs no Magnus test, even where its grid passes the basis bound
-    def refuse(*args):
-        raise AssertionError("the level grid was scanned")
-
-    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
-    monkeypatch.setattr(nilpotent, "trace_monomials", refuse)
-    assert find_separating_level(parse(C5, "a b"), parse(C5, "b a"), 2) is NOT_FOUND
-    edgeless5 = Graph(list("abcde"))
-    g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
-    assert find_separating_level(g, h, 2, max_d=40) is NOT_FOUND
-    rng = random.Random(31)
-    for graph in CORPUS:
-        g = rand_word(rng, graph, rng.randrange(2, 6))
-        s = rand_word(rng, graph, rng.randrange(1, 4))
-        assert find_separating_level(g, s * g * s.inverse(), 3, max_d=6) is NOT_FOUND
-
-
 def test_generators_commute_exactly_when_adjacent():
     def term(graph, v):
         return TruncatedAlgebraElement(graph, 3, 0, {(v,): 1})
@@ -340,20 +322,46 @@ def test_classic_commutator_pair_levels():
     assert find_separating_level(g, h, 3) == (2, 1)
 
 
-def test_conjugate_pairs_return_not_found():
+def test_conjugate_pairs_return_not_found(monkeypatch):
+    # the Magnus test separates no conjugate pair at any level of the grid
     rng = random.Random(23)
+    pairs = []
     for graph in (F2, P3):
         for _ in range(5):
             g = rand_word(rng, graph, rng.randrange(1, 4))
             s = rand_word(rng, graph, rng.randrange(3))
-            h = s * g * s.inverse()
-            assert find_separating_level(g, h, 2, max_d=3, max_m=2) is NOT_FOUND
-    assert find_separating_level(parse(F2, "a b"), parse(F2, "b a"), 2) is NOT_FOUND
+            pairs.append((g, s * g * s.inverse()))
+    for g, h in pairs:
+        assert grid_separating_level(g, h, 2, max_d=3, max_m=2) is NOT_FOUND
+    ab, ba = parse(F2, "a b"), parse(F2, "b a")
+    assert grid_separating_level(ab, ba, 2) is NOT_FOUND
+
+    # find_separating_level decides conjugacy first: a conjugate pair builds
+    # no trace basis and runs no Magnus test, even where its grid passes
+    # the basis bound
+    def refuse(*args):
+        raise AssertionError("the level grid was scanned")
+
+    monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
+    monkeypatch.setattr(nilpotent, "trace_monomials", refuse)
+    for g, h in pairs:
+        assert find_separating_level(g, h, 2, max_d=3, max_m=2) is NOT_FOUND
+    assert find_separating_level(ab, ba, 2) is NOT_FOUND
+    assert find_separating_level(parse(C5, "a b"), parse(C5, "b a"), 2) is NOT_FOUND
+    edgeless5 = Graph(list("abcde"))
+    g, h = parse(edgeless5, "a b"), parse(edgeless5, "b a")
+    assert find_separating_level(g, h, 2, max_d=40) is NOT_FOUND
+    rng = random.Random(31)
+    for graph in CORPUS:
+        g = rand_word(rng, graph, rng.randrange(2, 6))
+        s = rand_word(rng, graph, rng.randrange(1, 4))
+        assert find_separating_level(g, s * g * s.inverse(), 3, max_d=6) is NOT_FOUND
 
 
 def test_large_prime_does_not_falsely_separate():
     # q^2 > 2^63 at p = 100003, m = 2; the solve must stay exact there
     g, h = parse(F2, "a b"), parse(F2, "b a")
+    assert grid_separating_level(g, h, 100003, max_d=3) is NOT_FOUND
     assert find_separating_level(g, h, 100003, max_d=3) is NOT_FOUND
 
 

@@ -137,8 +137,13 @@ def test_class_of_g_matches_formula(group):
 
 def test_class_matches_conjugating_by_every_element():
     small = WitnessGroup(WitnessParams(2, 2, 1, 1))
+    order = small.params.p**small.params.r
     for x in small.elements():
-        assert small.conjugacy_class(x) == enumerated_conjugacy_class(small, x)
+        cls = enumerated_conjugacy_class(small, x)
+        assert small.conjugacy_class(x) == cls
+        # an unreduced exponent names the same element
+        for k in (x.alpha_exp + order, x.alpha_exp - 3 * order):
+            assert small.conjugacy_class(PGroupElement(x.vector, k)) == cls
     for args in ((2, 3, 2, 1), (3, 2, 1, 1)):
         group = WitnessGroup(WitnessParams(*args))
         g, h, t = group.phi("g"), group.phi("h"), group.phi("t")
