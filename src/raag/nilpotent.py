@@ -41,9 +41,7 @@ __all__ = [
     "Separated",
     "NotSeparatedAtThisLevel",
     "NOT_FOUND",
-    "GradedDims",
     "trace_canonical",
-    "trace_monomials",
     "TraceAlgebra",
     "MAX_TRACE_MONOMIALS",
     "magnus_image",
@@ -108,97 +106,67 @@ def _append(near, w, v):
 MAX_TRACE_MONOMIALS = 2048
 
 
-def _extend(word, free, apart, later):
-    """The canonical monomials word.v for the letters v in `free`, the bit
-    set of letters that word takes, each paired with its own such set."""
-    return [
-        (word + (v,), apart[v] | later[v] & free)
-        for v in range(len(apart)) if free >> v & 1
-    ]
-
-
-def trace_monomials(graph, cap):
-    """All canonical trace monomials of degree <= cap, by degree then lex.
-
-    By the insertion rule (see trace_canonical), w.v is canonical exactly
-    when every letter of the longest suffix of w adjacent to v is smaller
-    than v. For w = w'.u that holds when v is not adjacent to u, or when it
-    is adjacent, larger than u, and w'.v is canonical. So the letters each
-    monomial takes follow from its parent's, and extending each level in
-    lex order, letter by letter, lists the next level in lex order.
-
-    Raises ValueError as soon as more than MAX_TRACE_MONOMIALS have been
-    found, without building the rest of the basis.
-    """
-    n = graph.n
-    near = [sum(1 << j for j in graph.adj[u]) for u in range(n)]
-    apart = [~b & ((1 << n) - 1) for b in near]
-    later = [b >> (u + 1) << (u + 1) for u, b in enumerate(near)]
-    level = [((), (1 << n) - 1)]
-    basis = [()]
-    for d in range(1, cap + 1):
-        new = []
-        for word, free in level:
-            new += _extend(word, free, apart, later)
-            if len(basis) + len(new) > MAX_TRACE_MONOMIALS:
-                raise ValueError(
-                    f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {d}"
-                )
-        basis += [word for word, _ in new]
-        level = new
-    return basis
-
-
 class TraceAlgebra:
     """The trace monomials of degree <= d, with integer append tables.
 
-    basis lists them as trace_monomials does, index maps each to its place
-    and degree gives its length; rows counts those of degree < d, which
-    come first. For i < rows, right[i][v] and left[i][v] are the indices of
-    the canonical forms of basis[i].v and v.basis[i], and for i > 0,
-    parent[i] and tail[i] are those of basis[i] without its last and
+    basis lists them by degree, then lex; rows counts those of degree < d,
+    which come first. For i < rows, right[i][v] and left[i][v] are the
+    indices of the canonical forms of basis[i].v and v.basis[i], and for
+    i > 0, parent[i] and tail[i] are those of basis[i] without its last and
     without its first letter. Rows of degree d are empty: their products
     leave the truncation.
 
-    With w = w'.u, w.v is canonical when v is not adjacent to u, or is
-    larger than u with w'.v canonical (see trace_monomials); then it is the
-    next monomial of degree |w| + 1. Otherwise v commutes with u, and w.v
-    is the canonical form of canonical(w'.v).u. That word precedes w in lex
-    order (it is w'.v with v < u, or inserts v before a larger letter of
-    w'), so its row is built already. The left table follows from
+    The right table creates the basis. Starting from the empty monomial,
+    the rows are walked in order, and each letter v of row w either names
+    a monomial already listed or appends w.v as a new one. By the insertion
+    rule (see trace_canonical), w.v is canonical exactly when every letter
+    of the longest suffix of w adjacent to v is smaller than v. For
+    w = w'.u that holds when v is not adjacent to u, or when it is
+    adjacent, larger than u, and w'.v is canonical, that is when row w'
+    created its own entry for v; then w.v is appended. Otherwise v commutes
+    with u, and w.v is the canonical form of canonical(w'.v).u. That word
+    precedes w in lex order (it is w'.v with v < u, or inserts v before a
+    larger letter of w'), so its row is built already. The monomials that
+    row w appends all have degree |w| + 1 and come in the order of v, and
+    the rows of one degree are walked in lex order, so each degree comes
+    out in lex order, after every lower one. The left table follows from
     v.w'.u = (v.w').u, and the tail from w[1:] = w'[1:].u, both canonical.
+
+    Raises ValueError as soon as more than MAX_TRACE_MONOMIALS monomials
+    have been created, without building the rest of the basis.
     """
 
     def __init__(self, graph, d):
         self.graph = graph
         self.d = d
-        self.basis = basis = trace_monomials(graph, d)
-        self.index = {w: i for i, w in enumerate(basis)}
-        self.degree = [len(w) for w in basis]
-        self.rows = rows = len(basis) - self.degree.count(d)
         n = graph.n
         adj = graph.adj
-        right = [[] for _ in basis]
-        parent = [0] * len(basis)
-        born = 1
-        for i in range(rows):
-            row = right[i]
+        self.basis = basis = [()]
+        parent = [0]
+        right = []
+        i = 0
+        while i < len(basis) and len(basis[i]) < d:
             w = basis[i]
-            if not w:
-                row += range(1, n + 1)
-                born += n
-                continue
-            u = w[-1]
-            p = parent[i]
-            up = right[p]
+            near = ()
+            if w:
+                u, p = w[-1], parent[i]
+                near, up = adj[u], right[p]
+            row = []
             for v in range(n):
-                j = up[v]
-                if v in adj[u] and (v < u or parent[j] != p):
-                    row.append(right[j][u])
+                if v in near and (v < u or parent[up[v]] != p):
+                    row.append(right[up[v]][u])
                 else:
-                    parent[born] = i
-                    row.append(born)
-                    born += 1
+                    row.append(len(basis))
+                    basis.append(w + (v,))
+                    parent.append(i)
+            if len(basis) > MAX_TRACE_MONOMIALS:
+                raise ValueError(
+                    f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {len(w) + 1}"
+                )
+            right.append(row)
+            i += 1
+        self.rows = rows = i
+        right += [[] for _ in basis[rows:]]
         left = [[] for _ in basis]
         tail = [0] * len(basis)
         left[0] = right[0]
@@ -501,38 +469,30 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     every level, so conjugate pairs return NOT_FOUND before any trace
     basis is built. Only non-conjugate pairs scan the grid, which raises
     ValueError at the first degree whose trace basis is larger than
-    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
+    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered;
+    the message then names the invariant that ruled the pair out.
     """
     require_prime(p)
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
-    if isinstance(conjugacy.conjugate(g, h), conjugacy.Conjugate):
+    verdict = conjugacy.conjugate(g, h)
+    if isinstance(verdict, conjugacy.Conjugate):
         return NOT_FOUND
-    for d in range(1, max_d + 1):
-        for m in range(1, max_m + 1):
-            if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
-                return d, m
+    try:
+        for d in range(1, max_d + 1):
+            for m in range(1, max_m + 1):
+                if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
+                    return d, m
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; not conjugate ({verdict.reason}), "
+            "but no level below the bound separates the pair"
+        ) from exc
     return NOT_FOUND
 
 
 # ---------------------------------------------------------------------------
 # graded Lie data
-
-
-@dataclass(frozen=True)
-class GradedDims:
-    """Dimensions of the graded pieces, degree 1 upward."""
-
-    dims: tuple
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
 
 
 def _times_binomial(poly, k, upto):
@@ -632,7 +592,8 @@ def lie_graded_dims(graph, max_degree):
     with C(t) = sum_j c_j t^j the clique polynomial. Taking logarithms,
     sum_{k | n} k d_k equals the power sum p_n of the roots of
     G(t) = C(-t), and Newton's identity gives p_n from g_j = (-1)^j c_j.
-    max_degree must lie between 1 and MAX_LIE_DEGREE.
+    Returns the tuple (d_1, ..., d_max_degree); max_degree must lie between
+    1 and MAX_LIE_DEGREE.
     """
     if max_degree < 1:
         raise ValueError("need at least degree 1")
@@ -645,7 +606,7 @@ def lie_graded_dims(graph, max_degree):
         power.append(-n * g[n] - sum(power[k] * g[n - k] for k in range(1, n)))
         divisors = sum(k * dims[k] for k in range(1, n) if n % k == 0)
         dims.append((power[n] - divisors) // n)
-    return GradedDims(tuple(dims[1:]))
+    return tuple(dims[1:])
 
 
 def lie_center_trivial_upto(graph, max_degree, p):

@@ -1069,11 +1069,11 @@ def full_magnus_system(g, h, d, p, m):
     minus column 0 decides conjugacy of the images on the uncut system.
     """
     import numpy as np
-    from raag.nilpotent import TruncatedAlgebraElement, magnus_image, trace_monomials
+    from raag.nilpotent import TraceAlgebra, TruncatedAlgebraElement, magnus_image
 
     left = magnus_image(g, d, p, m)
     right = magnus_image(h, d, p, m)
-    basis = trace_monomials(g.graph, d)
+    basis = TraceAlgebra(g.graph, d).basis
     index = {mono: i for i, mono in enumerate(basis)}
     q = p**m
     mat = np.zeros((len(basis), len(basis)), dtype=exact_dtype(q, len(basis)))

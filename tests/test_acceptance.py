@@ -345,14 +345,17 @@ def test_criterion_9_double_coset_equivalence():
         for a_set, b_set in subset_pairs:
             a_ball = [w for w in ball6 if w.support() <= a_set]
             b_ball = [w for w in ball6 if w.support() <= b_set]
+            # a·x·b = y exactly when a·x = y·b⁻¹: index each y of the ball
+            # once under every y·b⁻¹, then the members of A·x·B in the ball
+            # are the union over a of the ys indexed under a·x
+            reach = {}
+            for y in ball4:
+                for b in b_ball:
+                    reach.setdefault(y * b.inverse(), set()).add(y)
             for x in ball4:
                 members = set()
                 for a in a_ball:
-                    ax = a * x
-                    for b in b_ball:
-                        y = ax * b
-                        if len(y) <= 4:
-                            members.add(y)
+                    members |= reach.get(a * x, set())
                 for y in ball4:
                     res = in_double_coset(y, x, a_set, b_set)
                     checked += 1

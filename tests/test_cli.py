@@ -329,19 +329,20 @@ def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
         word = word * y * word.inverse() * y.inverse()
 
     sizes = []
-    monomials = nilpotent.trace_monomials
+    algebra = nilpotent.TraceAlgebra
 
-    def basis(graph, cap):
-        out = monomials(graph, cap)
-        sizes.append(len(out))
+    def built(graph, d):
+        out = algebra(graph, d)
+        sizes.append(len(out.basis))
         return out
 
-    monkeypatch.setattr(nilpotent, "trace_monomials", basis)
+    monkeypatch.setattr(nilpotent, "TraceAlgebra", built)
     code, out, err = run(
         capsys, "magnus-separate", "--graph", graphs["discrete5"], str(word), "1",
         "--max-degree", "40",
     )
     assert (code, out) == (1, "") and "error: more than" in err
+    assert "not conjugate (identity)" in err
     assert max(sizes) == 781
 
 

@@ -15,7 +15,6 @@ from raag.nilpotent import (
     MAX_LIE_DEGREE,
     MAX_TRACE_MONOMIALS,
     NOT_FOUND,
-    GradedDims,
     NotSeparatedAtThisLevel,
     Separated,
     TraceAlgebra,
@@ -26,7 +25,6 @@ from raag.nilpotent import (
     magnus_conjugate_test,
     magnus_image,
     trace_canonical,
-    trace_monomials,
 )
 from oracles import (
     bracket,
@@ -102,16 +100,16 @@ def test_trace_canonical_sorts_commuting_letters():
 def test_trace_monomial_counts_match_oracles():
     for graph in CORPUS:
         adj = adj_sets(graph)
-        monos = trace_monomials(graph, 4)
+        monos = TraceAlgebra(graph, 4).basis
         by_degree = [sum(1 for m in monos if len(m) == k) for k in range(5)]
         assert by_degree == count_trace_monomials(adj, 4)
         assert by_degree == trace_monoid_growth(adj, 4)
 
 
 def test_trace_basis_bound_covers_the_benchmark_sizes():
-    sizes = [len(trace_monomials(C5, 5)), len(trace_monomials(F3, 6)), len(trace_monomials(P3, 8))]
+    sizes = [len(TraceAlgebra(graph, d).basis) for graph, d in ((C5, 5), (F3, 6), (P3, 8))]
     assert sizes == [1376, 1093, 1013]
-    assert len(trace_monomials(F2, 10)) == 2047 <= MAX_TRACE_MONOMIALS
+    assert len(TraceAlgebra(F2, 10).basis) == 2047 <= MAX_TRACE_MONOMIALS
 
 
 def test_trace_canonical_matches_piles():
@@ -130,7 +128,6 @@ def test_append_tables_match_piles(graph):
         basis = algebra.basis
         assert basis == piled_trace_monomials(graph, d)
         assert algebra.rows == sum(1 for w in basis if len(w) < d)
-        assert all(basis[i] == w and algebra.degree[i] == len(w) for w, i in algebra.index.items())
         for i, w in enumerate(basis):
             if len(w) == d:
                 assert algebra.right[i] == algebra.left[i] == []
@@ -150,18 +147,16 @@ def test_append_tables_match_piles(graph):
 
 
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
-    # 19531 monomials up to degree 6 on five free letters, 3906 up to degree 5;
-    # the bound is checked after each monomial's extensions, so at most n
-    # monomials are built past it
+    # five free letters have 781 monomials up to degree 4 and 3906 up to
+    # degree 5, so the bound stops the build at degree 5 whatever the
+    # truncation; 5^40 monomials could not be listed first
     edgeless5 = Graph(list("abcde"))
-    built = []
-    extend = nilpotent._extend
-    monkeypatch.setattr(
-        nilpotent, "_extend", lambda *args: built.extend(out := extend(*args)) or out
-    )
-    with pytest.raises(ValueError, match=f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5"):
-        trace_monomials(edgeless5, 6)
-    assert len(built) <= MAX_TRACE_MONOMIALS + edgeless5.n
+    with pytest.raises(ValueError, match=f"^more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5$"):
+        TraceAlgebra(edgeless5, 40)
+    # 31 monomials up to degree 2 and 156 up to degree 3
+    monkeypatch.setattr(nilpotent, "MAX_TRACE_MONOMIALS", 100)
+    with pytest.raises(ValueError, match="^more than 100 trace monomials up to degree 3$"):
+        TraceAlgebra(edgeless5, 40)
 
 
 def commutator(x, y):
@@ -183,20 +178,25 @@ def test_separating_level_stops_at_the_basis_bound(monkeypatch):
     # degree 5 is past the bound and ends the scan
     edgeless5 = Graph(list("abcde"))
     tried, sizes = [], []
-    test, monomials = nilpotent.magnus_conjugate_test, nilpotent.trace_monomials
+    test, algebra = nilpotent.magnus_conjugate_test, nilpotent.TraceAlgebra
 
-    def basis(graph, cap):
-        out = monomials(graph, cap)
-        sizes.append(len(out))
+    def built(graph, d):
+        out = algebra(graph, d)
+        sizes.append(len(out.basis))
         return out
 
-    monkeypatch.setattr(nilpotent, "trace_monomials", basis)
+    monkeypatch.setattr(nilpotent, "TraceAlgebra", built)
     monkeypatch.setattr(
         nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
     )
     g, h = left_normed(edgeless5, "abcde"), parse(edgeless5, "1")
-    with pytest.raises(ValueError, match="trace monomials up to degree 5"):
+    with pytest.raises(ValueError) as caught:
         find_separating_level(g, h, 2, max_d=6)
+    # the refusal keeps the verdict that conjugacy reached before the scan
+    assert str(caught.value) == (
+        f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5; "
+        "not conjugate (identity), but no level below the bound separates the pair"
+    )
     assert tried == [(d, m) for d in range(1, 5) for m in (1, 2)] + [(5, 1)]
     assert max(sizes) == 781
 
@@ -343,7 +343,7 @@ def test_conjugate_pairs_return_not_found(monkeypatch):
         raise AssertionError("the level grid was scanned")
 
     monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
-    monkeypatch.setattr(nilpotent, "trace_monomials", refuse)
+    monkeypatch.setattr(nilpotent, "TraceAlgebra", refuse)
     for g, h in pairs:
         assert find_separating_level(g, h, 2, max_d=3, max_m=2) is NOT_FOUND
     assert find_separating_level(ab, ba, 2) is NOT_FOUND
@@ -613,8 +613,8 @@ def test_lie_dims_refuse_degree_past_bound():
 
 def test_graded_dims_container():
     dims = lie_graded_dims(F2, 3)
-    assert isinstance(dims, GradedDims)
-    assert len(dims) == 3 and dims[0] == 2
+    assert isinstance(dims, tuple)
+    assert dims == (2, 1, 2)
 
 
 # ---------------------------------------------------------------------------
