@@ -17,6 +17,8 @@ v, forward past those smaller than v, and put v there (Anisimov-Knuth).
 `TraceAlgebra(graph, d)` lists the monomials of degree <= d and tabulates
 that insertion once, as integer append tables; images, the columns of the
 Magnus system and the check of a found unit then run on integer indices.
+The Magnus test builds them on the full subgraph on the letters its pair
+uses, which decides as the whole graph does.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -202,13 +204,6 @@ class TraceAlgebra:
             for i, c in times(s).items():
                 out[i] = out.get(i, 0) + b * c
         return {i: c % q for i, c in out.items() if c % q}
-
-    def element(self, coeffs, q):
-        """The TruncatedAlgebraElement with these {index: coefficient}."""
-        basis = self.basis
-        return TruncatedAlgebraElement(
-            self.graph, self.d, q, {basis[i]: c for i, c in coeffs.items()}
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +412,41 @@ def magnus_conjugate_test(g, h, d, p, m):
     constant term 1 moves to the right-hand side, and the rest is
     elimination. A found unit is verified by multiplication before being
     returned.
+
+    The system is built on S = supp(g) | supp(h) alone, the full subgraph
+    on the letters the pair uses, and the verdict is the one on the whole
+    graph. Killing the letters outside S is a ring map from the truncated
+    algebra over the graph onto the one over S: the monomials holding such
+    a letter span a two-sided ideal. It sends units with constant term 1
+    to such units and fixes M(g) and M(h), so a unit conjugating the images
+    over the graph gives one over S, and a Separated verdict on S holds on
+    the graph. Conversely the algebra over S is a subalgebra of the one
+    over the graph: two words over S are equivalent there exactly when
+    they are over S, and the subgraph keeps the vertex order, so a
+    lex-least word over S is lex-least over the graph too. A unit found on
+    S is therefore, with its monomials renamed back through S, a unit over
+    g.graph that conjugates the images there.
     """
     q = _modulus(d, p, m)
+    graph = g.graph
+    support = sorted(g.support() | h.support())
+    if len(support) < graph.n:
+        sub = graph.full_subgraph(support)
+        unit = _conjugating_unit(g.restrict(sub), h.restrict(sub), d, p, m)
+        if unit is not None:
+            unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
+    else:
+        unit = _conjugating_unit(g, h, d, p, m)
+    if unit is None:
+        return Separated(d, p, m)
+    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(graph, d, q, unit))
+
+
+def _conjugating_unit(g, h, d, p, m):
+    """The Magnus test on the whole of g.graph: a verified unit u with
+    M(g)*u = u*M(h), as {monomial: coefficient}, or None when there is
+    none."""
+    q = p**m
     algebra = TraceAlgebra(g.graph, d)
     basis, right, left = algebra.basis, algebra.right, algebra.left
     image_g, image_h = algebra.image(g, q), algebra.image(h, q)
@@ -449,14 +477,14 @@ def magnus_conjugate_test(g, h, d, p, m):
                 rhs[i - 1] = -c % q
     sol = solve_mod_prime_power(SparseMatrix(rows, algebra.rows - 1), rhs, p, m)
     if sol is None:
-        return Separated(d, p, m)
+        return None
     unit = {0: 1}
     unit.update((j, c) for j, c in enumerate(sol, 1) if c)
     verify(
         algebra.mul(image_g, unit, q) == algebra.mul(unit, image_h, q),
         "conjugating unit",
     )
-    return NotSeparatedAtThisLevel(algebra.element(unit, q))
+    return {basis[i]: c for i, c in unit.items()}
 
 
 def find_separating_level(g, h, p, max_d=6, max_m=2):
@@ -469,8 +497,10 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     every level, so conjugate pairs return NOT_FOUND before any trace
     basis is built. Only non-conjugate pairs scan the grid, which raises
     ValueError at the first degree whose trace basis is larger than
-    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered;
-    the message then names the invariant that ruled the pair out.
+    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
+    Each basis is built on the letters the pair uses (see
+    magnus_conjugate_test); the message names them when they are fewer
+    than the graph's, and names the invariant that ruled the pair out.
     """
     require_prime(p)
     if max_d < 1 or max_m < 1:
@@ -484,8 +514,10 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
                 if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
                     return d, m
     except ValueError as exc:
+        names = [g.graph.vertices[v] for v in sorted(g.support() | h.support())]
+        where = f" on {{{', '.join(names)}}}" if len(names) < g.graph.n else ""
         raise ValueError(
-            f"{exc}; not conjugate ({verdict.reason}), "
+            f"{exc}{where}; not conjugate ({verdict.reason}), "
             "but no level below the bound separates the pair"
         ) from exc
     return NOT_FOUND

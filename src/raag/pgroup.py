@@ -7,10 +7,11 @@ For parameters (p, n, r, s) the abelian group
 carries an automorphism alpha of order p^r, and B = A : <alpha> is a finite
 p-group in which the images of two specific elements g and h land in distinct
 conjugacy classes even though they satisfy the same power and twisted-power
-relations. Everything here is verified by exact enumeration: the relations by
-direct computation, the conjugacy classes by running over all of B. A class
-takes the powers alpha^k, k < p^r, tabled once per call from the matrix as it
-stands, and one conjugate per element of B by the expanded group law.
+relations. Everything here is computed exactly: the relations by direct
+computation, and the class of (v, j) as the cosets alpha^i(v) + W, i < p^r,
+of the subgroup W = (1 - alpha^j)(A), built by closure under the images of
+the basis vectors without running over B. A class takes the powers alpha^k,
+k < p^r, tabled once per call from the matrix as it stands.
 
 A is written additively as vectors of residues; B multiplies by
 (a, i)(b, j) = (a + alpha^i(b), i + j). The automorphism is stored as a
@@ -222,30 +223,47 @@ class WitnessGroup:
             yield PGroupElement(tup[:-1], tup[-1])
 
     def conjugacy_class(self, x):
-        """The class of x = (v, j): b x b^-1 = (a + alpha^i(v) - alpha^j(a), j)
-        for every b = (a, i) of B.
+        """The class of x = (v, j), as the cosets alpha^i(v) + W, i < p^r.
+
+        Conjugating by b = (a, i) gives b x b^-1 = (alpha^i(v) + a -
+        alpha^j(a), j), so the class is the union over i of alpha^i(v) + W,
+        with W the image of 1 - alpha^j. That map is additive when
+        alpha_matrix defines an endomorphism of A, that is when each row is
+        killed by its generator's modulus, as it is for the twisting map
+        built here. Then W is the subgroup generated
+        by the images of the basis vectors, and it is built by closure: each
+        generator w adds the cosets W + w, W + 2w, ... of the part built so
+        far until a multiple of w falls back into it. No element of B is
+        enumerated, but the class can be as large as B, so groups that are
+        not enumerable are refused all the same.
 
         alpha^k is tabled for k < p^r, as the images of the basis vectors,
         once per call from alpha_matrix as it stands.
         """
+        if not self.params.enumerable:
+            raise ValueError("group too large to enumerate")
         order = self.params.p**self.params.r
         powers = [list(self._basis_vectors())]
         for _ in range(1, order):
             powers.append([self.alpha_apply(row) for row in powers[-1]])
-        v, j = x.vector, x.alpha_exp % order
-        twisted = [[sum(map(mul, v, col)) for col in zip(*rows)] for rows in powers]
-        cols_j = list(zip(*powers[j]))
         moduli = self.moduli
-        return {
-            PGroupElement(
-                tuple(
-                    (a - sum(map(mul, b.vector, col)) + t) % q
-                    for a, col, t, q in zip(b.vector, cols_j, twisted[b.alpha_exp], moduli)
-                ),
-                j,
-            )
-            for b in self.elements()
+        v, j = x.vector, x.alpha_exp % order
+
+        def add(a, b):
+            return tuple((s + t) % q for s, t, q in zip(a, b, moduli))
+
+        image = {(0,) * len(moduli)}
+        for e, twisted_e in zip(self._basis_vectors(), powers[j]):
+            w = tuple((s - t) % q for s, t, q in zip(e, twisted_e, moduli))
+            layer, shift = list(image), w
+            while shift not in image:
+                image.update(add(a, shift) for a in layer)
+                shift = add(shift, w)
+        twisted = {
+            tuple(sum(map(mul, v, col)) % q for col, q in zip(zip(*rows), moduli))
+            for rows in powers
         }
+        return {PGroupElement(add(t, w), j) for t in twisted for w in image}
 
     def verify_relations(self):
         """The four defining relations, checked through the homomorphism."""

@@ -6,7 +6,8 @@ under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
 valuation passes on whole numpy rows, the sparse-form converters, and the
 full Magnus system, the piled Magnus test, which reuses the group normal
-form, the Magnus level grid, which scans the package's own test, the Lie
+form, the whole-graph Magnus test and the Magnus level grid, which run the
+package's own test, the Lie
 bracket echelon, which reuse its truncated algebra, and the
 p-group class, which reuses the witness group's law) is
 deliberately written with
@@ -1185,6 +1186,30 @@ def piled_magnus_conjugate_test(g, h, d, p, m):
     if piled_product(left, unit) != piled_product(unit, right):
         raise AssertionError("piled Magnus unit fails to conjugate the images")
     return NotSeparatedAtThisLevel(unit)
+
+
+# ---------------------------------------------------------------------------
+# the Magnus test on the whole graph
+#
+# The package's magnus_conjugate_test builds its system on the letters the
+# pair uses and renames the unit it finds back to the pair's graph. This
+# runs the same kernel on the whole graph, however few letters the pair
+# uses, so that the two verdicts can be compared.
+
+
+def whole_graph_magnus_conjugate_test(g, h, d, p, m):
+    """The package's Magnus test with its system built on all of g.graph."""
+    from raag.nilpotent import (
+        NotSeparatedAtThisLevel,
+        Separated,
+        TruncatedAlgebraElement,
+        _conjugating_unit,
+    )
+
+    unit = _conjugating_unit(g, h, d, p, m)
+    if unit is None:
+        return Separated(d, p, m)
+    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(g.graph, d, p**m, unit))
 
 
 # ---------------------------------------------------------------------------

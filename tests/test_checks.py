@@ -47,8 +47,13 @@ with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
     # the set fold keeps the bogus root a of a b, which fails its own check
     corrupted("set centralizer", lambda: conjugacy.centralizer_in_special(f2, {0, 1}, [ab]))
+# a c and c a use two of C5's letters, so the unit is solved for and
+# checked on the full subgraph on {a, c}
+c5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+ac, ca = parse(c5, "a c"), parse(c5, "c a")
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: [1] * m.shape[1]):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
+    corrupted("magnus unit on the support", lambda: nilpotent.magnus_conjugate_test(ac, ca, 2, 2, 1))
 # the separating-level scan decides conjugacy first; a bogus conjugator
 # must raise there rather than come back as NOT_FOUND
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
@@ -81,6 +86,7 @@ def test_corrupted_witnesses_raise_under_optimize():
         "centralizer raised",
         "set centralizer raised",
         "magnus unit raised",
+        "magnus unit on the support raised",
         "separating level raised",
         "reduced form raised",
         "pivot run raised",

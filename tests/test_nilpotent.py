@@ -43,6 +43,7 @@ from oracles import (
     poincare_series_product,
     reference_solve_mod_prime_power,
     trace_monoid_growth,
+    whole_graph_magnus_conjugate_test,
     witt_free_lie_dims,
 )
 
@@ -53,6 +54,7 @@ P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 K3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
 EDGE_ISO = Graph(["a", "b", "c"], [("a", "b")])
 C5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+P4 = Graph(list("abcd"), [("a", "b"), ("b", "c"), ("c", "d")])
 
 CORPUS = [F2, K2, F3, P3, K3, EDGE_ISO]
 
@@ -77,6 +79,13 @@ def every_graph(n):
 
 def adj_sets(graph):
     return [set(s) for s in graph.adj]
+
+
+def indexed(algebra, coeffs, q):
+    """The TruncatedAlgebraElement with these {basis index: coefficient}."""
+    return TruncatedAlgebraElement(
+        algebra.graph, algebra.d, q, {algebra.basis[i]: c for i, c in coeffs.items()}
+    )
 
 
 def rand_word(rng, graph, length):
@@ -142,8 +151,8 @@ def test_append_tables_match_piles(graph):
     rng = random.Random(graph.n)
     for _ in range(20):
         x, y = ({rng.randrange(len(basis)): rng.randrange(1, 9) for _ in range(12)} for _ in "xy")
-        want = piled_product(algebra.element(x, 9), algebra.element(y, 9))
-        assert algebra.element(algebra.mul(x, y, 9), 9) == want
+        want = piled_product(indexed(algebra, x, 9), indexed(algebra, y, 9))
+        assert indexed(algebra, algebra.mul(x, y, 9), 9) == want
 
 
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
@@ -209,9 +218,22 @@ def test_separating_level_answers_below_the_basis_bound():
     assert find_separating_level(comm, parse(C5, "c a c^-1 a^-1"), 2) == (2, 2)
     assert find_separating_level(comm, parse(C5, "a d a^-1 d^-1"), 3) == (2, 1)
     # a weight-6 commutator against the identity separates at no degree
-    # below 6, where the basis passes the bound
-    with pytest.raises(ValueError, match="up to degree 6"):
-        find_separating_level(left_normed(C5, "acacac"), parse(C5, "1"), 2)
+    # below 6; its basis is built on {a, c}, a free group of rank 2 with
+    # 127 monomials up to degree 6, not on C5
+    g = left_normed(C5, "acacac")
+    assert find_separating_level(g, parse(C5, "1"), 2) == (6, 1)
+
+
+def test_basis_bound_error_names_the_support(monkeypatch):
+    # {a, c} has 63 monomials up to degree 5 and 127 up to degree 6
+    monkeypatch.setattr(nilpotent, "MAX_TRACE_MONOMIALS", 100)
+    g = left_normed(C5, "acacac")
+    with pytest.raises(ValueError) as caught:
+        find_separating_level(g, parse(C5, "1"), 2)
+    assert str(caught.value) == (
+        "more than 100 trace monomials up to degree 6 on {a, c}; "
+        "not conjugate (identity), but no level below the bound separates the pair"
+    )
 
 
 def test_generators_commute_exactly_when_adjacent():
@@ -467,8 +489,60 @@ def test_magnus_test_matches_piled_products(graph, max_d):
                         level = (d, m)
             image = piled_magnus_image(g, top, p, 2)
             algebra = TraceAlgebra(graph, top)
-            assert magnus_image(g, top, p, 2) == image == algebra.element(algebra.image(g, p**2), p**2)
+            assert magnus_image(g, top, p, 2) == image == indexed(algebra, algebra.image(g, p**2), p**2)
             assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
+
+
+def proper_support_pairs(rng, graph, count):
+    """Pairs over a random proper subset of the vertices: [u, v] against
+    s [v, u] s^-1, g against s g s^-1, and g against an unrelated word."""
+    pairs = []
+    for _ in range(count):
+        keep = rng.sample(range(1, graph.n + 1), rng.randrange(1, graph.n))
+
+        def word(length):
+            return Element(graph, tuple(rng.choice((1, -1)) * rng.choice(keep) for _ in range(length)))
+
+        u, v, s = (word(rng.randrange(1, 4)) for _ in range(3))
+        g = word(rng.randrange(1, 5))
+        pairs += [
+            (commutator(u, v), s * commutator(v, u) * s.inverse()),
+            (g, s * g * s.inverse()),
+            (g, word(rng.randrange(1, 5))),
+        ]
+    return pairs
+
+
+@pytest.mark.parametrize(("graph", "top"), [(C5, 5), (P4, 6), (F3, 6)], ids=["C5", "P4", "F3"])
+def test_support_path_decides_as_the_whole_graph(graph, top):
+    # the Magnus test runs on the letters the pair uses; at every level
+    # whose whole-graph basis is below the bound, its verdict must be the
+    # one the same test reaches on the whole graph, and its unit must
+    # conjugate the images over the pair's own graph
+    with pytest.raises(ValueError, match="trace monomials"):
+        TraceAlgebra(graph, top + 1)
+    rng = random.Random(40 + graph.n)
+    one = Element(graph)
+    weight4 = left_normed(graph, "acac")
+    assert not weight4.is_identity()
+    pairs = [(one, one), (weight4, one)] + proper_support_pairs(rng, graph, 3)
+    verdicts = set()
+    for g, h in pairs:
+        assert len(g.support() | h.support()) < graph.n
+        for p in (2, 3):
+            for d in range(1, top + 1):
+                for m in (1, 2):
+                    res = magnus_conjugate_test(g, h, d, p, m)
+                    want = whole_graph_magnus_conjugate_test(g, h, d, p, m)
+                    assert type(res) is type(want), (g, h, d, p, m)
+                    verdicts.add(type(res))
+                    if isinstance(res, Separated):
+                        assert res == want
+                        continue
+                    unit = res.unit
+                    assert unit.graph is g.graph and unit.constant_term() == 1
+                    assert magnus_image(g, d, p, m) * unit == unit * magnus_image(h, d, p, m)
+    assert verdicts == {Separated, NotSeparatedAtThisLevel}
 
 
 def test_nothing_is_cached_on_the_graph():
