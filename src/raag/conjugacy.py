@@ -7,9 +7,9 @@ the non-commutation graph on the common support, and decides each pair
 of factors by comparing anchored cyclic cuts of their periodic heaps.
 `conjugate_under` is exact too: the conjugators taking g to h form the
 coset x0 * C(g) of the centralizer, with x0 from `conjugate`, and
-whether that coset meets the special subgroup comes down to one
-double-coset strip, one conjugated-subgroup intersection and one integer
-exponent per pure factor. Every positive answer carries a conjugator
+whether that coset meets the special subgroup comes down to two
+double-coset strips, one cut Z and one integer exponent per pure factor.
+Every positive answer carries a conjugator
 verified by multiplication; every negative answer names the invariant
 that separates the inputs.
 
@@ -22,9 +22,9 @@ Every such centralizer has the shape
 
 and so does its intersection with a special subgroup or with another
 shape: a root survives a cut whole or not at all, and the A_F part is
-cut by one double-coset strip. Centralizers of sets inside a
-special subgroup are therefore one fold of such cuts, one per element,
-and every answer is exact. Centralizers never call a conjugacy decision.
+cut by one double-coset strip to the same Z. Centralizers of sets in a
+special subgroup, and of one element, are one fold of such cuts, one per
+element, all exact. Centralizers never call a conjugacy decision.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from . import cosets
-from ._checks import verify
-from .cosets import abelianization, make_gens
+from ._checks import check_graph, verify, vertex_set
+from .cosets import abelianization, intersection_vertices, make_gens, vertex_gens
 from .words import Element
 
 __all__ = [
@@ -75,10 +74,6 @@ class Inconclusive:
 
 def _one(graph):
     return Element(graph, (), canonical=True)
-
-
-def _vertex_gens(graph, verts):
-    return [Element(graph, (i + 1,), canonical=True) for i in sorted(verts)]
 
 
 def _tester(u, v, verts):
@@ -152,25 +147,15 @@ def _servatius(y):
     return conj, factors, link
 
 
-def _single_centralizer(graph, y):
-    """Servatius' centralizer theorem (see `_servatius`): link vertices
-    first, then the roots. The identity has empty core and link
-    everything."""
-    conj, factors, link = _servatius(y)
-    ci = conj.inverse()
-    gens = [conj * x * ci for x in _vertex_gens(graph, link) + [r for _, r in factors]]
-    verify(all(x * y == y * x for x in gens), "centralizer generator")
-    return make_gens(gens)
-
-
 def centralizer(g):
-    """Finite generating set of the centralizer of g, by Servatius'
-    centralizer theorem.
+    """Finite generating set of the centralizer of g: the fold of
+    `centralizer_in_special` over the whole graph, which for (k, U_i, r_i,
+    L) = `_servatius(g)` gives k * (L's vertices, then the r_i) * k^-1.
 
     The returned list carries the attribute `complete`, which is always
     True: centralizers, of single elements and of sets, are exact.
     """
-    return _single_centralizer(g.graph, g)
+    return centralizer_in_special(g.graph, range(g.graph.n), [g])
 
 
 def _centralizer_shape(graph, verts, elems):
@@ -197,11 +182,12 @@ def _centralizer_shape(graph, verts, elems):
         k == a * rep * b from `Element.double_coset_form(F, N)`,
         A_F ∩ k * A_N * k^-1 == a * A_Z * a^-1 == k * b^-1 * A_Z * b * k^-1
         (`cosets.intersect_conjugated`), Z the vertices of F∩N adjacent to
-        all of supp(rep). So A_F ∩ C(y') == k * (b^-1 * A_Z * b ∩ Q) * k^-1,
-        which splits over the factors of A_N as in `conjugate_under`
-        (b)-(c), with b_j = b.retract(U_j): <s_j> survives whole if
-        U_j ⊆ Z, and otherwise no nontrivial power of s_j, of cyclic
-        support U_j, lies in b_j^-1 * A_{Z∩U_j} * b_j; the L factor leaves
+        all of supp(rep) (`cosets.intersection_vertices`). So
+        A_F ∩ C(y') == k * (b^-1 * A_Z * b ∩ Q) * k^-1, which splits over
+        the factors of A_N as in `conjugate_under` (b)-(c), with
+        b_j = b.retract(U_j): <s_j> survives whole if U_j ⊆ Z, and
+        otherwise no nontrivial power of s_j, of cyclic support U_j, lies
+        in b_j^-1 * A_{Z∩U_j} * b_j; the L factor leaves
         b_L^-1 * A_{Z∩L} * b_L. As b_j and Z commute with rep and with
         the other factors, the cut is a' * (∏<s_j> x A_{Z∩L}) * a'^-1,
         the product over U_j ⊆ Z, for a' = a * ∏b_j in A_F.
@@ -216,7 +202,7 @@ def _centralizer_shape(graph, verts, elems):
         k, factors, link = _servatius(y)
         n_verts = link.union(*(u for u, _ in factors))
         a, rep, b = k.double_coset_form(free, n_verts)
-        z = frozenset(v for v in free & n_verts if rep.support() <= graph.adj[v])
+        z = intersection_vertices(free & n_verts, rep)
         for u, s in factors:
             if u <= z:
                 a = a * b.retract(u)
@@ -229,10 +215,11 @@ def centralizer_in_special(graph, verts, elems):
     """Generators of the centralizer of `elems` inside the special
     subgroup on the vertex indices `verts`: the vertices of the final
     shape's F, then its roots (see `_centralizer_shape`), conjugated."""
-    verts, elems = frozenset(verts), list(elems)
+    verts, elems = vertex_set(graph, verts), list(elems)
+    check_graph(graph, *elems)
     conj, roots, free = _centralizer_shape(graph, verts, elems)
     ci = conj.inverse()
-    gens = [conj * x * ci for x in _vertex_gens(graph, free) + roots]
+    gens = [conj * x * ci for x in vertex_gens(graph, free) + roots]
     verify(
         all(x.in_special(verts) and all(x * y == y * x for y in elems) for x in gens),
         "centralizer generator",
@@ -289,18 +276,23 @@ def conjugate_under(g, h, s_verts):
     for P = <r_1> x ... x <r_m> x A_L inside A_M. So sigma exists iff
     x0 * k * p * k^-1 lies in A_S for some p in P:
 
-    (a) Then x0 * k lies in A_S * k * A_M. Write it s * k * m and set
-        p0 = m^-1; x0 * k * p * k^-1 == s * k * (m * p) * k^-1.
-    (b) That lies in A_S iff m * p lies in A_M ∩ k^-1 * A_S * k, which
-        `cosets.intersect_conjugated` gives as b^-1 * A_Z * b with b in
-        A_M. So the admissible p form p0 * b^-1 * A_Z * b.
+    (a) Then x0 * k lies in A_S * k * A_M: with k == a * rep * b and
+        x0 * k == a' * rep' * b' from `Element.double_coset_form(S, M)`,
+        iff rep' == rep, and then x0 * k == a' * a^-1 * k * m, m = b^-1 * b'.
+        Set p0 = m^-1; x0 * k * p * k^-1 == a' * a^-1 * k * (m * p) * k^-1.
+    (b) That lies in A_S iff m * p lies in A_M ∩ k^-1 * A_S * k, which is
+        b^-1 * (A_M ∩ rep^-1 * A_S * rep) * b == b^-1 * A_Z * b: b is in
+        A_M, a in A_S, and rep^-1 is (M, S)-reduced, so Z is the set of
+        `cosets.intersection_vertices` (proof in `intersect_conjugated`).
+        So the admissible p form p0 * b^-1 * A_Z * b.
     (c) A_M is the direct product of the A_{U_i} and A_L, and Z splits
         with it, so (b) holds coordinate by coordinate, coordinates being
         retractions. The A_L coordinate is met by p0's own, and factor i
         by the one exponent of `_root_exponent`, if it exists.
     """
     graph = g.graph
-    s = frozenset(s_verts)
+    check_graph(graph, h)
+    s = vertex_set(graph, s_verts)
     everything = frozenset(range(graph.n))
     if s == everything:
         return conjugate(g, h)
@@ -319,12 +311,12 @@ def conjugate_under(g, h, s_verts):
         return res
     k, factors, link = _servatius(g)
     m_verts = link.union(*(u for u, _ in factors))
-    split = cosets.in_double_coset(res.conjugator * k, k, s, m_verts)
-    if not isinstance(split, cosets.CosetFactors):
+    _, rep, b = k.double_coset_form(s, m_verts)
+    _, rep_x, b_x = (res.conjugator * k).double_coset_form(s, m_verts)
+    if rep_x != rep:
         return NotConjugate("double-coset")
-    p0 = split.right.inverse()
-    b, z_gens = cosets.intersect_conjugated(m_verts, k.inverse(), s)
-    z = frozenset().union(*(x.support() for x in z_gens))
+    p0 = b_x.inverse() * b
+    z = intersection_vertices(s & m_verts, rep)
     c = p0.retract(link)
     for u, r in factors:
         n = _root_exponent(r, p0.retract(u), b.retract(u), z & u)
@@ -408,6 +400,7 @@ def conjugate(g, h):
     decided by anchored cuts (Servatius 1989; Crisp-Godelle-Wiest 2009).
     """
     graph = g.graph
+    check_graph(graph, h)
     if g == h:
         return Conjugate(_one(graph))
     if g.is_identity() != h.is_identity():

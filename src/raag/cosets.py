@@ -6,15 +6,15 @@ and then letters of B from its back (`Element.double_coset_form`). So
 membership is one comparison of reduced representatives, and the
 intersection of A with a conjugate of B has a closed form. Both are exact
 and linear in the word length, and neither calls a conjugacy decision.
-`conjugate_under` is built on them, and the centralizers of sets in
-module conjugacy cut their shapes with the same strip.
+`conjugate_under` and the centralizers in module conjugacy cut with the
+same strip and the same vertex set Z (`intersection_vertices`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import verify
+from ._checks import check_graph, verify, vertex_set
 from .words import Element
 
 __all__ = [
@@ -54,6 +54,10 @@ def make_gens(items):
     return Gens(items)
 
 
+def vertex_gens(graph, verts):
+    return [Element(graph, (i + 1,), canonical=True) for i in sorted(verts)]
+
+
 def abelianization(g):
     """Exponent-sum vector of g, indexed by vertex."""
     out = [0] * g.graph.n
@@ -88,6 +92,8 @@ def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):
     CosetFactors or NotMember, never INCONCLUSIVE. `conj_tester` is
     accepted for older callers and ignored.
     """
+    check_graph(x.graph, y)
+    a_verts, b_verts = vertex_set(x.graph, a_verts), vertex_set(x.graph, b_verts)
     a_x, rep_x, b_x = x.double_coset_form(a_verts, b_verts)
     a_y, rep_y, b_y = y.double_coset_form(a_verts, b_verts)
     if rep_x != rep_y:
@@ -101,6 +107,13 @@ def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):
         "double coset factors",
     )
     return CosetFactors(left, right)
+
+
+def intersection_vertices(common, rep):
+    """Z, the vertices of `common` adjacent to all of supp(rep): for rep
+    (A, B)-reduced and common = A∩B, <A> ∩ rep<B>rep^-1 == <Z>."""
+    supp, adj = rep.support(), rep.graph.adj
+    return frozenset(v for v in common if supp <= adj[v])
 
 
 def intersect_conjugated(a_verts, x, b_verts):
@@ -117,11 +130,7 @@ def intersect_conjugated(a_verts, x, b_verts):
     and gens are the vertices of Z.
     """
     graph = x.graph
+    a_verts, b_verts = vertex_set(graph, a_verts), vertex_set(graph, b_verts)
     a_x, r, _ = x.double_coset_form(a_verts, b_verts)
-    supp = r.support()
-    gens = make_gens(
-        Element(graph, (v + 1,), canonical=True)
-        for v in sorted(set(a_verts) & set(b_verts))
-        if supp <= graph.adj[v]
-    )
-    return a_x.inverse(), gens
+    z = intersection_vertices(a_verts & b_verts, r)
+    return a_x.inverse(), make_gens(vertex_gens(graph, z))

@@ -35,7 +35,7 @@ from itertools import zip_longest
 from math import comb
 
 from . import conjugacy
-from ._checks import require_prime, verify
+from ._checks import check_graph, require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
 
 __all__ = [
@@ -427,8 +427,9 @@ def magnus_conjugate_test(g, h, d, p, m):
     S is therefore, with its monomials renamed back through S, a unit over
     g.graph that conjugates the images there.
     """
-    q = _modulus(d, p, m)
     graph = g.graph
+    check_graph(graph, h)
+    q = _modulus(d, p, m)
     support = sorted(g.support() | h.support())
     if len(support) < graph.n:
         sub = graph.full_subgraph(support)

@@ -121,6 +121,11 @@ class Element:
     def __mul__(self, other):
         if self.graph is not other.graph and self.graph != other.graph:
             raise ValueError("elements live on different graphs")
+        # elements are immutable, so a product with 1 can share its operand
+        if not other.letters:
+            return self
+        if not self.letters:
+            return other
         return Element(self.graph, self.letters + other.letters)
 
     def inverse(self):

@@ -759,7 +759,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
 
 def fold_centralizer_in_special(graph, verts, elems):
     """Generators of the centralizer of `elems` inside <verts>."""
-    from raag.conjugacy import _vertex_gens
+    from raag.cosets import vertex_gens
     from raag.hnn import HnnSplitting, decompose
     from raag.words import Element
 
@@ -768,11 +768,11 @@ def fold_centralizer_in_special(graph, verts, elems):
     if not verts:
         return []
     if not elems:
-        return _vertex_gens(graph, verts)
+        return vertex_gens(graph, verts)
     if len(verts) == 1:
         # roots are unique in a RAAG, so v^k commutes with y only if v does;
         # folding on here instead piles up constraints without shrinking verts
-        (x,) = _vertex_gens(graph, verts)
+        (x,) = vertex_gens(graph, verts)
         return [x] if all(x * y == y * x for y in elems) else []
     outside = frozenset().union(*[y.support() for y in elems]) - verts
     if not outside:
@@ -796,18 +796,32 @@ def fold_centralizer_in_special(graph, verts, elems):
     return state.generators()
 
 
+def servatius_centralizer(graph, y):
+    """Servatius' centralizer theorem read off directly, without the
+    package's fold: with (conj, factors, link) from `_servatius(y)`, the
+    generators conj * x * conj^-1 for x the vertices of the link, then
+    the primitive roots. The identity has empty core and link everything."""
+    from raag.conjugacy import _servatius
+    from raag.cosets import vertex_gens
+
+    conj, factors, link = _servatius(y)
+    ci = conj.inverse()
+    return [conj * x * ci for x in vertex_gens(graph, link) + [r for _, r in factors]]
+
+
 def _fold_full_centralizer(graph, elems):
     """Centralizer generators relative to the whole graph: a join splits
     into its factors; otherwise the element of widest cyclic support y has
     C(y) inside conj * <supp + link> * conj^-1, or is the cyclic group on
     its root when supp(core) is every vertex."""
-    from raag.conjugacy import _pure_factor_supports, _single_centralizer, _vertex_gens
+    from raag.conjugacy import _pure_factor_supports
+    from raag.cosets import vertex_gens
 
     elems = list(dict.fromkeys(y for y in elems if y))
     if not elems:
-        return _vertex_gens(graph, range(graph.n))
+        return vertex_gens(graph, range(graph.n))
     if len(elems) == 1:
-        return list(_single_centralizer(graph, elems[0]))
+        return servatius_centralizer(graph, elems[0])
     factors = _pure_factor_supports(graph, range(graph.n))
     if len(factors) > 1:
         gens = []
@@ -820,7 +834,7 @@ def _fold_full_centralizer(graph, elems):
     conj, core = first.cyclic_normal_form()
     supp = core.support()
     if len(supp) == graph.n:
-        (root,) = _single_centralizer(graph, first)
+        (root,) = servatius_centralizer(graph, first)
         return [root] if all(root * y == y * root for y in elems) else []
     link = {v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]}
     ci = conj.inverse()

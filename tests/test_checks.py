@@ -38,6 +38,9 @@ def corrupted(name, call):
 # b is not in <a> 1 <a>; a lying strip gives both words the representative 1
 with mock.patch.object(Element, "double_coset_form", lambda self, front, back: (one, one, one)):
     corrupted("double coset", lambda: cosets.in_double_coset(b, one, {0}, {0}))
+    # b is not conjugate to a b a^-1 under <b>; the lying strip puts the
+    # conjugator a in the double coset <b> 1 <b>, and a comes back
+    corrupted("conjugate under strip", lambda: conjugacy.conjugate_under(b, a * b * a.inverse(), {1}))
 # a bogus x0 = a^5 survives every step of conjugate_under's coset algebra
 with mock.patch.object(conjugacy, "conjugate", lambda g, h: conjugacy.Conjugate(a**5)):
     corrupted("conjugate under", lambda: conjugacy.conjugate_under(ab, ba, {0}))
@@ -81,6 +84,7 @@ def test_corrupted_witnesses_raise_under_optimize():
     assert lines[0] == "asserts stripped"
     assert [line.split(":")[0] for line in lines[1:]] == [
         "double coset raised",
+        "conjugate under strip raised",
         "conjugate under raised",
         "conjugate raised",
         "centralizer raised",

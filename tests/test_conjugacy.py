@@ -13,6 +13,7 @@ from oracles import (
     hnn_conjugate_under,
     in_centralizer_shape,
     reference_cyclic_class,
+    servatius_centralizer,
     subgroup_ball,
 )
 from raag.graphs import Graph
@@ -282,13 +283,27 @@ def test_set_centralizer_never_decomposes(monkeypatch):
         assert all(x.in_special(verts) and all(x * y == y * x for y in elems) for x in gens)
 
 
-def test_centralizer_is_set_centralizer_of_one():
+def test_centralizer_matches_servatius_formula():
+    # centralizer is the one-element fold; the oracle reads the theorem off
+    # the Servatius data directly, generators in the same order
     rng = random.Random(41)
     for gname in ("f2", "p3", "c5", "cone_p4", "p4_join_p3", "half8"):
         graph = GRAPHS[gname]
         for length in [0] + [rng.randrange(1, 20) for _ in range(15)]:
             g = rand_word(rng, graph, length)
-            assert centralizer(g) == centralizer_in_special(graph, range(graph.n), [g])
+            assert list(centralizer(g)) == servatius_centralizer(graph, g)
+
+
+def test_set_centralizer_refuses_foreign_input():
+    p3, f2 = GRAPHS["p3"], GRAPHS["f2"]
+    b = parse(p3, "b")
+    # an index outside the graph used to give the empty list
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        centralizer_in_special(p3, {-1}, [b])
+    with pytest.raises(ValueError, match="3 is not a vertex index"):
+        centralizer_in_special(p3, {0, 3}, [b])
+    with pytest.raises(ValueError, match="different graphs"):
+        centralizer_in_special(p3, {0, 1}, [b, parse(f2, "a")])
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +732,29 @@ def test_subgroup_ball_identity_only():
     graph = GRAPHS["f2"]
     ball = subgroup_ball(graph, [], 3)
     assert ball == {Element(graph)}
+
+
+def test_conjugate_refuses_elements_over_different_graphs():
+    # the same letters over Z^2 and F2: "b a" and "a b" used to come back
+    # NotConjugate("cyclic-normal-form")
+    f2, k2 = GRAPHS["f2"], GRAPHS["k2"]
+    with pytest.raises(ValueError, match="different graphs"):
+        conjugate(parse(f2, "b a"), parse(k2, "a b"))
+    with pytest.raises(ValueError, match="different graphs"):
+        conjugate_under(parse(f2, "b a"), parse(k2, "a b"), {0})
+    # an equal copy of the graph is the same graph
+    copy = Graph(["a", "b"])
+    assert isinstance(conjugate(parse(f2, "a b"), parse(copy, "b a")), Conjugate)
+
+
+def test_conjugate_under_refuses_bad_vertex_indices():
+    f2 = GRAPHS["f2"]
+    a, b = parse(f2, "a"), parse(f2, "b")
+    # used to raise IndexError from inside the strip
+    with pytest.raises(ValueError, match="5 is not a vertex index"):
+        conjugate_under(a, b * a * b.inverse(), {1, 5})
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        conjugate_under(a, a, {-1})
 
 
 def test_avoid_subgroup_basic():

@@ -3,6 +3,8 @@ centralizer-state folds and coset search kept as oracles."""
 
 import random
 
+import pytest
+
 from oracles import (
     EMPTY,
     UNDECIDED,
@@ -246,6 +248,24 @@ def test_intersect_conjugated_identity():
     assert gamma.is_identity()
     assert sorted(str(g) for g in gens) == ["b"]
     assert gens.complete
+
+
+def test_coset_calls_refuse_bad_vertex_indices():
+    a = parse(F2, "a")
+    # -1 used to pass through, and v + 1 == 0 built a generator from letter 0
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        intersect_conjugated({-1, 0}, a, {-1, 0})
+    with pytest.raises(ValueError, match="2 is not a vertex index"):
+        intersect_conjugated({0}, a, {1, 2})
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        in_double_coset(a, a, {-1}, {0})
+    with pytest.raises(ValueError, match="7 is not a vertex index"):
+        in_double_coset(a, a, {0}, {7})
+
+
+def test_in_double_coset_refuses_elements_over_different_graphs():
+    with pytest.raises(ValueError, match="different graphs"):
+        in_double_coset(parse(F2, "a"), parse(F3, "a"), {0}, {1})
 
 
 def test_intersect_conjugated_matches_ball():

@@ -398,6 +398,15 @@ def test_non_prime_p_rejected(p):
         lie_center_trivial_upto(F2, 3, p)
 
 
+def test_separation_refuses_elements_over_different_graphs():
+    # F3's "c a" against F2's "a b" used to come back Separated(3, 2, 1)
+    f2, f3 = Graph(["a", "b"]), Graph(["a", "b", "c"])
+    with pytest.raises(ValueError, match="different graphs"):
+        magnus_conjugate_test(parse(f3, "c a"), parse(f2, "a b"), 3, 2, 1)
+    with pytest.raises(ValueError, match="different graphs"):
+        find_separating_level(parse(f3, "c a"), parse(f2, "a b"), 2)
+
+
 def test_separation_is_sound_against_exact_conjugacy():
     rng = random.Random(29)
     hits = 0

@@ -293,6 +293,19 @@ def test_parse_refuses_oversized_words(monkeypatch):
         parse(P3, "a^5 c^-4")
 
 
+def test_product_with_identity_returns_the_operand():
+    x = parse(P3, "a c b^-1")
+    one = parse(P3, "1")
+    assert x * one is x and one * x is x
+    assert one * one == one
+    # the graph check comes first, so an identity elsewhere still refuses
+    for stranger in (parse(F2, "1"), parse(TRI, "1")):
+        with pytest.raises(ValueError, match="different graphs"):
+            x * stranger
+        with pytest.raises(ValueError, match="different graphs"):
+            stranger * x
+
+
 def test_vertex_named_one_wins_over_identity():
     g = Graph(["1", "2"], [])
     assert parse(g, "1").letters == (1,)
