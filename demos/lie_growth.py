@@ -16,7 +16,7 @@ Run as: python3 demos/lie_growth.py
 import itertools
 
 from raag.graphs import Graph
-from raag.nilpotent import lie_center_trivial_upto, lie_graded_dims
+from raag.nilpotent import lie_center_trivial, lie_graded_dims
 
 GRAPHS = [
     ("free, 2 generators", Graph(["a", "b"], [])),
@@ -63,9 +63,9 @@ def main():
     print("Centers (a vertex adjacent to all others makes the center grow):")
     for label, graph in GRAPHS:
         central = [graph.vertices[v] for v in graph.center_vertices()]
-        trivial = lie_center_trivial_upto(graph, 4, 2)
+        trivial = lie_center_trivial(graph)
         print(f"  {label:<22} central vertices: {central or '-'};"
-              f" Lie center trivial below degree 4: {trivial}")
+              f" Lie center trivial in every degree: {trivial}")
 
 
 if __name__ == "__main__":

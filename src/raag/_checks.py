@@ -7,7 +7,10 @@ vertex indices are checked with these helpers rather than with
 
 from __future__ import annotations
 
-from math import isqrt
+# Miller-Rabin on these bases decides primality exactly below PRIME_BOUND,
+# the least strong pseudoprime to all of them (Sorenson and Webster 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def verify(ok, what):
@@ -17,9 +20,27 @@ def verify(ok, what):
 
 
 def require_prime(p):
-    """Raise ValueError unless p is prime (by trial division)."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Raise ValueError unless p is prime, decided by Miller-Rabin on the
+    13 primes 2..41; p past PRIME_BOUND, where that is not exact, is
+    refused."""
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is too large: primality is decided only below {PRIME_BOUND}")
+    if p in _BASES:
+        return
+    if p < 2 or any(p % a == 0 for a in _BASES):
         raise ValueError(f"p = {p} is not prime")
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError(f"p = {p} is not prime")
 
 
 def check_graph(graph, *elems):

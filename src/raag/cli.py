@@ -7,6 +7,11 @@ separating level within its degree and precision bounds (always, for a
 conjugate pair).
 Graphs come from JSON files, words use the same grammar the parser accepts,
 and every printed witness is a parseable word that re-verifies.
+
+The commands call the library directly. Bad input raises ValueError there,
+as in the argument parser and the vertex lookups here, and `main` turns it
+into the message and exit 1; a failed witness check (AssertionError) is a
+bug and escapes as a traceback.
 """
 
 from __future__ import annotations
@@ -16,43 +21,32 @@ import sys
 
 from . import conjugacy, cosets, hnn, nilpotent
 from .graphs import load_graph
-from .pgroup import ENUMERATION_GUARD, WitnessParams, build_witness_group
+from .pgroup import ENUMERATION_GUARD, WitnessGroup, WitnessParams
 from .words import parse
-
-
-class CliError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems; route them to our own exit 1
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
+
+
+def _vertex(graph, name):
+    if name not in graph.index:
+        raise ValueError(f"unknown vertex {name!r}")
+    return graph.index[name]
 
 
 def _vertex_set(graph, spec):
     """Parse a comma-separated vertex list into an index set."""
-    names = [x.strip() for x in spec.split(",") if x.strip()]
-    out = set()
-    for name in names:
-        if name not in graph.index:
-            raise CliError(f"unknown vertex {name!r}")
-        out.add(graph.index[name])
-    return frozenset(out)
-
-
-def _word(graph, text):
-    try:
-        return parse(graph, text)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return frozenset(_vertex(graph, x.strip()) for x in spec.split(",") if x.strip())
 
 
 def _load(path):
     try:
         return load_graph(path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot load graph: {exc}")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot load graph: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +55,14 @@ def _load(path):
 
 def _cmd_normal_form(args):
     graph = _load(args.graph)
-    print(_word(graph, args.word))
+    print(parse(graph, args.word))
     return 0
 
 
 def _cmd_equal(args):
     graph = _load(args.graph)
-    left = _word(graph, args.left)
-    right = _word(graph, args.right)
+    left = parse(graph, args.left)
+    right = parse(graph, args.right)
     print("EQUAL" if left == right else "NOT EQUAL")
     return 0
 
@@ -83,22 +77,22 @@ def _print_conjugacy(res):
 
 def _cmd_conjugate(args):
     graph = _load(args.graph)
-    g = _word(graph, args.left)
-    h = _word(graph, args.right)
+    g = parse(graph, args.left)
+    h = parse(graph, args.right)
     return _print_conjugacy(conjugacy.conjugate(g, h))
 
 
 def _cmd_conjugate_under(args):
     graph = _load(args.graph)
-    g = _word(graph, args.left)
-    h = _word(graph, args.right)
+    g = parse(graph, args.left)
+    h = parse(graph, args.right)
     verts = _vertex_set(graph, args.subgroup)
     return _print_conjugacy(conjugacy.conjugate_under(g, h, verts))
 
 
 def _cmd_centralizer(args):
     graph = _load(args.graph)
-    gens = conjugacy.centralizer(_word(graph, args.word))
+    gens = conjugacy.centralizer(parse(graph, args.word))
     if not gens:
         print("1")
     for x in gens:
@@ -108,8 +102,8 @@ def _cmd_centralizer(args):
 
 def _cmd_double_coset(args):
     graph = _load(args.graph)
-    x = _word(graph, args.x)
-    y = _word(graph, args.y)
+    x = parse(graph, args.x)
+    y = parse(graph, args.y)
     left = _vertex_set(graph, args.left)
     right = _vertex_set(graph, args.right)
     res = cosets.in_double_coset(y, x, left, right)
@@ -122,10 +116,8 @@ def _cmd_double_coset(args):
 
 def _cmd_hnn_decompose(args):
     graph = _load(args.graph)
-    if args.pivot not in graph.index:
-        raise CliError(f"unknown vertex {args.pivot!r}")
-    split = hnn.HnnSplitting(graph, graph.index[args.pivot])
-    w = hnn.decompose(split, _word(graph, args.word))
+    pivot = _vertex(graph, args.pivot)
+    w = hnn.decompose(parse(graph, args.word), pivot)
     print(f"head: {w.head}")
     for a, x in w.syllables:
         print(f"t^{a} * {x}")
@@ -134,14 +126,11 @@ def _cmd_hnn_decompose(args):
 
 def _cmd_magnus_separate(args):
     graph = _load(args.graph)
-    g = _word(graph, args.left)
-    h = _word(graph, args.right)
-    try:
-        level = nilpotent.find_separating_level(
-            g, h, args.prime, max_d=args.max_degree, max_m=args.max_precision
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    g = parse(graph, args.left)
+    h = parse(graph, args.right)
+    level = nilpotent.find_separating_level(
+        g, h, args.prime, max_d=args.max_degree, max_m=args.max_precision
+    )
     if level is nilpotent.NOT_FOUND:
         print(f"NOT SEPARATED (d <= {args.max_degree}, m <= {args.max_precision})")
         return 2
@@ -152,35 +141,25 @@ def _cmd_magnus_separate(args):
 
 def _cmd_lie_dims(args):
     graph = _load(args.graph)
-    try:
-        dims = nilpotent.lie_graded_dims(graph, args.max_degree)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    dims = nilpotent.lie_graded_dims(graph, args.max_degree)
     print("d: " + " ".join(str(d) for d in dims))
     return 0
 
 
 def _cmd_center(args):
     graph = _load(args.graph)
-    try:
-        trivial = nilpotent.lie_center_trivial_upto(graph, args.max_degree, args.prime)
-    except ValueError as exc:
-        raise CliError(str(exc))
     central = [graph.vertices[i] for i in graph.center_vertices()]
     print("central vertices: " + (" ".join(central) if central else "(none)"))
-    upto = args.max_degree - 1
-    print(f"lie center trivial up to degree {upto}: " + ("YES" if trivial else "NO"))
+    trivial = nilpotent.lie_center_trivial(graph)
+    print("lie center trivial in every degree: " + ("YES" if trivial else "NO"))
     return 0
 
 
 def _cmd_pgroup_witness(args):
-    try:
-        params = WitnessParams(args.prime, args.n, args.r, args.s)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    params = WitnessParams(args.prime, args.n, args.r, args.s)
     if not params.enumerable:
-        raise CliError(f"|B| exceeds {ENUMERATION_GUARD}, too large to enumerate")
-    group = build_witness_group(params)
+        raise ValueError(f"|B| exceeds {ENUMERATION_GUARD}, too large to enumerate")
+    group = WitnessGroup(params)
     print(f"params: p={params.p} n={params.n} r={params.r} s={params.s}")
     print(f"|A| = {params.order_a}")
     print(f"|B| = {params.order_b}")
@@ -269,8 +248,6 @@ def build_parser():
 
     p = sub.add_parser("center", help="central vertices and Lie center check")
     with_graph(p)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("-p", dest="prime", type=int, default=2, help="prime")
     p.set_defaults(func=_cmd_center)
 
     p = sub.add_parser("pgroup-witness",
@@ -289,7 +266,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,11 +27,11 @@ class Graph:
 
     def __init__(self, vertices, edges=()):
         self.vertices = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("duplicate vertex name")
         for name in self.vertices:
             if not isinstance(name, str) or not name:
                 raise ValueError("vertex names must be nonempty strings")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise ValueError("duplicate vertex name")
         self.n = len(self.vertices)
         self.index = {name: i for i, name in enumerate(self.vertices)}
         adj = [set() for _ in self.vertices]
@@ -40,7 +40,11 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair")
-            if u not in self.index or v not in self.index:
+            try:
+                known = u in self.index and v in self.index
+            except TypeError:  # an unhashable endpoint names no vertex
+                known = False
+            if not known:
                 raise ValueError(f"edge {list(e)!r} uses an unknown vertex")
             if u == v:
                 raise ValueError(f"loop at {u!r} not allowed")
@@ -64,9 +68,6 @@ class Graph:
     def link(self, i):
         return self.adj[i]
 
-    def star(self, i):
-        return self.adj[i] | {i}
-
     def edges(self):
         return [
             (self.vertices[i], self.vertices[j])
@@ -78,12 +79,6 @@ class Graph:
     def center_vertices(self):
         """Indices of vertices adjacent to every other vertex."""
         return [i for i in range(self.n) if len(self.adj[i]) == self.n - 1]
-
-    def is_complete(self):
-        return all(len(self.adj[i]) == self.n - 1 for i in range(self.n))
-
-    def is_discrete(self):
-        return all(not self.adj[i] for i in range(self.n))
 
     def full_subgraph(self, keep):
         """Induced subgraph on the vertex indices `keep`, order inherited."""

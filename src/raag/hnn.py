@@ -12,41 +12,24 @@ subgroup. Canonical words produce such a reduced form directly: two pivot
 runs separated only by letters commuting with the pivot would have merged
 during canonicalisation.
 
-`raag hnn-decompose` prints these forms, and nothing else in the package
-uses them. Conjugacy under a special subgroup and the centralizers of
-sets are decided without them; the paper's HNN routes for both are kept
-as test oracles.
+`decompose(g, pivot)` computes the form for the vertex index `pivot`;
+`raag hnn-decompose` prints it, and nothing else in the package uses it.
+Conjugacy under a special subgroup and the centralizers of sets are
+decided without it; the paper's HNN routes for both are kept as test
+oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import verify
+from ._checks import vertex_set, verify
 from .words import Element
 
 __all__ = [
-    "HnnSplitting",
     "HnnWord",
     "decompose",
 ]
-
-
-class HnnSplitting:
-    """A choice of pivot vertex on a fixed graph."""
-
-    def __init__(self, graph, pivot):
-        if not 0 <= pivot < graph.n:
-            raise ValueError("pivot out of range")
-        self.graph = graph
-        self.pivot = pivot
-        self.assoc = graph.link(pivot)
-
-    def in_assoc(self, x):
-        return x.in_special(self.assoc)
-
-    def __repr__(self):
-        return f"HnnSplitting(pivot={self.graph.vertices[self.pivot]!r})"
 
 
 @dataclass(frozen=True)
@@ -61,15 +44,17 @@ class HnnWord:
         return len(self.syllables)
 
 
-def decompose(split, g):
-    """Syllable form of g with respect to the splitting.
+def decompose(g, pivot):
+    """Syllable form of g along the vertex index `pivot`; raises ValueError
+    unless `pivot` is a vertex index of g's graph.
 
     The interior parts land outside the associated subgroup automatically,
     which keeps the form reduced in Britton's sense. This is checked, so a
     word wrongly flagged canonical cannot yield an unreduced form.
     """
-    graph = split.graph
-    tv = split.pivot + 1
+    graph = g.graph
+    vertex_set(graph, (pivot,))
+    tv = pivot + 1
     chunks = [[]]
     exps = []
     for lt in g.letters:
@@ -90,6 +75,7 @@ def decompose(split, g):
         (exps[k], Element(graph, tuple(chunks[k + 1]), canonical=True))
         for k in range(len(exps))
     )
+    assoc = graph.link(pivot)
     for k in range(len(syllables) - 1):
-        verify(not split.in_assoc(syllables[k][1]), "reduced syllable form")
+        verify(not syllables[k][1].in_special(assoc), "reduced syllable form")
     return HnnWord(head, syllables)

@@ -51,7 +51,7 @@ __all__ = [
     "find_separating_level",
     "lie_graded_dims",
     "MAX_LIE_DEGREE",
-    "lie_center_trivial_upto",
+    "lie_center_trivial",
 ]
 
 
@@ -642,13 +642,13 @@ def lie_graded_dims(graph, max_degree):
     return tuple(dims[1:])
 
 
-def lie_center_trivial_upto(graph, max_degree, p):
-    """True when no nonzero homogeneous element of degree < max_degree
-    commutes with every vertex generator, over the field with p elements.
+def lie_center_trivial(graph):
+    """True when no nonzero homogeneous element of the graded Lie ring
+    commutes with every vertex generator.
 
     That holds exactly when the graph has no central vertex, in every degree
-    and over every coefficient ring. p must be prime and max_degree at least
-    2, or no degree would be checked.
+    and over every coefficient ring, so neither a degree bound nor a prime
+    is needed.
 
     Proof. (1) If vx = xv in the trace algebra, every monomial of x uses
     only letters of st(v). Suppose a monomial t of x has j letters v and a
@@ -666,7 +666,4 @@ def lie_center_trivial_upto(graph, max_degree, p):
     the span of C in degree 1, and a nonzero one exists exactly when C is
     not empty.
     """
-    require_prime(p)
-    if max_degree < 2:
-        raise ValueError("need max degree at least 2; only lower degrees are checked")
     return not graph.center_vertices()

@@ -31,7 +31,6 @@ __all__ = [
     "WitnessParams",
     "PGroupElement",
     "WitnessGroup",
-    "build_witness_group",
 ]
 
 ENUMERATION_GUARD = 1 << 20
@@ -280,7 +279,3 @@ class WitnessGroup:
             return False
         lhs = self.conjugate(self.power(g, p.p**p.s), t)
         return lhs == self.power(h, p.p**p.s)
-
-
-def build_witness_group(params):
-    return WitnessGroup(params)

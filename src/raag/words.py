@@ -116,7 +116,18 @@ class Element:
 
     def __init__(self, graph, letters=(), canonical=False):
         self.graph = graph
-        self.letters = tuple(letters) if canonical else _canonical(graph, letters)
+        if canonical:
+            self.letters = tuple(letters)
+            return
+        # a letter 0 would index the last vertex's pile, and one past +-n
+        # finds no pile; one scan and the IndexError catch them, with no
+        # per-letter check in the piling loop
+        if 0 in letters:
+            raise ValueError("letter 0 names no vertex")
+        try:
+            self.letters = _canonical(graph, letters)
+        except IndexError:
+            raise ValueError(f"a letter lies outside ±1..±{graph.n}") from None
 
     def __mul__(self, other):
         if self.graph is not other.graph and self.graph != other.graph:
@@ -162,9 +173,6 @@ class Element:
 
     def support(self):
         return frozenset(abs(lt) - 1 for lt in self.letters)
-
-    def support_names(self):
-        return {self.graph.vertices[i] for i in self.support()}
 
     def in_special(self, keep):
         """Membership in the special subgroup generated by the vertex

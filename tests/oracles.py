@@ -533,14 +533,15 @@ class SpecialCoset:
         return self.left * self.right, self.right.inverse()
 
 
-def hnn_element(split, hw):
-    """x0 t^a1 x1 ... t^an xn of a syllable form, as an element."""
+def hnn_element(hw, pivot):
+    """x0 t^a1 x1 ... t^an xn of a syllable form along `pivot`, as an
+    element."""
     from raag.words import Element
 
-    t = split.pivot + 1
+    t = pivot + 1
     out = hw.head
     for a, x in hw.syllables:
-        out = out * Element(split.graph, (t if a > 0 else -t,) * abs(a)) * x
+        out = out * Element(out.graph, (t if a > 0 else -t,) * abs(a)) * x
     return out
 
 
@@ -670,7 +671,7 @@ def coset_intersection_nonempty(rep, state, double_cosets, search_bound, state_c
     return rep
 
 
-def _hnn_step(split, xw, yw, subgroup, search_bound):
+def _hnn_step(pivot, xw, yw, subgroup, search_bound):
     """Conjugator in <subgroup> taking xw's element to yw's, for reduced
     syllable forms with at least one pivot run: the pivot exponent
     sequences agree, the base products are conjugate under the subgroup
@@ -680,7 +681,7 @@ def _hnn_step(split, xw, yw, subgroup, search_bound):
     from raag.conjugacy import Conjugate, NotConjugate, centralizer_in_special
     from raag.words import Element
 
-    graph = split.graph
+    graph = xw.head.graph
     if [a for a, _ in xw.syllables] != [a for a, _ in yw.syllables]:
         return NotConjugate("hnn-exponent-pattern")
     xprod, yprod = hnn_base_prefix(xw, xw.n), hnn_base_prefix(yw, yw.n)
@@ -689,10 +690,10 @@ def _hnn_step(split, xw, yw, subgroup, search_bound):
         return res if isinstance(res, Undecided) else NotConjugate("base-product-conjugacy")
     state = CentralizerState(graph, Element(graph), subgroup, (xprod,), centralizer_in_special)
     double_cosets = [
-        SpecialCoset(hnn_base_prefix(yw, i), split.assoc, hnn_base_prefix(xw, i).inverse())
+        SpecialCoset(hnn_base_prefix(yw, i), graph.link(pivot), hnn_base_prefix(xw, i).inverse())
         for i in range(xw.n)
     ]
-    x_elt, y_elt = hnn_element(split, xw), hnn_element(split, yw)
+    x_elt, y_elt = hnn_element(xw, pivot), hnn_element(yw, pivot)
     if search_bound is None:
         search_bound = 2 * (len(x_elt) + len(y_elt)) + 8
     sigma = coset_intersection_nonempty(res.conjugator, state, double_cosets, search_bound)
@@ -712,7 +713,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
     input lengths)."""
     from raag.conjugacy import Conjugate, NotConjugate, conjugate
     from raag.cosets import abelianization
-    from raag.hnn import HnnSplitting, decompose
+    from raag.hnn import decompose
     from raag.words import Element
 
     graph = g.graph
@@ -740,8 +741,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
                 raise AssertionError("HNN-route conjugator fails to conjugate")
             return Conjugate(sigma)
         return res
-    split = HnnSplitting(graph, t)
-    res = _hnn_step(split, decompose(split, g), decompose(split, h), s, search_bound)
+    res = _hnn_step(t, decompose(g, t), decompose(h, t), s, search_bound)
     return Conjugate(res) if isinstance(res, Element) else res
 
 
@@ -760,7 +760,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
 def fold_centralizer_in_special(graph, verts, elems):
     """Generators of the centralizer of `elems` inside <verts>."""
     from raag.cosets import vertex_gens
-    from raag.hnn import HnnSplitting, decompose
+    from raag.hnn import decompose
     from raag.words import Element
 
     verts = frozenset(verts)
@@ -780,10 +780,9 @@ def fold_centralizer_in_special(graph, verts, elems):
         inner = _fold_full_centralizer(sub, [y.restrict(sub) for y in elems])
         return [x.embed(graph) for x in inner]
     t = max(outside)
-    split = HnnSplitting(graph, t)
     target = next(y for y in elems if t in y.support())
     rest = [y for y in elems if y is not target]
-    hw = decompose(split, target)
+    hw = decompose(target, t)
     # a pivot-free centralizing element must fix the product of base parts
     # and lie in every base-prefix conjugate of the associated subgroup;
     # together those conditions are equivalent to commuting with target
@@ -792,7 +791,7 @@ def fold_centralizer_in_special(graph, verts, elems):
         fold_centralizer_in_special,
     )
     for i in range(hw.n):
-        state = state.constrain_membership(hnn_base_prefix(hw, i), split.assoc)
+        state = state.constrain_membership(hnn_base_prefix(hw, i), graph.link(t))
     return state.generators()
 
 

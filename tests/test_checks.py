@@ -3,7 +3,13 @@
 import os
 import subprocess
 import sys
+import time
+from math import isqrt
 from pathlib import Path
+
+import pytest
+
+from raag._checks import PRIME_BOUND, require_prime
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -66,9 +72,9 @@ with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
 # syllable b commutes with the pivot a, and a a^-1 is a run of mixed signs
 p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 aba = Element(p3, (1, 2, 1), canonical=True)
-corrupted("reduced form", lambda: hnn.decompose(hnn.HnnSplitting(p3, 0), aba))
+corrupted("reduced form", lambda: hnn.decompose(aba, 0))
 run = Element(f2, (1, -1), canonical=True)
-corrupted("pivot run", lambda: hnn.decompose(hnn.HnnSplitting(f2, 0), run))
+corrupted("pivot run", lambda: hnn.decompose(run, 0))
 """
 
 
@@ -95,3 +101,49 @@ def test_corrupted_witnesses_raise_under_optimize():
         "reduced form raised",
         "pivot run raised",
     ], proc.stdout
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _accepted(n):
+    try:
+        require_prime(n)
+    except ValueError as exc:
+        assert str(exc) == f"p = {n} is not prime"
+        return False
+    return True
+
+
+def test_require_prime_matches_trial_division():
+    assert [n for n in range(-3, 10**5) if _accepted(n) != _is_prime(n)] == []
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to the primes up to 23
+        318665857834031151167461,  # strong pseudoprime to the primes up to 37
+    ],
+)
+def test_require_prime_rejects_strong_pseudoprimes(n):
+    assert not _accepted(n)
+
+
+def test_require_prime_accepts_large_primes_fast():
+    start = time.perf_counter()
+    for p in (2**31 - 1, 2**61 - 1, 2**79 - 67):
+        require_prime(p)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_require_prime_refuses_past_its_bound():
+    # the bound is the least strong pseudoprime to the 13 bases, so it is
+    # composite; past it, no answer would be exact
+    for n in (PRIME_BOUND, 2**127 - 1):
+        with pytest.raises(ValueError, match=f"decided only below {PRIME_BOUND}"):
+            require_prime(n)

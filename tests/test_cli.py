@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from raag._checks import PRIME_BOUND
 from raag.cli import main
 from raag.nilpotent import MAX_LIE_DEGREE
 from oracles import witt_free_lie_dims
@@ -165,15 +167,18 @@ def test_lie_dims_high_degree(graphs, capsys):
 def test_center(graphs, capsys):
     code, out, _ = run(capsys, "center", "--graph", graphs["path3"])
     assert code == 0
-    assert out == "central vertices: b\nlie center trivial up to degree 3: NO\n"
+    assert out == "central vertices: b\nlie center trivial in every degree: NO\n"
     code, out, _ = run(capsys, "center", "--graph", graphs["discrete2"])
     assert code == 0
-    assert out == "central vertices: (none)\nlie center trivial up to degree 3: YES\n"
-    code, out, _ = run(
-        capsys, "center", "--graph", graphs["discrete2"], "--max-degree", "40"
-    )
-    assert code == 0
-    assert out == "central vertices: (none)\nlie center trivial up to degree 39: YES\n"
+    assert out == "central vertices: (none)\nlie center trivial in every degree: YES\n"
+
+
+@pytest.mark.parametrize("flag", [["--max-degree", "40"], ["-p", "3"]])
+def test_center_takes_only_a_graph(graphs, capsys, flag):
+    # the answer is the same in every degree and over every ring, so a
+    # degree bound or a prime is a usage error
+    code, out, err = run(capsys, "center", "--graph", graphs["discrete2"], *flag)
+    assert (code, out) == (1, "") and "error: unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("prime", ["0", "1", "4"])
@@ -182,9 +187,7 @@ def test_non_prime_p_exits_one(graphs, capsys, prime):
         capsys, "magnus-separate", "--graph", graphs["discrete2"],
         "a b", "b a", "-p", prime,
     )
-    assert (code, out) == (1, "") and "error: p = " in err
-    code, out, err = run(capsys, "center", "--graph", graphs["path3"], "-p", prime)
-    assert (code, out) == (1, "") and "error: p = " in err
+    assert (code, out) == (1, "") and f"error: p = {prime} is not prime" in err
 
 
 def test_pgroup_witness_golden(capsys):
@@ -298,15 +301,8 @@ def test_no_command_loads_numpy(graphs):
     [
         ("magnus-separate", "a b", "b a", "--max-degree", "0"),
         ("magnus-separate", "a b", "b a", "-m", "0"),
-        ("center", "--max-degree", "0"),
-        ("center", "--max-degree", "-3"),
-        # degree 1 would check no degree at all, and claim a trivial center
-        ("center", "--max-degree", "1"),
     ],
-    ids=[
-        "separate-degree", "separate-precision", "center-degree", "center-negative",
-        "center-degree-one",
-    ],
+    ids=["separate-degree", "separate-precision"],
 )
 def test_empty_level_grid_exits_one(graphs, capsys, argv):
     code, out, err = run(capsys, argv[0], "--graph", graphs["discrete2"], *argv[1:])
@@ -442,7 +438,66 @@ def test_usage_errors_exit_one(graphs, capsys):
 
 
 def test_malformed_graph_file(tmp_path, capsys):
+    texts = [
+        "{not json",
+        # names that are not strings are bad input, not a TypeError
+        '{"vertices": [["a"], "b"]}',
+        '{"vertices": ["a", "b"], "edges": [["a", ["b"]]]}',
+    ]
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, "normal-form", "--graph", str(bad), "a")
-    assert code == 1 and "cannot load graph" in err
+    for text in texts:
+        bad.write_text(text)
+        code, out, err = run(capsys, "normal-form", "--graph", str(bad), "a")
+        assert (code, out) == (1, "") and "error: cannot load graph: " in err, text
+
+
+def test_failed_witness_escapes_the_error_path(graphs, monkeypatch):
+    # bad input exits 1; a conjugator that fails its check is a bug, and
+    # must not be reported as an input error
+    from raag import conjugacy
+    from raag.graphs import load_graph
+    from raag.words import parse
+
+    wrong = parse(load_graph(graphs["discrete2"]), "a^5")
+    monkeypatch.setattr(conjugacy, "_factor_conjugator", lambda u, v: wrong)
+    with pytest.raises(AssertionError, match="failed verification"):
+        main(["conjugate", "--graph", graphs["discrete2"], "a b", "b a"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("conjugate-under", "a", "a", "--subgroup", "z"), "error: unknown vertex 'z'\n"),
+        (("conjugate-under", "a", "a", "--subgroup", "a,,z"), "error: unknown vertex 'z'\n"),
+        (("double-coset", "a", "a", "--left", "a,q", "--right", "b"), "error: unknown vertex 'q'\n"),
+        (("hnn-decompose", "a", "--pivot", "z"), "error: unknown vertex 'z'\n"),
+        # the pivot is looked up before the word is parsed
+        (("hnn-decompose", "q", "--pivot", "z"), "error: unknown vertex 'z'\n"),
+        (("magnus-separate", "a", "b", "-p", "4"), "error: p = 4 is not prime\n"),
+        # past the bound Miller-Rabin on 2..41 is not exact
+        (
+            ("magnus-separate", "a", "b", "-p", str(PRIME_BOUND + 2)),
+            f"error: p = {PRIME_BOUND + 2} is too large: primality is decided only below {PRIME_BOUND}\n",
+        ),
+    ],
+    ids=[
+        "subgroup", "subgroup-list", "coset-side", "pivot", "pivot-first", "non-prime",
+        "prime-past-bound",
+    ],
+)
+def test_input_error_text(graphs, capsys, argv, message):
+    code, out, err = run(capsys, argv[0], "--graph", graphs["discrete2"], *argv[1:])
+    assert (code, out, err) == (1, "", message)
+
+
+def test_magnus_separate_large_prime(graphs, capsys):
+    # the prime is checked once per grid level, so the check must be cheap
+    # for a 61-bit prime
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "magnus-separate", "--graph", graphs["discrete2"],
+        "a b a^-1 b^-1", "b a b^-1 a^-1", "-p", str(2**61 - 1),
+    )
+    assert code == 0 and out.startswith("SEPARATED AT ")
+    assert time.perf_counter() - start < 2
+

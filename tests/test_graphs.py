@@ -14,7 +14,6 @@ def test_basic_structure():
     assert g.n == 3
     assert g.adjacent(0, 1) and g.adjacent(1, 2) and not g.adjacent(0, 2)
     assert g.link(1) == {0, 2}
-    assert g.star(0) == {0, 1}
     assert g.dependents[0] == (2,)
     assert g.dependents[1] == ()
 
@@ -25,13 +24,6 @@ def test_center_vertices():
     assert tri.center_vertices() == [0, 1, 2]
     assert Graph(["a", "b"], []).center_vertices() == []
     assert Graph(["a"], []).center_vertices() == [0]
-
-
-def test_complete_discrete():
-    assert Graph(["a", "b"], [("a", "b")]).is_complete()
-    assert not Graph(["a", "b"], [("a", "b")]).is_discrete()
-    assert Graph(["x", "y", "z"], []).is_discrete()
-    assert Graph(["x"], []).is_complete() and Graph(["x"], []).is_discrete()
 
 
 def test_full_subgraph_inherits_order():
@@ -56,6 +48,13 @@ def test_validation_errors():
         Graph.from_dict({"edges": []})
     with pytest.raises(ValueError):
         Graph.from_dict([1, 2])
+    # an unhashable name or endpoint is bad input, not a TypeError
+    with pytest.raises(ValueError, match="nonempty strings"):
+        Graph.from_dict({"vertices": [["a"], "b"]})
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Graph.from_dict({"vertices": ["a", "b"], "edges": [["a", ["b"]]]})
+    with pytest.raises(ValueError, match="unknown vertex"):
+        Graph(["a", "b"], [(0, "b")])
 
 
 def test_json_roundtrip(tmp_path):

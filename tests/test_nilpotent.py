@@ -20,7 +20,7 @@ from raag.nilpotent import (
     TraceAlgebra,
     TruncatedAlgebraElement,
     find_separating_level,
-    lie_center_trivial_upto,
+    lie_center_trivial,
     lie_graded_dims,
     magnus_conjugate_test,
     magnus_image,
@@ -394,8 +394,6 @@ def test_non_prime_p_rejected(p):
         magnus_image(g, 2, p, 1)
     with pytest.raises(ValueError, match="not prime"):
         find_separating_level(g, g, p, max_d=0)
-    with pytest.raises(ValueError, match="not prime"):
-        lie_center_trivial_upto(F2, 3, p)
 
 
 def test_separation_refuses_elements_over_different_graphs():
@@ -705,41 +703,35 @@ def test_graded_dims_container():
 
 
 def test_center_trivial_free():
-    assert lie_center_trivial_upto(F2, 4, 2)
-    assert lie_center_trivial_upto(F3, 4, 2)
+    assert lie_center_trivial(F2)
+    assert lie_center_trivial(F3)
 
 
 def test_center_nontrivial_with_central_vertex():
-    assert not lie_center_trivial_upto(K2, 4, 2)
-    assert not lie_center_trivial_upto(K3, 4, 2)
-    assert not lie_center_trivial_upto(P3, 4, 2)
+    assert not lie_center_trivial(K2)
+    assert not lie_center_trivial(K3)
+    assert not lie_center_trivial(P3)
 
 
 def test_center_trivial_edge_plus_isolated():
     # no vertex is adjacent to everything, so nothing is central
-    assert lie_center_trivial_upto(EDGE_ISO, 4, 2)
-
-
-@pytest.mark.parametrize("max_degree", [1, 0])
-def test_center_check_refuses_empty_degree_range(max_degree):
-    # degree 1 checks no degree; on P3, whose vertex b is central, a True
-    # would be a false claim
-    with pytest.raises(ValueError, match="^need"):
-        lie_center_trivial_upto(P3, max_degree, 2)
+    assert lie_center_trivial(EDGE_ISO)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_center_matches_echelon(p):
+    # the answer holds over every ring and in every degree; the oracle
+    # eliminates over F_p in degrees 1 to 3
     rng = random.Random(2718)
     graphs = [g for n in range(1, 5) for g in every_graph(n)]
     graphs += [random_graph(rng, 5) for _ in range(40)]
     for graph in graphs:
         want = echelon_center_trivial_upto(graph, 4, p)
-        assert lie_center_trivial_upto(graph, 4, p) == want, graph.edges()
+        assert lie_center_trivial(graph) == want, graph.edges()
 
 
 def test_center_matches_graph_center_at_degree_one():
     for graph in CORPUS:
         has_central_vertex = bool(graph.center_vertices())
         if has_central_vertex:
-            assert not lie_center_trivial_upto(graph, 2, 2)
+            assert not lie_center_trivial(graph)

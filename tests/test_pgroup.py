@@ -9,7 +9,6 @@ from raag.pgroup import (
     PGroupElement,
     WitnessGroup,
     WitnessParams,
-    build_witness_group,
 )
 from oracles import enumerated_conjugacy_class
 
@@ -18,7 +17,7 @@ CONFIRMED = [(2, 2, 1, 1), (3, 2, 1, 1), (2, 3, 1, 2), (2, 3, 2, 1)]
 
 @pytest.fixture(params=CONFIRMED, ids=lambda t: "p%dn%dr%ds%d" % t)
 def group(request):
-    return build_witness_group(WitnessParams(*request.param))
+    return WitnessGroup(WitnessParams(*request.param))
 
 
 def test_invalid_params_rejected():
@@ -184,7 +183,7 @@ def test_fresh_group_relations_and_class():
 
 def test_enumeration_guard():
     params = WitnessParams(2, 19, 1, 1)
-    group = build_witness_group(params)
+    group = WitnessGroup(params)
     with pytest.raises(ValueError):
         group.conjugacy_class(group.identity())
     assert not params.enumerable

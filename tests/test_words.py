@@ -139,7 +139,6 @@ def test_retraction_is_homomorphism():
 def test_support_and_membership():
     u = parse(P3, "a c a^-1")
     assert u.support() == {0, 2}
-    assert u.support_names() == {"a", "c"}
     assert not u.in_special({0, 1})
     assert parse(P3, "b^2").in_special({1})
     assert parse(P3, "1").in_special(set())
@@ -291,6 +290,14 @@ def test_parse_refuses_oversized_words(monkeypatch):
     assert len(parse(P3, "a^4 c^-4")) == 8
     with pytest.raises(ValueError, match="more than 8"):
         parse(P3, "a^5 c^-4")
+
+
+@pytest.mark.parametrize("letters", [(1, 0, 2), (0,), (3,), (-3,), (1, 2, -7)])
+def test_letters_outside_the_graph_are_refused(letters):
+    # a letter 0 would index b's pile on F2 and cancel there, turning
+    # (1, 0, 2) into b; a letter past the vertex count finds no pile
+    with pytest.raises(ValueError, match="letter"):
+        Element(F2, letters)
 
 
 def test_product_with_identity_returns_the_operand():
