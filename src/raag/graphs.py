@@ -36,10 +36,10 @@ class Graph:
         self.index = {name: i for i, name in enumerate(self.vertices)}
         adj = [set() for _ in self.vertices]
         for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
+            # a two-letter string or a two-key dict unpacks too; neither is a pair
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
+            u, v = e
             try:
                 known = u in self.index and v in self.index
             except TypeError:  # an unhashable endpoint names no vertex

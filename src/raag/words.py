@@ -34,6 +34,8 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 
+from ._checks import vertex_set
+
 __all__ = ["Element", "parse", "gen", "MAX_WORD_LENGTH"]
 
 # the longest word, in letters, that parse will expand
@@ -105,6 +107,16 @@ def _canonical(graph, letters):
     return _depile(graph, _pile(graph, letters))
 
 
+def _element(graph, letters):
+    """The element of letters taken from elements of `graph`. They are
+    valid already, so it is built without Element.__init__, whose letter
+    checks are for outside callers."""
+    x = object.__new__(Element)
+    x.graph = graph
+    x.letters = _canonical(graph, letters)
+    return x
+
+
 class Element:
     """A group element over a fixed graph.
 
@@ -137,12 +149,10 @@ class Element:
             return self
         if not self.letters:
             return other
-        return Element(self.graph, self.letters + other.letters)
+        return _element(self.graph, self.letters + other.letters)
 
     def inverse(self):
-        return Element(
-            self.graph, tuple(-x for x in reversed(self.letters))
-        )
+        return _element(self.graph, tuple(-x for x in reversed(self.letters)))
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -150,7 +160,7 @@ class Element:
         if k == 0:
             return Element(self.graph, (), canonical=True)
         base = self if k > 0 else self.inverse()
-        return Element(self.graph, base.letters * abs(k))
+        return _element(self.graph, base.letters * abs(k))
 
     def __eq__(self, other):
         return (
@@ -183,9 +193,7 @@ class Element:
     def retract(self, keep):
         """Image under the retraction killing every generator outside `keep`."""
         keep = frozenset(keep)
-        return Element(
-            self.graph, tuple(lt for lt in self.letters if abs(lt) - 1 in keep)
-        )
+        return _element(self.graph, tuple(lt for lt in self.letters if abs(lt) - 1 in keep))
 
     def shortlex_key(self):
         return (
@@ -221,7 +229,7 @@ class Element:
                 work.append(v)
                 work.extend(dependents[v])
         core = Element(graph, _depile(graph, piles), canonical=True)
-        return Element(graph, peeled), core
+        return _element(graph, peeled), core
 
     def cyclic_support(self):
         return self.cyclic_normal_form()[1].support()
@@ -251,13 +259,16 @@ class Element:
         (A, B)-reduced elements of one double coset are therefore equal,
         and y lies in A * x * B exactly when their reps agree, with
         y == (a_y * a_x^-1) * x * (b_x^-1 * b_y).
+
+        Raises ValueError if `front` or `back` holds a non-vertex index.
         """
         graph = self.graph
+        front, back = vertex_set(graph, front), vertex_set(graph, back)
         piles = _pile(graph, self.letters)
-        left = _peel(graph, piles, frozenset(front), at_back=False)
-        right = _peel(graph, piles, frozenset(back), at_back=True)
+        left = _peel(graph, piles, front, at_back=False)
+        right = _peel(graph, piles, back, at_back=True)
         rep = Element(graph, _depile(graph, piles), canonical=True)
-        return Element(graph, left), rep, Element(graph, right[::-1])
+        return _element(graph, left), rep, _element(graph, right[::-1])
 
     def restrict(self, subgraph):
         """Rewrite over an induced subgraph of self.graph (same names, same

@@ -4,7 +4,7 @@ Everything here except the last sections (the ball searches, the
 retraction-core double cosets and the paper's HNN routes for conjugacy
 under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
-valuation passes on whole numpy rows, the sparse-form converters, and the
+elimination on whole numpy rows, the sparse-form converters, and the
 full Magnus system, the piled Magnus test, which reuses the group normal
 form, the whole-graph Magnus test and the Magnus level grid, which run the
 package's own test, the Lie
@@ -945,13 +945,18 @@ def dense_matrix(matrix):
 
 
 def dense_solve_mod_prime_power(matrix, rhs, p, m):
-    """The package's valuation-pass elimination on a dense numpy matrix;
-    an int array or None.
+    """The package's elimination on a dense numpy matrix; an int array or
+    None.
 
-    Pass v = 0, ..., m-1 sweeps the free columns left to right and pivots
-    on the first free row whose entry has valuation exactly v, updating
-    whole rows; the package runs the same passes on nonzero entries only,
-    so the two must return the same vector.
+    The rows come in order; each is reduced by every unit pivot made so
+    far, in the order they were made, and pivots on its last unit entry
+    if it has one, clearing that column from the earlier rows that had
+    none. A row without a unit whose entries' least valuation w (m for a
+    zero row) does not divide its right-hand side ends the solve. Then
+    pass v = 1, ..., m-1 sweeps the free columns left to right and pivots
+    on the first free row whose entry has valuation exactly v. Whole rows
+    are updated; the package does the same on nonzero entries only, so
+    the two must return the same vector.
     """
     import numpy as np
 
@@ -963,10 +968,35 @@ def dense_solve_mod_prime_power(matrix, rhs, p, m):
     neq, nvar = a.shape if a.ndim == 2 else (0, 0)
     if neq == 0:
         return np.zeros(0, dtype=dtype)
-    row_free = np.ones(neq, dtype=bool)
+    row_free = np.zeros(neq, dtype=bool)
     col_free = np.ones(nvar, dtype=bool)
     pivots = []
-    for v in range(m):
+    for r in range(neq):
+        for pr, pc, _ in pivots:
+            f = a[r, pc]
+            a[r] = (a[r] - f * a[pr]) % q
+            b[r] = (b[r] - f * b[pr]) % q
+        units = np.flatnonzero(a[r] % p)
+        if not len(units):
+            w = 1
+            while w < m and not np.any(a[r] % p ** (w + 1)):
+                w += 1
+            if int(b[r]) % p**w:
+                return None
+            row_free[r] = True
+            continue
+        c = units[-1]
+        inv = pow(int(a[r, c]), -1, q)
+        a[r] = (a[r] * inv) % q
+        b[r] = (b[r] * inv) % q
+        col_free[c] = False
+        pivots.append((r, c, 0))
+        idx = np.flatnonzero(row_free & (a[:, c] != 0))
+        if len(idx):
+            factors = a[idx, c]
+            a[idx] = (a[idx] - factors[:, None] * a[r]) % q
+            b[idx] = (b[idx] - factors * b[r]) % q
+    for v in range(1, m):
         pv = p**v
         for c in np.flatnonzero(col_free):
             rows = np.flatnonzero(row_free & (a[:, c] % (pv * p) != 0))
@@ -1015,7 +1045,7 @@ def reference_solve_mod_prime_power(matrix, rhs, p, m):
     Before every pivot it rescans the whole free block for the first entry
     of least valuation (row-major), so the global-minimum property that
     makes back-substitution complete holds by construction rather than by
-    the valuation-pass invariant the package relies on.
+    the valuation invariant the package proves.
     """
     import numpy as np
 

@@ -451,6 +451,13 @@ def test_malformed_graph_file(tmp_path, capsys):
         assert (code, out) == (1, "") and "error: cannot load graph: " in err, text
 
 
+def test_two_letter_string_is_not_an_edge(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": ["a", "b"], "edges": ["ab"]}')
+    code, out, err = run(capsys, "equal", "--graph", str(bad), "a b", "b a")
+    assert (code, out) == (1, "") and "error: cannot load graph: edge 'ab' is not a pair" in err
+
+
 def test_failed_witness_escapes_the_error_path(graphs, monkeypatch):
     # bad input exits 1; a conjugator that fails its check is a bug, and
     # must not be reported as an input error

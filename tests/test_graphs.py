@@ -57,6 +57,14 @@ def test_validation_errors():
         Graph(["a", "b"], [(0, "b")])
 
 
+def test_edge_must_be_a_list_or_tuple_of_two():
+    # a two-letter string and a two-key object unpack into two names
+    for edge in ("ab", {"a": 1, "b": 2}, {"a", "b"}, ["a", "b", "a"], ["a"], 5):
+        with pytest.raises(ValueError, match="is not a pair"):
+            Graph.from_dict({"vertices": ["a", "b"], "edges": [edge]})
+    assert Graph(["a", "b"], [["a", "b"]]) == Graph(["a", "b"], [("a", "b")])
+
+
 def test_json_roundtrip(tmp_path):
     g = p3()
     d = g.to_dict()

@@ -6,7 +6,7 @@ import random
 import numpy as np
 
 from raag import nilpotent
-from raag._intlinalg import solve_mod_prime_power
+from raag._intlinalg import SparseMatrix, solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element
 from oracles import (
@@ -197,8 +197,8 @@ def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypat
 
 
 def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
-    # the sparse solver runs the dense valuation passes on nonzeros only:
-    # same pivots, so the same vector (or None on both sides)
+    # the sparse solver runs the dense elimination on nonzeros only: same
+    # pivots, so the same vector (or None on both sides)
     solve = nilpotent.solve_mod_prime_power
     verdicts = []
 
@@ -226,10 +226,10 @@ def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
 
 
 def test_mod_prime_power_revisits_a_column_in_the_next_pass():
-    # pass 0: column 0 pivots on row 0, which turns row 1 into (0, 2, 1);
-    # column 1 is left with 2, 2 and no unit, and column 2 pivots on row 1,
-    # which turns row 2 into (0, 2, 0). Column 1 is pivoted only in pass 1,
-    # on the 2 in row 2; skip it and row 2 looks inconsistent.
+    # unit stage: row 0 pivots on its last unit, column 1; row 1 reduces
+    # to (2, 0, 1) and pivots on column 2; row 2 reduces to (2, 0, 0), with
+    # no unit left. Column 0 is pivoted only in pass 1, on the 2 in row 2;
+    # skip it and row 2 looks inconsistent.
     a = [[1, 1, 0], [1, 3, 1], [0, 2, 2]]
     p, m = 2, 2
     image = _image(a, 4)
@@ -239,3 +239,48 @@ def test_mod_prime_power_revisits_a_column_in_the_next_pass():
         assert (x is not None) == (b in image) == (reference_solve_mod_prime_power(a, list(b), p, m) is not None)
         if x is not None:
             assert (np.array(a) @ x % 4).tolist() == list(b)
+
+
+class _Unread(dict):
+    """A row that elimination must not reach."""
+
+    def items(self):
+        raise AssertionError("a row past the certificate was read")
+
+
+def test_mod_prime_power_stops_at_a_built_row_with_no_solution(monkeypatch):
+    # [a, b] and [b, a] have zero abelianization, so the degree-2 rows of
+    # their Magnus system have no unknowns, and the row of ab reads
+    # 0 = 2 mod 4; the rows after it are unsolvable too, and none is read
+    systems = []
+    solve = nilpotent.solve_mod_prime_power
+
+    def capture(matrix, rhs, p, m):
+        systems.append((matrix, rhs))
+        return solve(matrix, rhs, p, m)
+
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    f2 = Graph(["a", "b"])
+    g, h = Element(f2, [1, 2, -1, -2]), Element(f2, [2, 1, -2, -1])
+    assert isinstance(nilpotent.magnus_conjugate_test(g, h, 4, 2, 2), nilpotent.Separated)
+    (matrix, rhs), = systems
+    first = next(i for i, t in enumerate(rhs) if t % 4)
+    # basis[1:] starts a, b, aa, ab
+    assert (first, matrix[first], rhs[first] % 4) == (3, {}, 2)
+    tail = dense_matrix(SparseMatrix(matrix[first + 1:], matrix.shape[1]))
+    assert reference_solve_mod_prime_power(tail, rhs[first + 1:], 2, 2) is None
+    unread = SparseMatrix(matrix[:first + 1] + [_Unread(row) for row in matrix[first + 1:]], matrix.shape[1])
+    assert solve_mod_prime_power(unread, rhs, 2, 2) is None
+
+
+def test_mod_prime_power_stops_at_a_reduced_row_with_no_solution():
+    # row 1 has a unit, so it proves nothing as given; reduced by the
+    # pivot on row 0 it reads 3 x_1 = 1 mod 9, which nothing solves
+    a = [[1, 3], [1, 6]]
+    assert reference_solve_mod_prime_power(a[1:], [1], 3, 2) is not None
+    assert reference_solve_mod_prime_power(a, [0, 1], 3, 2) is None
+    unread = SparseMatrix([{0: 1, 1: 3}, {0: 1, 1: 6}, _Unread({0: 1})], 2)
+    assert solve_mod_prime_power(unread, [0, 1, 0], 3, 2) is None
+    # with 3 x_1 = 3 the row is consistent, and elimination goes on
+    x = solve_mod_prime_power(sparse_matrix(a + [[1, 0]]), [0, 3, 6], 3, 2)
+    assert x is not None and (x[0], x[1] % 3) == (6, 1)

@@ -300,6 +300,36 @@ def test_letters_outside_the_graph_are_refused(letters):
         Element(F2, letters)
 
 
+def test_operations_on_elements_skip_the_letter_checks(monkeypatch):
+    # their letters come from elements, so only outside callers are scanned
+    checked = []
+    init = Element.__init__
+
+    def spy(self, graph, letters=(), canonical=False):
+        if not canonical:
+            checked.append(letters)
+        init(self, graph, letters, canonical)
+
+    x, y = parse(P4, "a c b^-1 d"), parse(P4, "d^-1 b a^2")
+    monkeypatch.setattr(Element, "__init__", spy)
+    results = [
+        x * y, x.inverse(), x**3, x**-2, x.retract({0, 1}),
+        *(x * y * x.inverse()).cyclic_normal_form(), *x.double_coset_form({0}, {3}),
+    ]
+    assert checked == []
+    monkeypatch.setattr(Element, "__init__", init)
+    assert [r.letters for r in results] == [Element(P4, r.letters).letters for r in results]
+    assert results[0] == Element(P4, x.letters + y.letters)
+
+
+def test_double_coset_form_refuses_a_non_vertex():
+    x = parse(F2, "a b")
+    with pytest.raises(ValueError, match="5 is not a vertex index"):
+        x.double_coset_form({5}, {0})
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        x.double_coset_form({0}, {-1})
+
+
 def test_product_with_identity_returns_the_operand():
     x = parse(P3, "a c b^-1")
     one = parse(P3, "1")
