@@ -103,6 +103,9 @@ def solve_mod_prime_power(matrix, rhs, p, m):
         row = {c: x % q for c, x in row.items() if x % q}
         rows.append(row)
         b.append(t % q)
+        # visit only the pivots whose columns the row holds, plus those its
+        # fill-in reaches; fill-in from pivot k lands only in later pivots'
+        # columns, so taking the least index first keeps the creation order
         due = [index[c] for c in row if index[c] is not None]
         heapify(due)
         while due:

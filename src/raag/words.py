@@ -107,21 +107,14 @@ def _canonical(graph, letters):
     return _depile(graph, _pile(graph, letters))
 
 
-def _element(graph, letters):
-    """The element of letters taken from elements of `graph`. They are
-    valid already, so it is built without Element.__init__, whose letter
-    checks are for outside callers."""
-    x = object.__new__(Element)
-    x.graph = graph
-    x.letters = _canonical(graph, letters)
-    return x
-
-
 class Element:
     """A group element over a fixed graph.
 
     Do not pass canonical=True unless the letters are already known to be
     a canonical word; every public operation maintains that invariant.
+    Operations canonicalise letters taken from elements themselves and pass
+    canonical=True, as those letters need none of the checks on outside
+    callers' letters.
     """
 
     __slots__ = ("graph", "letters")
@@ -149,10 +142,13 @@ class Element:
             return self
         if not self.letters:
             return other
-        return _element(self.graph, self.letters + other.letters)
+        graph = self.graph
+        return Element(graph, _canonical(graph, self.letters + other.letters), canonical=True)
 
     def inverse(self):
-        return _element(self.graph, tuple(-x for x in reversed(self.letters)))
+        graph = self.graph
+        letters = tuple(-x for x in reversed(self.letters))
+        return Element(graph, _canonical(graph, letters), canonical=True)
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -160,7 +156,7 @@ class Element:
         if k == 0:
             return Element(self.graph, (), canonical=True)
         base = self if k > 0 else self.inverse()
-        return _element(self.graph, base.letters * abs(k))
+        return Element(self.graph, _canonical(self.graph, base.letters * abs(k)), canonical=True)
 
     def __eq__(self, other):
         return (
@@ -193,7 +189,8 @@ class Element:
     def retract(self, keep):
         """Image under the retraction killing every generator outside `keep`."""
         keep = frozenset(keep)
-        return _element(self.graph, tuple(lt for lt in self.letters if abs(lt) - 1 in keep))
+        letters = tuple(lt for lt in self.letters if abs(lt) - 1 in keep)
+        return Element(self.graph, _canonical(self.graph, letters), canonical=True)
 
     def shortlex_key(self):
         return (
@@ -229,7 +226,7 @@ class Element:
                 work.append(v)
                 work.extend(dependents[v])
         core = Element(graph, _depile(graph, piles), canonical=True)
-        return _element(graph, peeled), core
+        return Element(graph, _canonical(graph, peeled), canonical=True), core
 
     def cyclic_support(self):
         return self.cyclic_normal_form()[1].support()
@@ -268,7 +265,11 @@ class Element:
         left = _peel(graph, piles, front, at_back=False)
         right = _peel(graph, piles, back, at_back=True)
         rep = Element(graph, _depile(graph, piles), canonical=True)
-        return _element(graph, left), rep, _element(graph, right[::-1])
+        return (
+            Element(graph, _canonical(graph, left), canonical=True),
+            rep,
+            Element(graph, _canonical(graph, right[::-1]), canonical=True),
+        )
 
     def restrict(self, subgraph):
         """Rewrite over an induced subgraph of self.graph (same names, same
