@@ -52,10 +52,10 @@ def check_graph(graph, *elems):
 
 def vertex_set(graph, verts):
     """frozenset(verts), after checking that each is a vertex index of
-    `graph`; raises ValueError naming one that is not."""
+    `graph`, an int in range(graph.n); raises ValueError naming one that
+    is not (1.0 == 1, but it cannot index a list)."""
     verts = frozenset(verts)
-    indices = range(graph.n)
     for v in verts:
-        if v not in indices:
+        if not isinstance(v, int) or not 0 <= v < graph.n:
             raise ValueError(f"{v!r} is not a vertex index of this {graph.n}-vertex graph")
     return verts

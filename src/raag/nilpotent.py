@@ -49,6 +49,7 @@ __all__ = [
     "magnus_image",
     "magnus_conjugate_test",
     "find_separating_level",
+    "MAX_PRECISION",
     "lie_graded_dims",
     "MAX_LIE_DEGREE",
     "lie_center_trivial",
@@ -490,15 +491,24 @@ def _conjugating_unit(g, h, d, p, m):
     return {basis[i]: c for i, c in unit.items()}
 
 
+# the grid scans degree first, so each degree below the separating one
+# tries every m up to max_m in p^m arithmetic, and the cost grows about
+# fourfold with each doubling of max_m; with max_m = 256 and max_d = 7,
+# a b^2 a^-2 b^-2 against a b^-2 a^-2 b^2 on a free group of rank 2 takes
+# about 0.4 s at p = 2 and 1.4 s at p = 2^61 - 1 on one Xeon core (Python
+# 3.11), so larger values are refused
+MAX_PRECISION = 256
+
+
 def find_separating_level(g, h, p, max_d=6, max_m=2):
     """Least (d, m), degree scanned first, at which the images separate.
 
     Returns NOT_FOUND when every level in the grid admits a conjugating
     unit. p must be prime, and max_d and max_m at least 1, so that the grid
-    is not empty. Conjugacy is decided first, exactly: if x g x^-1 = h
-    (a verified conjugator), the unit M(x^-1) conjugates the images at
-    every level, so conjugate pairs return NOT_FOUND before any trace
-    basis is built. Only non-conjugate pairs scan the grid, which raises
+    is not empty; max_m must not exceed MAX_PRECISION. Conjugacy is
+    decided first, exactly: if x g x^-1 = h (a verified conjugator), the
+    unit M(x^-1) conjugates the images at every level, so conjugate pairs
+    return NOT_FOUND before any trace basis is built. Only non-conjugate pairs scan the grid, which raises
     ValueError at the first degree whose trace basis is larger than
     MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
     Each basis is built on the letters the pair uses (see
@@ -508,6 +518,8 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     require_prime(p)
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
+    if max_m > MAX_PRECISION:
+        raise ValueError(f"precision {max_m} is above the bound {MAX_PRECISION}")
     verdict = conjugacy.conjugate(g, h)
     if isinstance(verdict, conjugacy.Conjugate):
         return NOT_FOUND

@@ -948,15 +948,15 @@ def dense_solve_mod_prime_power(matrix, rhs, p, m):
     """The package's elimination on a dense numpy matrix; an int array or
     None.
 
-    The rows come in order; each is reduced by every unit pivot made so
-    far, in the order they were made, and pivots on its last unit entry
-    if it has one, clearing that column from the earlier rows that had
-    none. A row without a unit whose entries' least valuation w (m for a
-    zero row) does not divide its right-hand side ends the solve. Then
-    pass v = 1, ..., m-1 sweeps the free columns left to right and pivots
-    on the first free row whose entry has valuation exactly v. Whole rows
-    are updated; the package does the same on nonzero entries only, so
-    the two must return the same vector.
+    Pass v = 0, ..., m-1 reads rows in order: pass 0 every row, pass v the
+    rows that pass v-1 left free. Each row is reduced by every pivot made
+    so far, in the order they were made, subtracting entry // p^(v_k)
+    times pivot k's row; it pivots on its last entry of valuation exactly
+    v if it has one, scaled to p^v. Otherwise it is free, and a free row
+    whose entries' least valuation w (m for a zero row) does not divide
+    its right-hand side ends the solve. Whole rows are updated; the
+    package does the same on nonzero entries only, so the two must return
+    the same vector.
     """
     import numpy as np
 
@@ -966,63 +966,34 @@ def dense_solve_mod_prime_power(matrix, rhs, p, m):
     a = np.asarray(matrix, dtype=dtype) % q
     b = np.asarray(rhs, dtype=dtype) % q
     neq, nvar = a.shape if a.ndim == 2 else (0, 0)
-    if neq == 0:
-        return np.zeros(0, dtype=dtype)
-    row_free = np.zeros(neq, dtype=bool)
-    col_free = np.ones(nvar, dtype=bool)
     pivots = []
-    for r in range(neq):
-        for pr, pc, _ in pivots:
-            f = a[r, pc]
-            a[r] = (a[r] - f * a[pr]) % q
-            b[r] = (b[r] - f * b[pr]) % q
-        units = np.flatnonzero(a[r] % p)
-        if not len(units):
-            w = 1
-            while w < m and not np.any(a[r] % p ** (w + 1)):
-                w += 1
-            if int(b[r]) % p**w:
-                return None
-            row_free[r] = True
-            continue
-        c = units[-1]
-        inv = pow(int(a[r, c]), -1, q)
-        a[r] = (a[r] * inv) % q
-        b[r] = (b[r] * inv) % q
-        col_free[c] = False
-        pivots.append((r, c, 0))
-        idx = np.flatnonzero(row_free & (a[:, c] != 0))
-        if len(idx):
-            factors = a[idx, c]
-            a[idx] = (a[idx] - factors[:, None] * a[r]) % q
-            b[idx] = (b[idx] - factors * b[r]) % q
-    for v in range(1, m):
+    rows = range(neq)
+    for v in range(m):
         pv = p**v
-        for c in np.flatnonzero(col_free):
-            rows = np.flatnonzero(row_free & (a[:, c] % (pv * p) != 0))
-            if not len(rows):
+        free = []
+        for r in rows:
+            for pr, pc, pk in pivots:
+                f = a[r, pc] // pk
+                a[r] = (a[r] - f * a[pr]) % q
+                b[r] = (b[r] - f * b[pr]) % q
+            hits = np.flatnonzero(a[r] % (pv * p))
+            if not len(hits):
+                w = v + 1
+                while w < m and not np.any(a[r] % p ** (w + 1)):
+                    w += 1
+                if int(b[r]) % p**w:
+                    return None
+                free.append(r)
                 continue
-            r = rows[0]
+            c = hits[-1]
             inv = pow(int(a[r, c]) // pv, -1, q)
             a[r] = (a[r] * inv) % q
             b[r] = (b[r] * inv) % q
-            row_free[r] = False
-            col_free[c] = False
-            pivots.append((r, c, v))
-            idx = np.flatnonzero(row_free & (a[:, c] != 0))
-            if len(idx):
-                factors = a[idx, c] // pv
-                a[idx] = (a[idx] - factors[:, None] * a[r]) % q
-                b[idx] = (b[idx] - factors * b[r]) % q
-    if np.any(b[row_free] % q):
-        return None
+            pivots.append((r, c, pv))
+        rows = free
     x = np.zeros(nvar, dtype=dtype)
-    for r, c, v in reversed(pivots):
-        rhs_r = int(b[r] - a[r] @ x) % q
-        pv = p**v
-        if rhs_r % pv:
-            return None
-        x[c] = (rhs_r // pv) % (q // pv)
+    for r, c, pv in reversed(pivots):
+        x[c] = int(b[r] - a[r] @ x) % q // pv
     if np.any((np.asarray(matrix, dtype=dtype) @ x - np.asarray(rhs, dtype=dtype)) % q):
         raise AssertionError("dense modular solution fails the system")
     return x

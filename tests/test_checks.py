@@ -19,6 +19,7 @@ SCRIPT = r"""
 from unittest import mock
 
 from raag import conjugacy, cosets, hnn, nilpotent
+from raag._intlinalg import SparseMatrix, solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element, parse
 
@@ -63,6 +64,19 @@ ac, ca = parse(c5, "a c"), parse(c5, "c a")
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: [1] * m.shape[1]):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
     corrupted("magnus unit on the support", lambda: nilpotent.magnus_conjugate_test(ac, ca, 2, 2, 1))
+
+
+# a row that reads {0: 1} to elimination and {0: 2} to the check
+class Shifting(dict):
+    reads = 0
+
+    def items(self):
+        self.reads += 1
+        return {0: 1 if self.reads == 1 else 2}.items()
+
+
+# x_0 = 1 solves x_0 = 1 but not 2 x_0 = 1 mod 4
+corrupted("modular solution", lambda: solve_mod_prime_power(SparseMatrix([Shifting()], 1), [1], 2, 2))
 # the separating-level scan decides conjugacy first; a bogus conjugator
 # must raise there rather than come back as NOT_FOUND
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
@@ -97,6 +111,7 @@ def test_corrupted_witnesses_raise_under_optimize():
         "set centralizer raised",
         "magnus unit raised",
         "magnus unit on the support raised",
+        "modular solution raised",
         "separating level raised",
         "reduced form raised",
         "pivot run raised",

@@ -11,7 +11,7 @@ import pytest
 
 from raag._checks import PRIME_BOUND
 from raag.cli import main
-from raag.nilpotent import MAX_LIE_DEGREE
+from raag.nilpotent import MAX_LIE_DEGREE, MAX_PRECISION
 from oracles import witt_free_lie_dims
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -241,6 +241,15 @@ def test_lie_dims_degree_past_bound_exits_one(graphs, capsys):
         capsys, "lie-dims", "--graph", graphs["discrete2"], "--max-degree", "100000"
     )
     assert (code, out) == (1, "") and "error:" in err and str(MAX_LIE_DEGREE) in err
+
+
+def test_magnus_separate_precision_past_bound_exits_one(graphs, capsys):
+    # -m 100000 would scan degree 1 at every precision up to p^100000
+    code, out, err = run(
+        capsys, "magnus-separate", "--graph", graphs["discrete2"],
+        "a b a^-1 b^-1", "b a b^-1 a^-1", "-m", "100000",
+    )
+    assert (code, out) == (1, "") and "error:" in err and str(MAX_PRECISION) in err
 
 
 def fresh_python(code):

@@ -302,6 +302,8 @@ def test_set_centralizer_refuses_foreign_input():
         centralizer_in_special(p3, {-1}, [b])
     with pytest.raises(ValueError, match="3 is not a vertex index"):
         centralizer_in_special(p3, {0, 3}, [b])
+    with pytest.raises(ValueError, match="1.0 is not a vertex index"):
+        centralizer_in_special(f2, [1.0], [parse(f2, "a")])
     with pytest.raises(ValueError, match="different graphs"):
         centralizer_in_special(p3, {0, 1}, [b, parse(f2, "a")])
 

@@ -261,6 +261,10 @@ def test_coset_calls_refuse_bad_vertex_indices():
         in_double_coset(a, a, {-1}, {0})
     with pytest.raises(ValueError, match="7 is not a vertex index"):
         in_double_coset(a, a, {0}, {7})
+    with pytest.raises(ValueError, match="1.0 is not a vertex index"):
+        in_double_coset(a, a, {1.0}, {0})
+    with pytest.raises(ValueError, match="1.0 is not a vertex index"):
+        intersect_conjugated({0}, a, {1.0})
 
 
 def test_in_double_coset_refuses_elements_over_different_graphs():

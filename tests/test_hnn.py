@@ -51,6 +51,6 @@ def test_decompose_roundtrip_random():
 
 def test_decompose_refuses_a_pivot_outside_the_graph():
     g = parse(PATH_ATB, "a t")
-    for pivot in (-1, 3):
+    for pivot in (-1, 3, 1.0):
         with pytest.raises(ValueError, match="not a vertex index"):
             decompose(g, pivot)

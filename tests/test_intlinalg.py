@@ -226,7 +226,7 @@ def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
 
 
 def test_mod_prime_power_revisits_a_column_in_the_next_pass():
-    # unit stage: row 0 pivots on its last unit, column 1; row 1 reduces
+    # pass 0: row 0 pivots on its last unit, column 1; row 1 reduces
     # to (2, 0, 1) and pivots on column 2; row 2 reduces to (2, 0, 0), with
     # no unit left. Column 0 is pivoted only in pass 1, on the 2 in row 2;
     # skip it and row 2 looks inconsistent.
@@ -239,6 +239,24 @@ def test_mod_prime_power_revisits_a_column_in_the_next_pass():
         assert (x is not None) == (b in image) == (reference_solve_mod_prime_power(a, list(b), p, m) is not None)
         if x is not None:
             assert (np.array(a) @ x % 4).tolist() == list(b)
+
+
+def test_mod_prime_power_clears_a_free_row_by_the_pivots_made_after_it():
+    # mod 4: row 0 has no unit, so pass 0 leaves it free; row 1 then
+    # pivots on column 1. Pass 1 must reduce row 0 by that pivot, to
+    # (2, 0), before reading it; unreduced, it would pivot on column 1 a
+    # second time. Mod 8: row 0 stays free through passes 0 and 1, row 1
+    # pivots on column 1 in pass 1, and row 0, reduced by it to (4, 0),
+    # pivots in pass 2.
+    for a, p, m in (([[2, 2], [0, 1]], 2, 2), ([[4, 4], [0, 2]], 2, 3)):
+        q = p**m
+        image = _image(a, q)
+        for b in itertools.product(range(q), repeat=2):
+            x = solve_mod_prime_power(sparse_matrix(a), list(b), p, m)
+            ref = reference_solve_mod_prime_power(a, list(b), p, m)
+            assert (x is not None) == (b in image) == (ref is not None), (a, b)
+            if x is not None:
+                assert (np.array(a) @ x % q).tolist() == list(b)
 
 
 class _Unread(dict):

@@ -13,6 +13,7 @@ from raag.conjugacy import NotConjugate, conjugate
 from raag import nilpotent
 from raag.nilpotent import (
     MAX_LIE_DEGREE,
+    MAX_PRECISION,
     MAX_TRACE_MONOMIALS,
     NOT_FOUND,
     NotSeparatedAtThisLevel,
@@ -385,6 +386,17 @@ def test_large_prime_does_not_falsely_separate():
     g, h = parse(F2, "a b"), parse(F2, "b a")
     assert grid_separating_level(g, h, 100003, max_d=3) is NOT_FOUND
     assert find_separating_level(g, h, 100003, max_d=3) is NOT_FOUND
+
+
+def test_separating_level_refuses_precision_past_bound():
+    # degree 1 never separates a pair with equal abelianization, so each
+    # max_m up to the bound is tried there first; past it the grid is
+    # refused before conjugacy is decided
+    g, h = parse(F2, "a b a^-1 b^-1"), parse(F2, "b a b^-1 a^-1")
+    assert find_separating_level(g, h, 2, max_m=MAX_PRECISION) == (2, 2)
+    for x, y in ((g, h), (g, g)):
+        with pytest.raises(ValueError, match="above the bound"):
+            find_separating_level(x, y, 2, max_m=MAX_PRECISION + 1)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])

@@ -328,6 +328,9 @@ def test_double_coset_form_refuses_a_non_vertex():
         x.double_coset_form({5}, {0})
     with pytest.raises(ValueError, match="-1 is not a vertex index"):
         x.double_coset_form({0}, {-1})
+    # 1.0 == 1, so a range test lets it through to list indexing
+    with pytest.raises(ValueError, match="1.0 is not a vertex index"):
+        x.double_coset_form({1.0}, {0})
 
 
 def test_product_with_identity_returns_the_operand():
