@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._checks import check_graph, verify, vertex_set
+from ._checks import check_graph, verify
 from .words import Element
 
 __all__ = [
@@ -93,7 +93,7 @@ def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):
     accepted for older callers and ignored.
     """
     check_graph(x.graph, y)
-    a_verts, b_verts = vertex_set(x.graph, a_verts), vertex_set(x.graph, b_verts)
+    a_verts, b_verts = frozenset(a_verts), frozenset(b_verts)
     a_x, rep_x, b_x = x.double_coset_form(a_verts, b_verts)
     a_y, rep_y, b_y = y.double_coset_form(a_verts, b_verts)
     if rep_x != rep_y:
@@ -130,7 +130,7 @@ def intersect_conjugated(a_verts, x, b_verts):
     and gens are the vertices of Z.
     """
     graph = x.graph
-    a_verts, b_verts = vertex_set(graph, a_verts), vertex_set(graph, b_verts)
+    a_verts, b_verts = frozenset(a_verts), frozenset(b_verts)
     a_x, r, _ = x.double_coset_form(a_verts, b_verts)
     z = intersection_vertices(a_verts & b_verts, r)
     return a_x.inverse(), make_gens(vertex_gens(graph, z))

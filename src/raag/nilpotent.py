@@ -43,7 +43,6 @@ __all__ = [
     "Separated",
     "NotSeparatedAtThisLevel",
     "NOT_FOUND",
-    "trace_canonical",
     "TraceAlgebra",
     "MAX_TRACE_MONOMIALS",
     "magnus_image",
@@ -64,13 +63,12 @@ __all__ = [
 # restricted to positive letters
 
 
-def trace_canonical(graph, word):
-    """Canonical form of a positive trace word (tuple of vertex indices).
+def _append(near, w, v):
+    """The canonical form of w.v for a canonical w; near is v's link.
 
-    The letters are appended one at a time to a canonical word w by the
-    insertion rule: step back over the longest suffix s of w whose letters
-    are adjacent to v, step forward past the letters of s smaller than v,
-    and insert v there.
+    The insertion rule: step back over the longest suffix s of w whose
+    letters are adjacent to v, step forward past the letters of s smaller
+    than v, and insert v there.
 
     Proof. A word is the lex-least one of its trace exactly when it has no
     factor b.u.a with a < b, where a commutes with b and with every letter
@@ -84,14 +82,6 @@ def trace_canonical(graph, word):
     y1 is larger than v > a, so u is not empty and starts with y1; then
     y1, the rest of u and a form such a factor in w.
     """
-    out = ()
-    for v in word:
-        out = _append(graph.adj[v], out, v)
-    return out
-
-
-def _append(near, w, v):
-    """The canonical form of w.v for a canonical w; near is v's link."""
     i = len(w)
     while i and w[i - 1] in near:
         i -= 1
@@ -122,7 +112,7 @@ class TraceAlgebra:
     The right table creates the basis. Starting from the empty monomial,
     the rows are walked in order, and each letter v of row w either names
     a monomial already listed or appends w.v as a new one. By the insertion
-    rule (see trace_canonical), w.v is canonical exactly when every letter
+    rule (see _append), w.v is canonical exactly when every letter
     of the longest suffix of w adjacent to v is smaller than v. For
     w = w'.u that holds when v is not adjacent to u, or when it is
     adjacent, larger than u, and w'.v is canonical, that is when row w'
@@ -212,11 +202,13 @@ class TraceAlgebra:
 
 
 class TruncatedAlgebraElement:
-    """Finitely supported coefficient map on trace monomials of degree <= cap.
+    """A checked coefficient map on trace monomials of degree <= cap.
 
-    modulus 0 means exact integer (or rational) coefficients; modulus q > 0
-    means coefficients in Z/q. Products discard every term whose degree
-    exceeds the cap, which is what makes inverses of units exact.
+    This is the value the library hands out (magnus_image,
+    NotSeparatedAtThisLevel.unit); it carries no arithmetic, since the
+    algebra's one product is TraceAlgebra.mul. modulus 0 means exact
+    integer coefficients; modulus q > 0 means coefficients in Z/q, reduced
+    on construction. A monomial longer than the cap raises ValueError.
     """
 
     __slots__ = ("graph", "cap", "modulus", "coeffs")
@@ -234,68 +226,6 @@ class TruncatedAlgebraElement:
             if c:
                 clean[mono] = c
         self.coeffs = clean
-
-    @classmethod
-    def one(cls, graph, cap, modulus=0):
-        return cls(graph, cap, modulus, {(): 1})
-
-    def _compat(self, other):
-        if self.cap != other.cap:
-            raise ValueError("truncation degrees differ")
-        if self.modulus != other.modulus:
-            raise ValueError("coefficient rings differ")
-        if self.graph != other.graph:
-            raise ValueError("algebras over different graphs")
-
-    def __add__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, 0) + c
-        return TruncatedAlgebraElement(self.graph, self.cap, self.modulus, out)
-
-    def __sub__(self, other):
-        self._compat(other)
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, 0) - c
-        return TruncatedAlgebraElement(self.graph, self.cap, self.modulus, out)
-
-    def __neg__(self):
-        return TruncatedAlgebraElement(
-            self.graph, self.cap, self.modulus,
-            {mono: -c for mono, c in self.coeffs.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedAlgebraElement(
-                self.graph, self.cap, self.modulus,
-                {mono: c * other for mono, c in self.coeffs.items()},
-            )
-        self._compat(other)
-        cap = self.cap
-        graph = self.graph
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            d1 = len(m1)
-            for m2, c2 in other.coeffs.items():
-                if d1 + len(m2) > cap:
-                    continue
-                key = trace_canonical(graph, m1 + m2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return TruncatedAlgebraElement(graph, cap, self.modulus, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def constant_term(self):
-        return self.coeffs.get((), 0)
-
-    def is_one(self):
-        return self.coeffs == {(): 1}
 
     def __eq__(self, other):
         return (
@@ -342,7 +272,7 @@ def magnus_image(x, d, p, m):
     inverse multiply to exactly 1 in the truncation and the whole map is a
     homomorphism into the units with constant term 1. p must be prime.
     Only the monomials the image reaches are built, each by one insertion
-    (see trace_canonical); TraceAlgebra.image is the same map on the
+    (see _append); TraceAlgebra.image is the same map on the
     indices of the whole basis, which is cheaper once the tables exist.
     """
     q = _modulus(d, p, m)
@@ -491,12 +421,12 @@ def _conjugating_unit(g, h, d, p, m):
     return {basis[i]: c for i, c in unit.items()}
 
 
-# the grid scans degree first, so each degree below the separating one
-# tries every m up to max_m in p^m arithmetic, and the cost grows about
-# fourfold with each doubling of max_m; with max_m = 256 and max_d = 7,
-# a b^2 a^-2 b^-2 against a b^-2 a^-2 b^2 on a free group of rank 2 takes
-# about 0.4 s at p = 2 and 1.4 s at p = 2^61 - 1 on one Xeon core (Python
-# 3.11), so larger values are refused
+# the scan solves each degree below the separating one once, at max_m, in
+# p^max_m arithmetic, whose cost grows up to about 1.8-fold with each
+# doubling of max_m; with max_m = 256 and max_d = 7, a weight-8 commutator
+# against 1 on a free group of rank 2, which no degree up to 7 separates,
+# takes about 0.1 s at p = 2 and 0.3 s at p = 2^61 - 1 on one Xeon core
+# (Python 3.11), so larger values are refused
 MAX_PRECISION = 256
 
 
@@ -508,10 +438,18 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     is not empty; max_m must not exceed MAX_PRECISION. Conjugacy is
     decided first, exactly: if x g x^-1 = h (a verified conjugator), the
     unit M(x^-1) conjugates the images at every level, so conjugate pairs
-    return NOT_FOUND before any trace basis is built. Only non-conjugate pairs scan the grid, which raises
-    ValueError at the first degree whose trace basis is larger than
-    MAX_TRACE_MONOMIALS, so pairs that separate below it are still answered.
-    Each basis is built on the letters the pair uses (see
+    return NOT_FOUND before any trace basis is built.
+
+    Only non-conjugate pairs scan the grid, and each degree d is tried at
+    max_m alone until one separates. Reducing Z/p^M mod p^m (m <= M) is a
+    ring map of the truncated algebras that sends M(g) and M(h) to their
+    images mod p^m and a unit with constant term 1 to one, so a unit that
+    conjugates the images at (d, M) gives one at (d, m). Hence d separates
+    at some m <= max_m exactly when it separates at max_m, and the least m
+    at the first such degree is found by trying m = 1, 2, ... there. The
+    scan raises ValueError at the first degree whose trace basis is larger
+    than MAX_TRACE_MONOMIALS, so pairs that separate below it are still
+    answered. Each basis is built on the letters the pair uses (see
     magnus_conjugate_test); the message names them when they are fewer
     than the graph's, and names the invariant that ruled the pair out.
     """
@@ -523,11 +461,14 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     verdict = conjugacy.conjugate(g, h)
     if isinstance(verdict, conjugacy.Conjugate):
         return NOT_FOUND
+
+    def separates(d, m):
+        return isinstance(magnus_conjugate_test(g, h, d, p, m), Separated)
+
     try:
         for d in range(1, max_d + 1):
-            for m in range(1, max_m + 1):
-                if isinstance(magnus_conjugate_test(g, h, d, p, m), Separated):
-                    return d, m
+            if separates(d, max_m):
+                return d, next((m for m in range(1, max_m) if separates(d, m)), max_m)
     except ValueError as exc:
         names = [g.graph.vertices[v] for v in sorted(g.support() | h.support())]
         where = f" on {{{', '.join(names)}}}" if len(names) < g.graph.n else ""

@@ -1078,10 +1078,10 @@ def full_magnus_system(g, h, d, p, m):
     """The Magnus system on the whole trace basis, as (basis, matrix).
 
     Column j of the square matrix over Z/p^m is the image of basis[j]
-    under u -> M(g)*u - u*M(h), built by the truncated algebra's own
-    product. It keeps the degree-0 row and the degree-d columns that the
-    package drops as identically zero, so solving columns 1.. against
-    minus column 0 decides conjugacy of the images on the uncut system.
+    under u -> M(g)*u - u*M(h), built from piled products. It keeps the
+    degree-0 row and the degree-d columns that the package drops as
+    identically zero, so solving columns 1.. against minus column 0
+    decides conjugacy of the images on the uncut system.
     """
     import numpy as np
     from raag.nilpotent import TraceAlgebra, TruncatedAlgebraElement, magnus_image
@@ -1094,7 +1094,8 @@ def full_magnus_system(g, h, d, p, m):
     mat = np.zeros((len(basis), len(basis)), dtype=exact_dtype(q, len(basis)))
     for j, w in enumerate(basis):
         unit = TruncatedAlgebraElement(g.graph, d, q, {w: 1})
-        for mono, c in (left * unit - unit * right).coeffs.items():
+        column = difference(piled_product(left, unit), piled_product(unit, right))
+        for mono, c in column.coeffs.items():
             mat[index[mono], j] = c
     return basis, mat
 
@@ -1130,7 +1131,8 @@ def piled_trace_monomials(graph, cap):
 
 
 def piled_product(x, y):
-    """x * y of two TruncatedAlgebraElements, monomials piled."""
+    """x * y of two TruncatedAlgebraElements, monomials piled; the result
+    is in x's algebra, and terms past its cap are dropped."""
     from raag.nilpotent import TruncatedAlgebraElement
 
     out = {}
@@ -1142,12 +1144,22 @@ def piled_product(x, y):
     return TruncatedAlgebraElement(x.graph, x.cap, x.modulus, out)
 
 
+def difference(x, y):
+    """x - y of two TruncatedAlgebraElements, coefficient by coefficient."""
+    from raag.nilpotent import TruncatedAlgebraElement
+
+    out = dict(x.coeffs)
+    for mono, c in y.coeffs.items():
+        out[mono] = out.get(mono, 0) - c
+    return TruncatedAlgebraElement(x.graph, x.cap, x.modulus, out)
+
+
 def piled_magnus_image(x, d, p, m):
     """M(x) over Z/p^m as a product of one truncated series per letter."""
     from raag.nilpotent import TruncatedAlgebraElement
 
     q = p**m
-    out = TruncatedAlgebraElement.one(x.graph, d, q)
+    out = TruncatedAlgebraElement(x.graph, d, q, {(): 1})
     for lt in x.letters:
         v = abs(lt) - 1
         if lt > 0:
@@ -1248,7 +1260,7 @@ def grid_separating_level(g, h, p, max_d=6, max_m=2):
 
 
 # ---------------------------------------------------------------------------
-# graded Lie ring by bracket echelon over the package's truncated algebra
+# graded Lie ring by bracket echelon over piled products
 #
 # The package reads the Lie dimensions off the clique polynomial and the
 # Lie center off the graph's central vertices. These build the graded
@@ -1257,8 +1269,8 @@ def grid_separating_level(g, h, p, max_d=6, max_m=2):
 
 
 def bracket(x, y):
-    """Ring commutator x*y - y*x."""
-    return x * y - y * x
+    """Ring commutator x*y - y*x, by piled products."""
+    return difference(piled_product(x, y), piled_product(y, x))
 
 
 def _strip(vec):

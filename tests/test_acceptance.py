@@ -269,7 +269,7 @@ def test_criterion_7_nontrivial_magnus_images():
     total = 0
     trivial = []
     for graph in ALL_SMALL:
-        one = TruncatedAlgebraElement.one(graph, 6, 2)
+        one = TruncatedAlgebraElement(graph, 6, 2, {(): 1})
         for x in cayley_ball(graph, 5):
             if x.is_identity():
                 continue

@@ -9,7 +9,7 @@ import pytest
 
 from raag.graphs import Graph
 from raag.words import Element, parse
-from raag.conjugacy import NotConjugate, conjugate
+from raag.conjugacy import Conjugate, NotConjugate, conjugate
 from raag import nilpotent
 from raag.nilpotent import (
     MAX_LIE_DEGREE,
@@ -25,7 +25,6 @@ from raag.nilpotent import (
     lie_graded_dims,
     magnus_conjugate_test,
     magnus_image,
-    trace_canonical,
 )
 from oracles import (
     bracket,
@@ -89,6 +88,23 @@ def indexed(algebra, coeffs, q):
     )
 
 
+def inserted(graph, word):
+    """The canonical form of a positive word, one insertion per letter."""
+    out = ()
+    for v in word:
+        out = nilpotent._append(graph.adj[v], out, v)
+    return out
+
+
+def is_one(x):
+    return x.coeffs == {(): 1}
+
+
+def conjugates_images(unit, g, h, d, p, m):
+    """M(g).unit == unit.M(h), by piled products."""
+    return piled_product(magnus_image(g, d, p, m), unit) == piled_product(unit, magnus_image(h, d, p, m))
+
+
 def rand_word(rng, graph, length):
     letters = tuple(
         rng.choice((1, -1)) * rng.randrange(1, graph.n + 1) for _ in range(length)
@@ -101,10 +117,10 @@ def rand_word(rng, graph, length):
 
 
 def test_trace_canonical_sorts_commuting_letters():
-    assert trace_canonical(P3, (1, 0)) == (0, 1)
-    assert trace_canonical(P3, (2, 0)) == (2, 0)
-    assert trace_canonical(K3, (2, 1, 0)) == (0, 1, 2)
-    assert trace_canonical(F2, (1, 0)) == (1, 0)
+    assert inserted(P3, (1, 0)) == (0, 1)
+    assert inserted(P3, (2, 0)) == (2, 0)
+    assert inserted(K3, (2, 1, 0)) == (0, 1, 2)
+    assert inserted(F2, (1, 0)) == (1, 0)
 
 
 def test_trace_monomial_counts_match_oracles():
@@ -128,7 +144,7 @@ def test_trace_canonical_matches_piles():
     for graph in CORPUS:
         for k in range(7):
             for word in itertools.product(range(graph.n), repeat=k):
-                assert trace_canonical(graph, word) == piled_trace_canonical(graph, word), (graph, word)
+                assert inserted(graph, word) == piled_trace_canonical(graph, word), (graph, word)
 
 
 @pytest.mark.parametrize("graph", [P3, C5, F3, K3], ids=["P3", "C5", "F3", "K3"])
@@ -184,8 +200,8 @@ def left_normed(graph, names):
 def test_separating_level_stops_at_the_basis_bound(monkeypatch):
     # a weight-5 commutator lies in the fifth term of the lower central
     # series, so its image is trivial below degree 5: the pair with the
-    # identity is tried at every level up to degree 4 (781 monomials), and
-    # degree 5 is past the bound and ends the scan
+    # identity is tried at max_m on every degree up to 4 (781 monomials),
+    # and degree 5 is past the bound and ends the scan
     edgeless5 = Graph(list("abcde"))
     tried, sizes = [], []
     test, algebra = nilpotent.magnus_conjugate_test, nilpotent.TraceAlgebra
@@ -207,7 +223,7 @@ def test_separating_level_stops_at_the_basis_bound(monkeypatch):
         f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree 5; "
         "not conjugate (identity), but no level below the bound separates the pair"
     )
-    assert tried == [(d, m) for d in range(1, 5) for m in (1, 2)] + [(5, 1)]
+    assert tried == [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
     assert max(sizes) == 781
 
 
@@ -238,31 +254,32 @@ def test_basis_bound_error_names_the_support(monkeypatch):
 
 
 def test_generators_commute_exactly_when_adjacent():
-    def term(graph, v):
-        return TruncatedAlgebraElement(graph, 3, 0, {(v,): 1})
-
-    a, b = term(K2, 0), term(K2, 1)
-    assert a * b == b * a
-    a, b = term(F2, 0), term(F2, 1)
-    assert a * b != b * a
+    # the basis lists 1, a, b first, so the letters have indices 1 and 2
+    for graph, commute in ((K2, True), (F2, False)):
+        algebra = TraceAlgebra(graph, 3)
+        a, b = {1: 1}, {2: 1}
+        ab, ba = algebra.mul(a, b, 5), algebra.mul(b, a, 5)
+        assert (ab == ba) is commute
+        assert indexed(algebra, ab, 5).coeffs == {(0, 1): 1}
+    a = TruncatedAlgebraElement(F2, 3, 0, {(0,): 1})
     assert not bracket(a, a).coeffs
 
 
 def test_multiply_truncates_and_respects_one():
-    x = TruncatedAlgebraElement(F2, 2, 0, {(0,): 1, (0, 1): 3})
-    one = TruncatedAlgebraElement.one(F2, 2)
-    assert x * one == x and one * x == x
-    y = TruncatedAlgebraElement(F2, 2, 0, {(1,): 2})
-    assert (x * y).coeffs == {(0, 1): 2}
+    algebra = TraceAlgebra(F2, 2)
+    index = {w: i for i, w in enumerate(algebra.basis)}
+    x = {index[(0,)]: 1, index[(0, 1)]: 3}
+    one = {0: 1}
+    assert algebra.mul(x, one, 7) == x == algebra.mul(one, x, 7)
+    y = {index[(1,)]: 2}
+    assert algebra.mul(x, y, 7) == {index[(0, 1)]: 2}
+    assert algebra.mul(y, x, 7) == {index[(1, 0)]: 2}
+    # coefficients are reduced mod q, and zeros dropped
+    assert algebra.mul(x, {index[(1,)]: 4}, 4) == {}
 
 
 def test_ring_and_degree_mismatch_raise():
-    x = TruncatedAlgebraElement.one(F2, 2, 4)
-    with pytest.raises(ValueError):
-        x * TruncatedAlgebraElement.one(F2, 3, 4)
-    with pytest.raises(ValueError):
-        x + TruncatedAlgebraElement.one(F2, 2, 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds truncation degree"):
         TruncatedAlgebraElement(F2, 1, 0, {(0, 1): 1})
 
 
@@ -271,9 +288,9 @@ def test_ring_and_degree_mismatch_raise():
 
 
 def test_magnus_identity_and_inverse():
-    assert magnus_image(Element(F2), 3, 2, 1).is_one()
-    assert magnus_image(parse(F2, "a a^-1"), 5, 2, 2).is_one()
-    assert magnus_image(parse(F3, "b^-1 b"), 6, 3, 1).is_one()
+    assert is_one(magnus_image(Element(F2), 3, 2, 1))
+    assert is_one(magnus_image(parse(F2, "a a^-1"), 5, 2, 2))
+    assert is_one(magnus_image(parse(F3, "b^-1 b"), 6, 3, 1))
 
 
 def test_magnus_commutator_expansion():
@@ -289,7 +306,7 @@ def test_magnus_is_homomorphism():
                 g = rand_word(rng, graph, rng.randrange(5))
                 h = rand_word(rng, graph, rng.randrange(5))
                 lhs = magnus_image(g * h, d, p, m)
-                rhs = magnus_image(g, d, p, m) * magnus_image(h, d, p, m)
+                rhs = piled_product(magnus_image(g, d, p, m), magnus_image(h, d, p, m))
                 assert lhs == rhs
 
 
@@ -297,7 +314,7 @@ def test_magnus_constant_term_is_one():
     rng = random.Random(19)
     for _ in range(10):
         g = rand_word(rng, F3, rng.randrange(6))
-        assert magnus_image(g, 3, 2, 2).constant_term() == 1
+        assert magnus_image(g, 3, 2, 2).coeffs[()] == 1
 
 
 def test_magnus_kills_nothing_short():
@@ -317,7 +334,7 @@ def test_magnus_kills_nothing_short():
             frontier = new
         for w in seen:
             if not w.is_identity():
-                assert not magnus_image(w, 4, 2, 1).is_one()
+                assert not is_one(magnus_image(w, 4, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +345,7 @@ def test_same_element_never_separates():
     g = parse(F2, "a b a^-1 b^-1")
     res = magnus_conjugate_test(g, g, 3, 2, 1)
     assert isinstance(res, NotSeparatedAtThisLevel)
-    assert res.unit.constant_term() == 1
+    assert res.unit.coeffs[()] == 1
 
 
 def test_distinct_abelianizations_separate_at_degree_one():
@@ -389,14 +406,52 @@ def test_large_prime_does_not_falsely_separate():
 
 
 def test_separating_level_refuses_precision_past_bound():
-    # degree 1 never separates a pair with equal abelianization, so each
-    # max_m up to the bound is tried there first; past it the grid is
-    # refused before conjugacy is decided
+    # the bound itself is accepted; past it the grid is refused before
+    # conjugacy is decided
     g, h = parse(F2, "a b a^-1 b^-1"), parse(F2, "b a b^-1 a^-1")
     assert find_separating_level(g, h, 2, max_m=MAX_PRECISION) == (2, 2)
     for x, y in ((g, h), (g, g)):
         with pytest.raises(ValueError, match="above the bound"):
             find_separating_level(x, y, 2, max_m=MAX_PRECISION + 1)
+
+
+def test_separating_level_scans_precision_only_at_the_separating_degree(monkeypatch):
+    # this pair separates at (7, 2) with max_m = 2, at (4, 5) with
+    # max_m = 256 and at (4, 1) for p = 2^61 - 1; each degree below d* is
+    # tried once, at max_m, and d* at m = 1, 2, ... up to m*: at most
+    # d* + m* tests, where the whole grid up to (d*, m*) has
+    # (d* - 1) max_m + m*
+    g, h = parse(F2, "a b^2 a^-2 b^-2"), parse(F2, "a b^-2 a^-2 b^2")
+    test = nilpotent.magnus_conjugate_test
+    tried = []
+    monkeypatch.setattr(
+        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
+    )
+    for p, max_m, want in ((2, 2, (7, 2)), (2, MAX_PRECISION, (4, 5)), (2**61 - 1, MAX_PRECISION, (4, 1))):
+        tried.clear()
+        assert find_separating_level(g, h, p, max_d=7, max_m=max_m) == want
+        assert tried[: want[0]] == [(d, max_m) for d in range(1, want[0] + 1)]
+        assert tried[want[0]:] == [(want[0], m) for m in range(1, min(want[1] + 1, max_m))]
+        assert len(tried) <= sum(want)
+
+
+@pytest.mark.parametrize("graph", [F2, P3, F3], ids=["F2", "P3", "F3"])
+def test_separating_level_matches_the_whole_grid(graph):
+    # pairs with equal abelianization, h a shuffle of g's letters, that
+    # conjugacy rules out; the grid helper solves every level degree first
+    rng = random.Random(5000 + graph.n)
+    count = 0
+    while count < 6:
+        g = rand_word(rng, graph, rng.randrange(4, 8))
+        letters = list(g.letters)
+        rng.shuffle(letters)
+        h = Element(graph, tuple(letters))
+        if isinstance(conjugate(g, h), Conjugate):
+            continue
+        count += 1
+        for p, max_m in ((2, 1), (2, 3), (3, 2)):
+            want = grid_separating_level(g, h, p, max_d=4, max_m=max_m)
+            assert find_separating_level(g, h, p, max_d=4, max_m=max_m) == want, (g, h, p, max_m)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])
@@ -436,8 +491,7 @@ def test_found_unit_conjugates_the_images():
     h = parse(P3, "c b a")
     res = magnus_conjugate_test(g, h, 4, 2, 2)
     assert isinstance(res, NotSeparatedAtThisLevel)
-    u = res.unit
-    assert magnus_image(g, 4, 2, 2) * u == u * magnus_image(h, 4, 2, 2)
+    assert conjugates_images(res.unit, g, h, 4, 2, 2)
 
 
 def magnus_pairs(rng, graph, count):
@@ -475,9 +529,9 @@ def test_cut_system_decides_as_the_full_one(graph, max_d):
                         continue
                     assert isinstance(res, NotSeparatedAtThisLevel)
                     unit = res.unit
-                    assert unit.constant_term() == 1
+                    assert unit.coeffs[()] == 1
                     assert all(len(w) < d for w in unit.coeffs)
-                    assert magnus_image(g, d, p, m) * unit == unit * magnus_image(h, d, p, m)
+                    assert conjugates_images(unit, g, h, d, p, m)
             assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
             if i % 2:
                 assert level is NOT_FOUND
@@ -559,8 +613,8 @@ def test_support_path_decides_as_the_whole_graph(graph, top):
                         assert res == want
                         continue
                     unit = res.unit
-                    assert unit.graph is g.graph and unit.constant_term() == 1
-                    assert magnus_image(g, d, p, m) * unit == unit * magnus_image(h, d, p, m)
+                    assert unit.graph is g.graph and unit.coeffs[()] == 1
+                    assert conjugates_images(unit, g, h, d, p, m)
     assert verdicts == {Separated, NotSeparatedAtThisLevel}
 
 
