@@ -15,7 +15,11 @@ pivoting, every pivot divides what it clears, and back-substitution
 divides exactly.
 A system is a `SparseMatrix`: one {column: residue} dict per equation, so
 elimination touches only nonzero entries and the fill-in they create.
-Python integers keep every modulus exact.
+Python integers keep every modulus exact. Pass 0 iterates the system once
+and reads rhs[i] after row i, so a system may build its rows as they are
+iterated (the Magnus system does, one degree at a time): a solve that
+ends at a row builds nothing after it. The number of unknowns is read
+only after pass 0 has read every row.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ class SparseMatrix(list):
 def solve_mod_prime_power(matrix, rhs, p, m):
     """Solve matrix @ x == rhs over Z/p^m; returns a list of ints or None.
 
-    matrix is a SparseMatrix; rhs has one integer per equation.
+    matrix is a SparseMatrix; rhs has one integer per equation. Pass 0
+    iterates matrix once, reading rhs[i] after row i; matrix.shape[1] is
+    read, and matrix iterated again for the check, only after that.
 
     Pass v = 0, ..., m-1 reads rows in order: pass 0 the rows of the
     system, pass v the rows that pass v-1 left free. Each row is reduced
@@ -89,12 +95,12 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     returned.
     """
     q = p**m
-    nvar = matrix.shape[1]
-    # rows are read as they arrive, so none past a certificate is read
-    rows = (({c: x % q for c, x in row.items() if x % q}, t % q) for row, t in zip(matrix, rhs))
+    # rows are read as they arrive, so none past a certificate is read;
+    # rhs[i] is read after row i
+    rows = (({c: x % q for c, x in row.items() if x % q}, rhs[i] % q) for i, row in enumerate(matrix))
     # the pivot index of each column; pivot k is (its column, p^(v_k), the
     # rest of its row, its right-hand side)
-    index = [None] * nvar
+    index = {}
     pivots = []
     for v in range(m):
         pv = p**v
@@ -104,7 +110,7 @@ def solve_mod_prime_power(matrix, rhs, p, m):
             # visit only the pivots whose columns the row holds, plus those
             # its fill-in reaches; taking the least index first keeps the
             # creation order
-            due = [index[c] for c in row if index[c] is not None]
+            due = [index[c] for c in row if c in index]
             heapify(due)
             while due:
                 c, pk, tail, tk = pivots[heappop(due)]
@@ -118,7 +124,7 @@ def solve_mod_prime_power(matrix, rhs, p, m):
                         y = -f * x % q
                         if y:
                             row[j] = y
-                            if index[j] is not None:
+                            if j in index:
                                 heappush(due, index[j])
                     else:
                         y = (y - f * x) % q
@@ -138,7 +144,7 @@ def solve_mod_prime_power(matrix, rhs, p, m):
             index[c] = len(pivots)
             pivots.append((c, pv, [(j, x * inv % q) for j, x in row.items() if j != c], t * inv % q))
         rows = free
-    x = [0] * nvar
+    x = [0] * matrix.shape[1]
     for c, pv, tail, t in reversed(pivots):
         x[c] = (t - sum(x[j] * a for j, a in tail)) % q // pv
     verify(

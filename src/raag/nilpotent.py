@@ -15,10 +15,12 @@ A monomial is the lex-least word of its trace. Appending a letter v to one
 is an insertion: step back over the longest suffix of letters adjacent to
 v, forward past those smaller than v, and put v there (Anisimov-Knuth).
 `TraceAlgebra(graph, d)` lists the monomials of degree <= d and tabulates
-that insertion once, as integer append tables; images, the columns of the
-Magnus system and the check of a found unit then run on integer indices.
-The Magnus test builds them on the full subgraph on the letters its pair
-uses, which decides as the whole graph does.
+that insertion once, as integer append tables, one degree at a time;
+images, the columns of the Magnus system and the check of a found unit
+then run on integer indices. The Magnus test builds them on the full
+subgraph on the letters its pair uses, which decides as the whole graph
+does, and one degree at a time, as its solver reads the rows: a solve that
+stops at a row of degree k builds nothing past degree k.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from math import comb
 
 from . import conjugacy
@@ -109,21 +111,23 @@ class TraceAlgebra:
     without its first letter. Rows of degree d are empty: their products
     leave the truncation.
 
-    The right table creates the basis. Starting from the empty monomial,
-    the rows are walked in order, and each letter v of row w either names
-    a monomial already listed or appends w.v as a new one. By the insertion
-    rule (see _append), w.v is canonical exactly when every letter
-    of the longest suffix of w adjacent to v is smaller than v. For
-    w = w'.u that holds when v is not adjacent to u, or when it is
-    adjacent, larger than u, and w'.v is canonical, that is when row w'
-    created its own entry for v; then w.v is appended. Otherwise v commutes
-    with u, and w.v is the canonical form of canonical(w'.v).u. That word
-    precedes w in lex order (it is w'.v with v < u, or inserts v before a
-    larger letter of w'), so its row is built already. The monomials that
-    row w appends all have degree |w| + 1 and come in the order of v, and
-    the rows of one degree are walked in lex order, so each degree comes
-    out in lex order, after every lower one. The left table follows from
-    v.w'.u = (v.w').u, and the tail from w[1:] = w'[1:].u, both canonical.
+    grow() raises d by one, and TraceAlgebra(graph, d) is d such steps
+    from the algebra of degree 0, so a caller that needs the degrees one at
+    a time builds each once. A step walks the rows of degree d in order:
+    each letter v of row w either names a monomial already listed or
+    appends w.v as a new one. By the insertion rule (see _append), w.v is
+    canonical exactly when every letter of the longest suffix of w
+    adjacent to v is smaller than v. For w = w'.u that holds when v is not
+    adjacent to u, or when it is adjacent, larger than u, and w'.v is
+    canonical, that is when row w' created its own entry for v; then w.v
+    is appended. Otherwise v commutes with u, and w.v is the canonical
+    form of canonical(w'.v).u. That word precedes w in lex order (it is
+    w'.v with v < u, or inserts v before a larger letter of w'), so its
+    row is built already. The monomials that row w appends all have
+    degree |w| + 1 and come in the order of v, and the rows of one degree
+    are walked in lex order, so each degree comes out in lex order, after
+    every lower one. The left table follows from v.w'.u = (v.w').u, and
+    the tail from w[1:] = w'[1:].u, both canonical.
 
     Raises ValueError as soon as more than MAX_TRACE_MONOMIALS monomials
     have been created, without building the rest of the basis.
@@ -131,20 +135,26 @@ class TraceAlgebra:
 
     def __init__(self, graph, d):
         self.graph = graph
-        self.d = d
-        n = graph.n
-        adj = graph.adj
-        self.basis = basis = [()]
-        parent = [0]
-        right = []
-        i = 0
-        while i < len(basis) and len(basis[i]) < d:
+        self.d = self.rows = 0
+        self.basis = [()]
+        self.parent, self.tail = [0], [0]
+        self.right, self.left = [[]], [[]]
+        for _ in range(d):
+            self.grow()
+
+    def grow(self):
+        """Raise the truncation by one degree: the rows of degree d get
+        their tables, and the monomials of degree d + 1 are listed."""
+        n, adj = self.graph.n, self.graph.adj
+        basis, parent, right, left, tail = self.basis, self.parent, self.right, self.left, self.tail
+        first, top = self.rows, len(basis)
+        for i in range(first, top):
             w = basis[i]
             near = ()
             if w:
                 u, p = w[-1], parent[i]
                 near, up = adj[u], right[p]
-            row = []
+            row = right[i]
             for v in range(n):
                 if v in near and (v < u or parent[up[v]] != p):
                     row.append(right[up[v]][u])
@@ -154,29 +164,22 @@ class TraceAlgebra:
                     parent.append(i)
             if len(basis) > MAX_TRACE_MONOMIALS:
                 raise ValueError(
-                    f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {len(w) + 1}"
+                    f"more than {MAX_TRACE_MONOMIALS} trace monomials up to degree {self.d + 1}"
                 )
-            right.append(row)
-            i += 1
-        self.rows = rows = i
-        right += [[] for _ in basis[rows:]]
-        left = [[] for _ in basis]
-        tail = [0] * len(basis)
-        left[0] = right[0]
-        for i in range(1, rows):
-            u = basis[i][-1]
-            p = parent[i]
+        new = range(top, len(basis))
+        right += [[] for _ in new]
+        left += [[] for _ in new]
+        tail += [0] * len(new)
+        for i in range(first, top):
+            if not i:
+                left[0] = right[0]
+                continue
+            u, p = basis[i][-1], parent[i]
             left[i] = [right[j][u] for j in left[p]]
             if p:
                 tail[i] = right[tail[p]][u]
-        self.right, self.left, self.parent, self.tail = right, left, parent, tail
-
-    def image(self, x, q):
-        """M(x) over Z/q, as {index: coefficient}."""
-        right = self.right
-        return _image(x.letters, q, 0, lambda term, v, s: {
-            right[i][v]: s * c for i, c in term.items() if right[i]
-        })
+        self.rows = top
+        self.d += 1
 
     def mul(self, x, y, q):
         """x.y over Z/q, on {index: coefficient} maps: the sum over the
@@ -272,35 +275,49 @@ def magnus_image(x, d, p, m):
     inverse multiply to exactly 1 in the truncation and the whole map is a
     homomorphism into the units with constant term 1. p must be prime.
     Only the monomials the image reaches are built, each by one insertion
-    (see _append); TraceAlgebra.image is the same map on the
-    indices of the whole basis, which is cheaper once the tables exist.
+    (see _append); the Magnus test runs the same recurrence on the indices
+    of a TraceAlgebra, which is cheaper once the tables exist.
     """
     q = _modulus(d, p, m)
     adj = x.graph.adj
-    coeffs = _image(x.letters, q, (), lambda term, v, s: {
-        _append(adj[v], w, v): s * c for w, c in term.items() if len(w) < d
-    })
+    coeffs = {}
+    for layer in islice(_image_layers(x.letters, q, (), lambda term, v: {
+        _append(adj[v], w, v): c for w, c in term.items()
+    }), d + 1):
+        coeffs.update(layer)
     return TruncatedAlgebraElement(x.graph, d, q, coeffs)
 
 
-def _image(letters, q, one, shift):
-    """The image over Z/q of the word `letters`, on monomial keys with
-    `one` the empty monomial; shift(term, v, s) is s.term.v, cut past the
-    truncation. Each letter v multiplies by 1 + v, and each inverse letter
-    by 1 - v + v^2 - ..., which stops at the truncation."""
-    out = {one: 1}
-    for lt in letters:
-        v = abs(lt) - 1
-        term = out
-        out = dict(out)
-        while term:
-            term = shift(term, v, 1 if lt > 0 else -1)
-            for k, c in term.items():
-                out[k] = out.get(k, 0) + c
-            if lt > 0:
-                break
-        out = {k: c % q for k, c in out.items() if c % q}
-    return out
+def _image_layers(letters, q, one, shift):
+    """The degree-k parts of the image over Z/q of the word `letters`, for
+    k = 0, 1, 2, ... in turn, on monomial keys with `one` the empty
+    monomial; shift(term, v) is term.v, as {key: coefficient}.
+
+    Let P_j be the image of the first j letters and L_k(P_j) its degree-k
+    part. A letter v gives P_j = P_(j-1).(1 + v), so L_k(P_j) =
+    L_k(P_(j-1)) + L_(k-1)(P_(j-1)).v. An inverse letter gives
+    P_j.(1 + v) = P_(j-1), so L_k(P_j) = L_k(P_(j-1)) - L_(k-1)(P_j).v:
+    the geometric series of the inverse, one degree at a time. Degree k of
+    every prefix thus needs only degree k - 1 of every prefix, and a
+    degree is computed only when it is asked for.
+    """
+    last = [{one: 1}] * (len(letters) + 1)
+    while True:
+        yield last[-1]
+        layer = [{}]
+        for j, lt in enumerate(letters):
+            out = layer[j]
+            term, s = (last[j], 1) if lt > 0 else (last[j + 1], -1)
+            if term:
+                out = dict(out)
+                for k, c in shift(term, s * lt - 1).items():
+                    c = (out.get(k, 0) + s * c) % q
+                    if c:
+                        out[k] = c
+                    else:
+                        del out[k]
+            layer.append(out)
+        last = layer
 
 
 @dataclass(frozen=True)
@@ -344,6 +361,17 @@ def magnus_conjugate_test(g, h, d, p, m):
     elimination. A found unit is verified by multiplication before being
     returned.
 
+    The equation at a monomial of degree k involves only the unknowns of
+    degree below k and the coefficients of the images up to degree k, so
+    the system is built one degree at a time as the solver reads its rows,
+    and a solve that ends at a row of degree k builds nothing past degree k
+    (see _magnus_layers). Such an answer is sound at degree d, however
+    large: the rows read are rows of the degree-d system, and row
+    operations on them show that no solution mod p^m satisfies them, so
+    none satisfies the whole system. So a pair can be Separated at a
+    degree whose trace basis is past MAX_TRACE_MONOMIALS; the bound is met
+    only when the rows below it are all read.
+
     The system is built on S = supp(g) | supp(h) alone, the full subgraph
     on the letters the pair uses, and the verdict is the one on the whole
     graph. Killing the letters outside S is a ring map from the truncated
@@ -379,46 +407,132 @@ def _conjugating_unit(g, h, d, p, m):
     M(g)*u = u*M(h), as {monomial: coefficient}, or None when there is
     none."""
     q = p**m
-    algebra = TraceAlgebra(g.graph, d)
-    basis, right, left = algebra.basis, algebra.right, algebra.left
-    image_g, image_h = algebra.image(g, q), algebra.image(h, q)
-    # column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
-    # w.(M(h) - 1) for w = basis[j] of degree < d; each is a shorter word's
-    # with one more letter, at the end (from the parent) or at the front
-    # (from the tail); the constant terms of the two images cancel
-    gw = [{i: c for i, c in image_g.items() if i}]
-    wh = [{i: c for i, c in image_h.items() if i}]
-    rows = [{} for _ in basis[1:]]
-    rhs = [0] * len(rows)
-    for j in range(algebra.rows):
-        if j:
-            u, v = basis[j][-1], basis[j][0]
-            gw.append({right[i][u]: c for i, c in gw[algebra.parent[j]].items() if right[i]})
-            wh.append({left[i][v]: c for i, c in wh[algebra.tail[j]].items() if left[i]})
-        col = dict(gw[j])
-        for i, c in wh[j].items():
-            col[i] = col.get(i, 0) - c
-        for i, c in col.items():
-            c %= q
-            if not c:
-                continue
-            if j:
-                rows[i - 1][j - 1] = c
-            else:
-                # the constant column moves to the right-hand side
-                rhs[i - 1] = -c % q
-    # rows come in degree order, and the solver stops at the first one
-    # that rules a unit out
-    sol = solve_mod_prime_power(SparseMatrix(rows, algebra.rows - 1), rhs, p, m)
+    system = _MagnusSystem(g, h, d, q)
+    sol = solve_mod_prime_power(system, system.rhs, p, m)
     if sol is None:
         return None
+    # the check needs the whole algebra and both images: pass 0 built them
+    # by reading every row, and the check must not rest on that
+    for _ in system._batches():
+        pass
+    algebra = system.algebra
     unit = {0: 1}
     unit.update((j, c) for j, c in enumerate(sol, 1) if c)
     verify(
-        algebra.mul(image_g, unit, q) == algebra.mul(unit, image_h, q),
+        algebra.mul(system.image_g, unit, q) == algebra.mul(unit, system.image_h, q),
         "conjugating unit",
     )
-    return {basis[i]: c for i, c in unit.items()}
+    return {algebra.basis[i]: c for i, c in unit.items()}
+
+
+class _MagnusSystem(SparseMatrix):
+    """The Magnus system of g and h at degree d over Z/q, built one degree
+    layer at a time as it is read.
+
+    Iterating yields the rows built so far and, when they run out, builds
+    the next degree's, so a solver that stops at a row of degree k leaves
+    the algebra at degree k and builds no later row. len() and indexing
+    cover the rows built, and rhs grows with them; image_g and image_h are
+    the images up to the degree built. shape is the whole system's, one
+    equation per monomial of degree 1..d and one unknown per monomial of
+    degree 1..d-1; before the last layer it is counted from the clique
+    polynomial, without building the rest.
+    """
+
+    __slots__ = ("algebra", "rhs", "image_g", "image_h", "_d", "_layers")
+
+    def __init__(self, g, h, d, q):
+        list.__init__(self)
+        self.algebra = TraceAlgebra(g.graph, 0)
+        self.rhs = []
+        self.image_g, self.image_h = {}, {}
+        self._d = d
+        # the layers hold no reference back to the system, so a solve that
+        # stops early leaves no reference cycle for the collector
+        self._layers = _magnus_layers(self.algebra, g, h, d, q, self.image_g, self.image_h)
+
+    @property
+    def shape(self):
+        if self.algebra.d == self._d:
+            return len(self), self.algebra.rows - 1
+        # the trace monomials of degree k number the t^k coefficient of
+        # 1 / C(-t), C the clique polynomial (Cartier-Foata)
+        c = _clique_counts(self.algebra.graph, self._d)
+        count = [1]
+        for k in range(1, self._d + 1):
+            count.append(-sum((-1) ** j * c[j] * count[k - j] for j in range(1, k + 1)))
+        return sum(count[1:]), sum(count[1:-1])
+
+    def __iter__(self):
+        return chain.from_iterable(self._batches())
+
+    def _batches(self):
+        """The rows built so far, then each new degree's as it is built."""
+        yield self[:]
+        for rows, rhs in self._layers:
+            self.extend(rows)
+            self.rhs.extend(rhs)
+            yield rows
+
+
+def _magnus_layers(algebra, g, h, d, q, image_g, image_h):
+    """The rows of the Magnus system of g and h at degree d over Z/q, and
+    their right-hand sides, for k = 1, ..., d in turn: one pair of lists
+    per degree. Each step grows algebra by one degree and adds the new
+    degree of the images to image_g and image_h.
+
+    Column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
+    w.(M(h) - 1) for w = basis[j] of degree < d; the constant terms of
+    the images cancel, and column 0, the constant term of the unit,
+    moves to the right-hand side. gw_j is gw of w's parent times w's
+    last letter, and wh_j is w's first letter times wh of w's tail, so
+    the degree-k part of a column is the degree-(k-1) part of a
+    shorter word's, with one more letter. It vanishes for w of degree
+    k or more, so the rows of degree k are whole once degree k of the
+    images and of the columns of degree < k is. They come in the order
+    of the basis, degree then lex, with the same entries as the whole
+    system's.
+    """
+    basis, right, left, parent, tail = (
+        algebra.basis, algebra.right, algebra.left, algebra.parent, algebra.tail
+    )
+    images = [
+        _image_layers(x.letters, q, 0, lambda term, v: {right[i][v]: c for i, c in term.items()})
+        for x in (g, h)
+    ]
+    image_g.update(next(images[0]))
+    image_h.update(next(images[1]))
+    # gw[j] and wh[j]: the degree-(k-1) parts of column j's two halves
+    gw = wh = ()
+    for k in range(1, d + 1):
+        algebra.grow()
+        top = algebra.rows
+        layer_g, layer_h = next(images[0]), next(images[1])
+        image_g.update(layer_g)
+        image_h.update(layer_h)
+        rows = [{} for _ in range(len(basis) - top)]
+        # row i of the layer is at[i]
+        at = [None] * top + rows
+        rhs = [(layer_h.get(i, 0) - layer_g.get(i, 0)) % q for i in range(top, len(basis))]
+        next_gw, next_wh = [layer_g], [layer_h]
+        for j in range(1, top):
+            w = basis[j]
+            u, v, jm = w[-1], w[0], j - 1
+            for i, c in gw[parent[j]].items():
+                at[right[i][u]][jm] = c
+            for i, c in wh[tail[j]].items():
+                row = at[left[i][v]]
+                c = (row.get(jm, 0) - c) % q
+                if c:
+                    row[jm] = c
+                else:
+                    del row[jm]
+            # the last degree's parts feed no later degree
+            if k < d:
+                next_gw.append({right[i][u]: c for i, c in gw[parent[j]].items()})
+                next_wh.append({left[i][v]: c for i, c in wh[tail[j]].items()})
+        gw, wh = next_gw, next_wh
+        yield rows, rhs
 
 
 # the scan solves each degree below the separating one once, at max_m, in
@@ -449,7 +563,12 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     at the first such degree is found by trying m = 1, 2, ... there. The
     scan raises ValueError at the first degree whose trace basis is larger
     than MAX_TRACE_MONOMIALS, so pairs that separate below it are still
-    answered. Each basis is built on the letters the pair uses (see
+    answered. A Magnus test reads the rows of degree k only when it has
+    read every lower one without a contradiction, and the rows of degree
+    below d of the degree-d system are those of the degree-(d - 1) system,
+    so a test at d after d - 1 did not separate reads every row below d,
+    and builds the basis of degree d: the bound ends the scan at the same
+    degree, with the same message, as building each basis whole would. Each basis is built on the letters the pair uses (see
     magnus_conjugate_test); the message names them when they are fewer
     than the graph's, and names the invariant that ruled the pair out.
     """

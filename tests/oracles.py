@@ -5,8 +5,9 @@ retraction-core double cosets and the paper's HNN routes for conjugacy
 under a subgroup and for set centralizers, which reuse the package's word
 arithmetic, the dense modular solver, which runs the package's
 elimination on whole numpy rows, the sparse-form converters, and the
-full Magnus system, the piled Magnus test, which reuses the group normal
-form, the whole-graph Magnus test and the Magnus level grid, which run the
+full Magnus system, the piled Magnus test and the Magnus system built
+whole, which reuse the group normal form and the trace basis, the
+whole-graph Magnus test and the Magnus level grid, which run the
 package's own test, the Lie
 bracket echelon, which reuse its truncated algebra, and the
 p-group class, which reuses the witness group's law) is
@@ -1236,6 +1237,59 @@ def whole_graph_magnus_conjugate_test(g, h, d, p, m):
     if unit is None:
         return Separated(d, p, m)
     return NotSeparatedAtThisLevel(TruncatedAlgebraElement(g.graph, d, p**m, unit))
+
+
+# ---------------------------------------------------------------------------
+# the Magnus system built whole
+#
+# The package builds its Magnus system one degree at a time, as its solver
+# reads the rows. This builds all of it at once, column by column, as the
+# package did before: every column is a whole column of the system, from
+# the images of g and h by piled products.
+
+
+def whole_magnus_system(g, h, d, p, m):
+    """The Magnus system of g and h at degree d over Z/p^m on all of
+    g.graph, as (SparseMatrix, rhs): one row per monomial of degree 1..d,
+    one column per monomial of degree 1..d-1, both in basis order.
+
+    Column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
+    w.(M(h) - 1) for w = basis[j]; gw_j is gw of w's parent times w's last
+    letter, wh_j is w's first letter times wh of w's tail, each over every
+    degree at once. Column 0, the unit's constant term, moves to the
+    right-hand side.
+    """
+    from raag._intlinalg import SparseMatrix
+    from raag.nilpotent import TraceAlgebra
+
+    q = p**m
+    algebra = TraceAlgebra(g.graph, d)
+    basis, right, left = algebra.basis, algebra.right, algebra.left
+    index = {w: i for i, w in enumerate(basis)}
+    image_g, image_h = (
+        {index[w]: c for w, c in piled_magnus_image(x, d, p, m).coeffs.items()} for x in (g, h)
+    )
+    gw = [{i: c for i, c in image_g.items() if i}]
+    wh = [{i: c for i, c in image_h.items() if i}]
+    rows = [{} for _ in basis[1:]]
+    rhs = [0] * len(rows)
+    for j in range(algebra.rows):
+        if j:
+            u, v = basis[j][-1], basis[j][0]
+            gw.append({right[i][u]: c for i, c in gw[algebra.parent[j]].items() if right[i]})
+            wh.append({left[i][v]: c for i, c in wh[algebra.tail[j]].items() if left[i]})
+        col = dict(gw[j])
+        for i, c in wh[j].items():
+            col[i] = col.get(i, 0) - c
+        for i, c in col.items():
+            c %= q
+            if not c:
+                continue
+            if j:
+                rows[i - 1][j - 1] = c
+            else:
+                rhs[i - 1] = -c % q
+    return SparseMatrix(rows, algebra.rows - 1), rhs
 
 
 # ---------------------------------------------------------------------------

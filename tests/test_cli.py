@@ -333,15 +333,15 @@ def test_magnus_separate_huge_degree_exits_one(graphs, capsys, monkeypatch):
         y = parse(free5, name)
         word = word * y * word.inverse() * y.inverse()
 
+    # the basis size after each degree step the Magnus tests complete
     sizes = []
-    algebra = nilpotent.TraceAlgebra
+    grow = nilpotent.TraceAlgebra.grow
 
-    def built(graph, d):
-        out = algebra(graph, d)
-        sizes.append(len(out.basis))
-        return out
+    def recorded(algebra):
+        grow(algebra)
+        sizes.append(len(algebra.basis))
 
-    monkeypatch.setattr(nilpotent, "TraceAlgebra", built)
+    monkeypatch.setattr(nilpotent.TraceAlgebra, "grow", recorded)
     code, out, err = run(
         capsys, "magnus-separate", "--graph", graphs["discrete5"], str(word), "1",
         "--max-degree", "40",

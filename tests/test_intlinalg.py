@@ -16,6 +16,7 @@ from oracles import (
     solve_left_integer,
     solve_right_integer,
     sparse_matrix,
+    whole_magnus_system,
 )
 
 
@@ -169,15 +170,30 @@ def _conjugate_pairs(rng, graph, count):
         yield g, s * g * s.inverse()
 
 
-def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypatch):
-    solve = nilpotent.solve_mod_prime_power
-    systems = []
+def capture_magnus_solves(monkeypatch):
+    """Record each solve of a Magnus test as (g, h, rows, rhs, unknowns, p,
+    m, x): the pair on its support, the rows the solve built and read,
+    whole degrees up to the one that ended it, their right-hand sides, the
+    number of unknowns of the whole system, the modulus and the answer."""
+    solves, pair = [], []
+    unit, solve = nilpotent._conjugating_unit, nilpotent.solve_mod_prime_power
+
+    def conjugating_unit(g, h, d, p, m):
+        pair[:] = [g, h]
+        return unit(g, h, d, p, m)
 
     def capture(matrix, rhs, p, m):
-        systems.append((matrix, rhs, p, m))
-        return solve(matrix, rhs, p, m)
+        x = solve(matrix, rhs, p, m)
+        solves.append((*pair, matrix[:], rhs[:], matrix.shape[1], p, m, x))
+        return x
 
+    monkeypatch.setattr(nilpotent, "_conjugating_unit", conjugating_unit)
     monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    return solves
+
+
+def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypatch):
+    solves = capture_magnus_solves(monkeypatch)
     rng = random.Random(31)
     p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     f3 = Graph(["a", "b", "c"])
@@ -187,29 +203,27 @@ def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypat
         pairs = [*_commutator_pairs(rng, graph, 3), *_conjugate_pairs(rng, graph, 2)]
         for g, h in pairs:
             for p, m in ((2, 2), (3, 2)):
-                del systems[:]
+                del solves[:]
                 nilpotent.magnus_conjugate_test(g, h, d, p, m)
-                (matrix, rhs, _, _), = systems
-                ref = reference_solve_mod_prime_power(dense_matrix(matrix), rhs, p, m)
-                assert (solve(matrix, rhs, p, m) is None) == (ref is None)
+                (g1, h1, rows, rhs, ncols, _, _, x), = solves
+                # the rows read decide as global pivoting does on them, and
+                # they lead the whole system, which it decides the same way
+                ref = reference_solve_mod_prime_power(dense_matrix(SparseMatrix(rows, ncols)), rhs, p, m)
+                assert (x is None) == (ref is None)
+                whole, whole_rhs = whole_magnus_system(g1, h1, d, p, m)
+                assert (rows, rhs) == (whole[:len(rows)], whole_rhs[:len(rows)])
+                ref = reference_solve_mod_prime_power(dense_matrix(whole), whole_rhs, p, m)
+                assert (x is None) == (ref is None)
+                assert x is None or len(rows) == len(whole)
                 verdicts.append(ref is None)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
     # the sparse solver runs the dense elimination on nonzeros only: same
-    # pivots, so the same vector (or None on both sides)
-    solve = nilpotent.solve_mod_prime_power
-    verdicts = []
-
-    def compare(matrix, rhs, p, m):
-        x = solve(matrix, rhs, p, m)
-        ref = dense_solve_mod_prime_power(dense_matrix(matrix), rhs, p, m)
-        assert x == (None if ref is None else [int(v) for v in ref]), (matrix.shape, p, m)
-        verdicts.append(x is None)
-        return x
-
-    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", compare)
+    # pivots, so the same vector (or None on both sides), on the rows the
+    # solve read; a vector comes only from reading every row
+    solves = capture_magnus_solves(monkeypatch)
     rng = random.Random(37)
     f2 = Graph(["a", "b"])
     p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -222,6 +236,10 @@ def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
                     nilpotent.magnus_conjugate_test(g, h, d, p, m)
             for d in range(1, 4):
                 nilpotent.magnus_conjugate_test(g, h, d, 100003, 2)
+    for _, _, rows, rhs, ncols, p, m, x in solves:
+        ref = dense_solve_mod_prime_power(dense_matrix(SparseMatrix(rows, ncols)), rhs, p, m)
+        assert x == (None if ref is None else [int(v) for v in ref]), (len(rows), ncols, p, m)
+    verdicts = [x is None for *_, x in solves]
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -269,25 +287,22 @@ class _Unread(dict):
 def test_mod_prime_power_stops_at_a_built_row_with_no_solution(monkeypatch):
     # [a, b] and [b, a] have zero abelianization, so the degree-2 rows of
     # their Magnus system have no unknowns, and the row of ab reads
-    # 0 = 2 mod 4; the rows after it are unsolvable too, and none is read
-    systems = []
-    solve = nilpotent.solve_mod_prime_power
-
-    def capture(matrix, rhs, p, m):
-        systems.append((matrix, rhs))
-        return solve(matrix, rhs, p, m)
-
-    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    # 0 = 2 mod 4; the rows after it are unsolvable too, and none is read:
+    # the solve builds the degree-2 rows and no more
+    solves = capture_magnus_solves(monkeypatch)
     f2 = Graph(["a", "b"])
     g, h = Element(f2, [1, 2, -1, -2]), Element(f2, [2, 1, -2, -1])
     assert isinstance(nilpotent.magnus_conjugate_test(g, h, 4, 2, 2), nilpotent.Separated)
-    (matrix, rhs), = systems
+    (_, _, rows, rhs, ncols, _, _, x), = solves
     first = next(i for i, t in enumerate(rhs) if t % 4)
     # basis[1:] starts a, b, aa, ab
-    assert (first, matrix[first], rhs[first] % 4) == (3, {}, 2)
-    tail = dense_matrix(SparseMatrix(matrix[first + 1:], matrix.shape[1]))
+    assert (x, first, rows[first], rhs[first] % 4) == (None, 3, {}, 2)
+    assert len(rows) == 6
+    matrix, rhs = whole_magnus_system(g, h, 4, 2, 2)
+    assert (matrix.shape[1], rows) == (ncols, matrix[:6])
+    tail = dense_matrix(SparseMatrix(matrix[first + 1:], ncols))
     assert reference_solve_mod_prime_power(tail, rhs[first + 1:], 2, 2) is None
-    unread = SparseMatrix(matrix[:first + 1] + [_Unread(row) for row in matrix[first + 1:]], matrix.shape[1])
+    unread = SparseMatrix(matrix[:first + 1] + [_Unread(row) for row in matrix[first + 1:]], ncols)
     assert solve_mod_prime_power(unread, rhs, 2, 2) is None
 
 

@@ -44,6 +44,7 @@ from oracles import (
     reference_solve_mod_prime_power,
     trace_monoid_growth,
     whole_graph_magnus_conjugate_test,
+    whole_magnus_system,
     witt_free_lie_dims,
 )
 
@@ -147,29 +148,46 @@ def test_trace_canonical_matches_piles():
                 assert inserted(graph, word) == piled_trace_canonical(graph, word), (graph, word)
 
 
+def assert_tables_match_piles(algebra):
+    graph, d, basis = algebra.graph, algebra.d, algebra.basis
+    assert basis == piled_trace_monomials(graph, d)
+    assert algebra.rows == sum(1 for w in basis if len(w) < d)
+    for i, w in enumerate(basis):
+        if len(w) == d:
+            assert algebra.right[i] == algebra.left[i] == []
+            continue
+        for v in range(graph.n):
+            assert basis[algebra.right[i][v]] == piled_trace_canonical(graph, w + (v,))
+            assert basis[algebra.left[i][v]] == piled_trace_canonical(graph, (v,) + w)
+        if w:
+            assert basis[algebra.parent[i]] == w[:-1]
+            assert basis[algebra.tail[i]] == w[1:]
+
+
 @pytest.mark.parametrize("graph", [P3, C5, F3, K3], ids=["P3", "C5", "F3", "K3"])
 def test_append_tables_match_piles(graph):
     for d in range(1, 6):
         algebra = TraceAlgebra(graph, d)
         basis = algebra.basis
-        assert basis == piled_trace_monomials(graph, d)
-        assert algebra.rows == sum(1 for w in basis if len(w) < d)
-        for i, w in enumerate(basis):
-            if len(w) == d:
-                assert algebra.right[i] == algebra.left[i] == []
-                continue
-            for v in range(graph.n):
-                assert basis[algebra.right[i][v]] == piled_trace_canonical(graph, w + (v,))
-                assert basis[algebra.left[i][v]] == piled_trace_canonical(graph, (v,) + w)
-            if w:
-                assert basis[algebra.parent[i]] == w[:-1]
-                assert basis[algebra.tail[i]] == w[1:]
+        assert_tables_match_piles(algebra)
     # products on indices against piled products of the same elements
     rng = random.Random(graph.n)
     for _ in range(20):
         x, y = ({rng.randrange(len(basis)): rng.randrange(1, 9) for _ in range(12)} for _ in "xy")
         want = piled_product(indexed(algebra, x, 9), indexed(algebra, y, 9))
         assert indexed(algebra, algebra.mul(x, y, 9), 9) == want
+
+
+def test_grown_algebra_matches_piles_at_every_degree():
+    # the Magnus test grows one algebra a degree at a time; after each step
+    # it must be the algebra of that degree
+    for graph in CORPUS:
+        algebra = TraceAlgebra(graph, 0)
+        assert (algebra.d, algebra.basis) == (0, [()])
+        for d in range(1, 7):
+            algebra.grow()
+            assert algebra.d == d
+            assert_tables_match_piles(algebra)
 
 
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
@@ -197,21 +215,38 @@ def left_normed(graph, names):
     return out
 
 
+def whole_layered_system(g, h, d, p, m):
+    """The package's Magnus system of g and h on g.graph, every layer built."""
+    system = nilpotent._MagnusSystem(g, h, d, p**m)
+    for _ in system:
+        pass
+    return system
+
+
+def record_growth(monkeypatch):
+    """Patch TraceAlgebra.grow to record (degree, basis size) after each
+    step it completes; returns the list it fills."""
+    grown = []
+    grow = TraceAlgebra.grow
+
+    def recorded(algebra):
+        grow(algebra)
+        grown.append((algebra.d, len(algebra.basis)))
+
+    monkeypatch.setattr(TraceAlgebra, "grow", recorded)
+    return grown
+
+
 def test_separating_level_stops_at_the_basis_bound(monkeypatch):
     # a weight-5 commutator lies in the fifth term of the lower central
     # series, so its image is trivial below degree 5: the pair with the
     # identity is tried at max_m on every degree up to 4 (781 monomials),
-    # and degree 5 is past the bound and ends the scan
+    # each built to its last degree, and degree 5 is past the bound and
+    # ends the scan
     edgeless5 = Graph(list("abcde"))
-    tried, sizes = [], []
-    test, algebra = nilpotent.magnus_conjugate_test, nilpotent.TraceAlgebra
-
-    def built(graph, d):
-        out = algebra(graph, d)
-        sizes.append(len(out.basis))
-        return out
-
-    monkeypatch.setattr(nilpotent, "TraceAlgebra", built)
+    tried = []
+    test = nilpotent.magnus_conjugate_test
+    grown = record_growth(monkeypatch)
     monkeypatch.setattr(
         nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
     )
@@ -224,7 +259,62 @@ def test_separating_level_stops_at_the_basis_bound(monkeypatch):
         "not conjugate (identity), but no level below the bound separates the pair"
     )
     assert tried == [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2)]
-    assert max(sizes) == 781
+    assert [k for k, _ in grown] == [k for d in range(1, 6) for k in range(1, min(d, 4) + 1)]
+    assert max(size for _, size in grown) == 781
+
+
+def test_magnus_build_stops_at_the_certificate(monkeypatch):
+    # [a, b] against [b, a]: their degree-2 rows read 0 = +-2 mod 4, so
+    # the degree-8 test grows the algebra to degree 2 and builds no row of
+    # degree 3 or more
+    grown = record_growth(monkeypatch)
+    systems = []
+    solve = nilpotent.solve_mod_prime_power
+
+    def capture(matrix, rhs, p, m):
+        systems.append(matrix)
+        return solve(matrix, rhs, p, m)
+
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    g, h = parse(F2, "a b a^-1 b^-1"), parse(F2, "b a b^-1 a^-1")
+    assert magnus_conjugate_test(g, h, 8, 2, 2) == Separated(8, 2, 2)
+    (system,) = systems
+    assert grown == [(1, 3), (2, 7)]
+    assert (system.algebra.d, len(system), len(system.rhs)) == (2, 6, 6)
+    # the rows built are the leading rows of the whole degree-8 system,
+    # and shape is still the whole system's: 510 equations, 254 unknowns
+    matrix, rhs = whole_magnus_system(g, h, 8, 2, 2)
+    assert (system[:], system.rhs) == (matrix[:6], rhs[:6])
+    assert system.shape == matrix.shape == (510, 254)
+    # on five free letters the pair uses two, and degree 40 answers as
+    # degree 2 does; the whole basis up to degree 11 would pass the bound
+    free5 = Graph(list("abcde"))
+    g, h = parse(free5, "a b a^-1 b^-1"), parse(free5, "b a b^-1 a^-1")
+    del grown[:]
+    assert magnus_conjugate_test(g, h, 40, 2, 2) == Separated(40, 2, 2)
+    assert grown == [(1, 3), (2, 7)]
+    with pytest.raises(ValueError, match="up to degree 11"):
+        TraceAlgebra(F2, 40)
+
+
+@pytest.mark.parametrize(
+    ("graph", "top"), [(F2, 6), (P3, 5), (F3, 4), (C5, 3)], ids=["F2", "P3", "F3", "C5"]
+)
+def test_layered_rows_match_the_whole_system(graph, top):
+    # built a degree at a time, the system has the rows of the system built
+    # whole, row for row and in order, with the same right-hand sides; its
+    # shape is counted right before anything is built
+    rng = random.Random(300 + top)
+    pairs = magnus_pairs(rng, graph, 2)
+    pairs += [(rand_word(rng, graph, rng.randrange(1, 6)), rand_word(rng, graph, rng.randrange(1, 6))) for _ in range(2)]
+    for g, h in pairs:
+        for d in range(1, top + 1):
+            for p, m in ((2, 2), (3, 1), (100003, 2)):
+                matrix, rhs = whole_magnus_system(g, h, d, p, m)
+                assert nilpotent._MagnusSystem(g, h, d, p**m).shape == matrix.shape
+                system = whole_layered_system(g, h, d, p, m)
+                assert list(system) == list(matrix) and system.rhs == rhs, (g, h, d, p, m)
+                assert system.shape == matrix.shape
 
 
 def test_separating_level_answers_below_the_basis_bound():
@@ -296,6 +386,25 @@ def test_magnus_identity_and_inverse():
 def test_magnus_commutator_expansion():
     img = magnus_image(parse(F2, "a b a^-1 b^-1"), 2, 2, 3)
     assert img.coeffs == {(): 1, (0, 1): 1, (1, 0): 7}
+
+
+def test_layered_image_matches_magnus_image():
+    # the Magnus test's images, one degree at a time on basis indices,
+    # against magnus_image and against products of piled series, on words
+    # with inverse letters
+    rng = random.Random(71)
+    for graph in CORPUS + [C5]:
+        words = []
+        while len(words) < 4:
+            x = rand_word(rng, graph, rng.randrange(1, 9))
+            if any(lt < 0 for lt in x.letters):
+                words.append(x)
+        for x in words:
+            for d, p, m in ((1, 2, 2), (3, 3, 1), (5, 2, 3), (4, 100003, 2)):
+                system = whole_layered_system(x, x, d, p, m)
+                want = piled_magnus_image(x, d, p, m)
+                assert magnus_image(x, d, p, m) == want
+                assert indexed(system.algebra, system.image_g, p**m) == want
 
 
 def test_magnus_is_homomorphism():
@@ -561,8 +670,8 @@ def test_magnus_test_matches_piled_products(graph, max_d):
                     if level is NOT_FOUND and isinstance(res, Separated):
                         level = (d, m)
             image = piled_magnus_image(g, top, p, 2)
-            algebra = TraceAlgebra(graph, top)
-            assert magnus_image(g, top, p, 2) == image == indexed(algebra, algebra.image(g, p**2), p**2)
+            system = whole_layered_system(g, h, top, p, 2)
+            assert magnus_image(g, top, p, 2) == image == indexed(system.algebra, system.image_g, p**2)
             assert find_separating_level(g, h, p, max_d=top, max_m=2) == level
 
 
