@@ -97,7 +97,9 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     q = p**m
     # rows are read as they arrive, so none past a certificate is read;
     # rhs[i] is read after row i
-    rows = (({c: x % q for c, x in row.items() if x % q}, rhs[i] % q) for i, row in enumerate(matrix))
+    rows = (
+        ({c: x % q for c, x in row.items() if x % q}, rhs[i] % q) for i, row in enumerate(matrix)
+    )
     # the pivot index of each column; pivot k is (its column, p^(v_k), the
     # rest of its row, its right-hand side)
     index = {}
@@ -142,7 +144,9 @@ def solve_mod_prime_power(matrix, rhs, p, m):
             c = max(hits)
             inv = pow(row[c] // pv, -1, q)
             index[c] = len(pivots)
-            pivots.append((c, pv, [(j, x * inv % q) for j, x in row.items() if j != c], t * inv % q))
+            pivots.append(
+                (c, pv, [(j, x * inv % q) for j, x in row.items() if j != c], t * inv % q)
+            )
         rows = free
     x = [0] * matrix.shape[1]
     for c, pv, tail, t in reversed(pivots):

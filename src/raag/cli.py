@@ -6,7 +6,8 @@ input errors (reported on stderr), and 2 when `magnus-separate` finds no
 separating level within its degree and precision bounds (always, for a
 conjugate pair).
 Graphs come from JSON files, words use the same grammar the parser accepts,
-and every printed witness is a parseable word that re-verifies.
+and every printed witness is a parseable word that re-verifies, save that
+a vertex named "1" shadows the identity (see graphs for the name rule).
 
 The commands call the library directly. Bad input raises ValueError there,
 as in the argument parser and the vertex lookups here, and `main` turns it

@@ -46,7 +46,6 @@ __all__ = [
     "conjugate_under",
     "centralizer",
     "centralizer_in_special",
-    "avoid_subgroup",
 ]
 
 
@@ -420,17 +419,3 @@ def conjugate(g, h):
     sigma = ch * sigma * cg.inverse()
     verify(sigma * g * sigma.inverse() == h, "conjugator")
     return Conjugate(sigma)
-
-
-def avoid_subgroup(g):
-    """A proper special subgroup (as a frozenset of vertex indices) whose
-    conjugates all miss g, or None for the identity.
-
-    Any vertex in the support of the cyclic normal form works: conjugation
-    cannot erase it, so no conjugate of g lies in the subgroup on the
-    remaining vertices.
-    """
-    if g.is_identity():
-        return None
-    v = min(g.cyclic_support())
-    return frozenset(range(g.graph.n)) - {v}

@@ -1,10 +1,11 @@
 """Finite simplicial graphs with a fixed vertex order.
 
-Vertices are named by nonempty strings. The order in which they are listed
-is significant: it fixes the letter order used for canonical words, pivot
-choices, and every other tie-break in the package. All computational code
-refers to a vertex by its index in that order; names only matter at the
-parsing and printing boundary.
+Vertices are named by nonempty strings without whitespace or '^', which
+split the tokens of a word (see words.parse). The order in which they are
+listed is significant: it fixes the letter order used for canonical words,
+pivot choices, and every other tie-break in the package. All computational
+code refers to a vertex by its index in that order; names only matter at
+the parsing and printing boundary.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ class Graph:
     def __init__(self, vertices, edges=()):
         self.vertices = list(vertices)
         for name in self.vertices:
-            if not isinstance(name, str) or not name:
-                raise ValueError("vertex names must be nonempty strings")
+            if not isinstance(name, str) or name.split() != [name] or "^" in name:
+                raise ValueError("vertex names must be nonempty strings without whitespace or '^'")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex name")
         self.n = len(self.vertices)

@@ -31,7 +31,6 @@ prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain, islice, zip_longest
 from math import comb
@@ -183,19 +182,22 @@ class TraceAlgebra:
 
     def mul(self, x, y, q):
         """x.y over Z/q, on {index: coefficient} maps: the sum over the
-        monomials s of y of y_s (x.s), with x.s = (x.parent(s)).(last of s)."""
+        monomials s of y of y_s (x.s), with x.s = (x.parent(s)).(last of s).
+        x.s is built for the monomials of y and their prefixes, in index
+        order, where a parent precedes its extensions."""
         right, parent, basis = self.right, self.parent, self.basis
-        memo = {0: x}
-
-        def times(s):
-            if s not in memo:
-                u = basis[s][-1]
-                memo[s] = {right[i][u]: c for i, c in times(parent[s]).items() if right[i]}
-            return memo[s]
-
+        needed = set()
+        for s in y:
+            while s and s not in needed:
+                needed.add(s)
+                s = parent[s]
+        times = {0: x}
+        for s in sorted(needed):
+            u = basis[s][-1]
+            times[s] = {right[i][u]: c for i, c in times[parent[s]].items() if right[i]}
         out = {}
         for s, b in y.items():
-            for i, c in times(s).items():
+            for i, c in times[s].items():
                 out[i] = out.get(i, 0) + b * c
         return {i: c % q for i, c in out.items() if c % q}
 
@@ -365,12 +367,14 @@ def magnus_conjugate_test(g, h, d, p, m):
     degree below k and the coefficients of the images up to degree k, so
     the system is built one degree at a time as the solver reads its rows,
     and a solve that ends at a row of degree k builds nothing past degree k
-    (see _magnus_layers). Such an answer is sound at degree d, however
+    (see _MagnusSystem._layer). Such an answer is sound at degree d, however
     large: the rows read are rows of the degree-d system, and row
     operations on them show that no solution mod p^m satisfies them, so
     none satisfies the whole system. So a pair can be Separated at a
     degree whose trace basis is past MAX_TRACE_MONOMIALS; the bound is met
-    only when the rows below it are all read.
+    only when the rows below it are all read. Nothing in the system
+    refers back to it, and the unit check multiplies in plain loops, so
+    no answer leaves a reference cycle for the collector.
 
     The system is built on S = supp(g) | supp(h) alone, the full subgraph
     on the letters the pair uses, and the verdict is the one on the whole
@@ -413,7 +417,7 @@ def _conjugating_unit(g, h, d, p, m):
         return None
     # the check needs the whole algebra and both images: pass 0 built them
     # by reading every row, and the check must not rest on that
-    for _ in system._batches():
+    for _ in system:
         pass
     algebra = system.algebra
     unit = {0: 1}
@@ -430,26 +434,34 @@ class _MagnusSystem(SparseMatrix):
     layer at a time as it is read.
 
     Iterating yields the rows built so far and, when they run out, builds
-    the next degree's, so a solver that stops at a row of degree k leaves
-    the algebra at degree k and builds no later row. len() and indexing
-    cover the rows built, and rhs grows with them; image_g and image_h are
-    the images up to the degree built. shape is the whole system's, one
-    equation per monomial of degree 1..d and one unknown per monomial of
-    degree 1..d-1; before the last layer it is counted from the clique
-    polynomial, without building the rest.
+    the next degree's (see _layer), so a solver that stops at a row of
+    degree k leaves the algebra at degree k and builds no later row.
+    len() and indexing cover the rows built, and rhs grows with them;
+    image_g and image_h are the images up to the degree built. shape is
+    the whole system's, one equation per monomial of degree 1..d and one
+    unknown per monomial of degree 1..d-1; before the last layer it is
+    counted from the clique polynomial, without building the rest.
+
+    The system keeps no iterator over itself, and nothing it holds refers
+    back to it, so a solve that stops early leaves no reference cycle.
     """
 
-    __slots__ = ("algebra", "rhs", "image_g", "image_h", "_d", "_layers")
+    __slots__ = ("algebra", "rhs", "image_g", "image_h", "_d", "_q", "_images", "_gw", "_wh")
 
     def __init__(self, g, h, d, q):
         list.__init__(self)
         self.algebra = TraceAlgebra(g.graph, 0)
         self.rhs = []
-        self.image_g, self.image_h = {}, {}
-        self._d = d
-        # the layers hold no reference back to the system, so a solve that
-        # stops early leaves no reference cycle for the collector
-        self._layers = _magnus_layers(self.algebra, g, h, d, q, self.image_g, self.image_h)
+        self._d, self._q = d, q
+        right = self.algebra.right
+        self._images = [
+            _image_layers(x.letters, q, 0, lambda t, v: {right[i][v]: c for i, c in t.items()})
+            for x in (g, h)
+        ]
+        self.image_g, self.image_h = [dict(next(layers)) for layers in self._images]
+        # _gw[j] and _wh[j]: the degree-(k-1) parts of column j's two halves,
+        # once the rows of degree k - 1 are built
+        self._gw = self._wh = ()
 
     @property
     def shape(self):
@@ -464,56 +476,39 @@ class _MagnusSystem(SparseMatrix):
         return sum(count[1:]), sum(count[1:-1])
 
     def __iter__(self):
-        return chain.from_iterable(self._batches())
+        todo = range(self.algebra.d + 1, self._d + 1)
+        return chain(self[:], chain.from_iterable(map(self._layer, todo)))
 
-    def _batches(self):
-        """The rows built so far, then each new degree's as it is built."""
-        yield self[:]
-        for rows, rhs in self._layers:
-            self.extend(rows)
-            self.rhs.extend(rhs)
-            yield rows
+    def _layer(self, k):
+        """Grow the algebra to degree k and add degree k to the images;
+        append the rows of degree k and their right-hand sides, and return
+        the rows.
 
-
-def _magnus_layers(algebra, g, h, d, q, image_g, image_h):
-    """The rows of the Magnus system of g and h at degree d over Z/q, and
-    their right-hand sides, for k = 1, ..., d in turn: one pair of lists
-    per degree. Each step grows algebra by one degree and adds the new
-    degree of the images to image_g and image_h.
-
-    Column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
-    w.(M(h) - 1) for w = basis[j] of degree < d; the constant terms of
-    the images cancel, and column 0, the constant term of the unit,
-    moves to the right-hand side. gw_j is gw of w's parent times w's
-    last letter, and wh_j is w's first letter times wh of w's tail, so
-    the degree-k part of a column is the degree-(k-1) part of a
-    shorter word's, with one more letter. It vanishes for w of degree
-    k or more, so the rows of degree k are whole once degree k of the
-    images and of the columns of degree < k is. They come in the order
-    of the basis, degree then lex, with the same entries as the whole
-    system's.
-    """
-    basis, right, left, parent, tail = (
-        algebra.basis, algebra.right, algebra.left, algebra.parent, algebra.tail
-    )
-    images = [
-        _image_layers(x.letters, q, 0, lambda term, v: {right[i][v]: c for i, c in term.items()})
-        for x in (g, h)
-    ]
-    image_g.update(next(images[0]))
-    image_h.update(next(images[1]))
-    # gw[j] and wh[j]: the degree-(k-1) parts of column j's two halves
-    gw = wh = ()
-    for k in range(1, d + 1):
+        Column j is gw_j - wh_j, with gw_j = (M(g) - 1).w and wh_j =
+        w.(M(h) - 1) for w = basis[j] of degree < d; the constant terms of
+        the images cancel, and column 0, the constant term of the unit,
+        moves to the right-hand side. gw_j is gw of w's parent times w's
+        last letter, and wh_j is w's first letter times wh of w's tail, so
+        the degree-k part of a column is the degree-(k-1) part of a
+        shorter word's, with one more letter. It vanishes for w of degree
+        k or more, so the rows of degree k are whole once degree k of the
+        images and of the columns of degree < k is. They come in the order
+        of the basis, degree then lex, with the same entries as the whole
+        system's.
+        """
+        algebra, q, d = self.algebra, self._q, self._d
         algebra.grow()
+        basis, right, left, parent, tail = (
+            algebra.basis, algebra.right, algebra.left, algebra.parent, algebra.tail
+        )
         top = algebra.rows
-        layer_g, layer_h = next(images[0]), next(images[1])
-        image_g.update(layer_g)
-        image_h.update(layer_h)
+        layer_g, layer_h = next(self._images[0]), next(self._images[1])
+        self.image_g.update(layer_g)
+        self.image_h.update(layer_h)
         rows = [{} for _ in range(len(basis) - top)]
         # row i of the layer is at[i]
         at = [None] * top + rows
-        rhs = [(layer_h.get(i, 0) - layer_g.get(i, 0)) % q for i in range(top, len(basis))]
+        gw, wh = self._gw, self._wh
         next_gw, next_wh = [layer_g], [layer_h]
         for j in range(1, top):
             w = basis[j]
@@ -531,8 +526,10 @@ def _magnus_layers(algebra, g, h, d, q, image_g, image_h):
             if k < d:
                 next_gw.append({right[i][u]: c for i, c in gw[parent[j]].items()})
                 next_wh.append({left[i][v]: c for i, c in wh[tail[j]].items()})
-        gw, wh = next_gw, next_wh
-        yield rows, rhs
+        self._gw, self._wh = next_gw, next_wh
+        self.extend(rows)
+        self.rhs += [(layer_h.get(i, 0) - layer_g.get(i, 0)) % q for i in range(top, len(basis))]
+        return rows
 
 
 # the scan solves each degree below the separating one once, at max_m, in
@@ -568,7 +565,8 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     below d of the degree-d system are those of the degree-(d - 1) system,
     so a test at d after d - 1 did not separate reads every row below d,
     and builds the basis of degree d: the bound ends the scan at the same
-    degree, with the same message, as building each basis whole would. Each basis is built on the letters the pair uses (see
+    degree, with the same message, as building each basis whole would.
+    Each basis is built on the letters the pair uses (see
     magnus_conjugate_test); the message names them when they are fewer
     than the graph's, and names the invariant that ruled the pair out.
     """
@@ -615,32 +613,24 @@ def _clique_counts(graph, upto):
     """c_0, ..., c_upto, where c_j is the number of cliques with j vertices.
 
     Let P(S) be the clique polynomial of the subgraph induced on S. Order
-    the vertices v_1, v_2, ... by repeatedly taking one of least degree
-    among those left (a degeneracy order), and let N+(v_i) be the
-    neighbours of v_i later in the order. A nonempty clique is its first
-    vertex v_i joined to a clique of N+(v_i), so
+    the vertices v_1, v_2, ... by degree, least first, and let N+(v_i) be
+    the neighbours of v_i later in the order. A nonempty clique is its
+    first vertex v_i joined to a clique of N+(v_i), so
 
-        P(V) = 1 + t sum_i P(N+(v_i)),
+        P(V) = 1 + t sum_i P(N+(v_i)).
 
-    and each N+(v_i) has at most the graph's degeneracy many vertices,
-    which keeps the pieces small on sparse graphs.
+    N+(v) has k <= deg v vertices, each of degree at least deg v >= k, so
+    with v they have at least k(k + 1) edge ends among the 2m of a graph
+    with m edges: k <= min(deg v, sqrt(2m)), which keeps the pieces small
+    on sparse graphs.
     """
     adj = graph.adj
-    degree = [len(a) for a in adj]
-    heap = [(k, v) for v, k in enumerate(degree)]
-    heapq.heapify(heap)
     taken = [False] * graph.n
     memo = {}
     counts = [1] + [0] * upto
-    while heap:
-        k, v = heapq.heappop(heap)
-        if taken[v] or k != degree[v]:
-            continue
+    for v in sorted(range(graph.n), key=lambda v: len(adj[v])):
         taken[v] = True
         later = frozenset(w for w in adj[v] if not taken[w])
-        for w in later:
-            degree[w] -= 1
-            heapq.heappush(heap, (degree[w], w))
         for j, c in enumerate(_clique_polynomial(adj, later, upto, memo)[:upto]):
             counts[j + 1] += c
     return counts

@@ -22,7 +22,6 @@ checker catch it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import mul
 
 from ._checks import require_prime
@@ -152,20 +151,12 @@ class WitnessGroup:
 
     def alpha_order(self):
         """Least k >= 1 with alpha^k the identity on A."""
-        basis = [tuple(row_unit) for row_unit in self._basis_vectors()]
-        current = list(basis)
+        current = basis = [self.generator(i).vector for i in range(self.params.m)]
         for k in range(1, self.params.order_b + 1):
             current = [self.alpha_apply(v, 1) for v in current]
             if current == basis:
                 return k
         raise RuntimeError("twisting map order exceeds the group order")
-
-    def _basis_vectors(self):
-        m = self.params.m
-        for i in range(m):
-            vec = [0] * m
-            vec[i] = 1
-            yield tuple(vec)
 
     # -- group law ---------------------------------------------------------
 
@@ -213,14 +204,6 @@ class WitnessGroup:
             return self.element((0,) * m, 1)
         raise ValueError(f"unknown generator {name!r}")
 
-    def elements(self):
-        if not self.params.enumerable:
-            raise ValueError("group too large to enumerate")
-        ranges = [range(q) for q in self.moduli]
-        ranges.append(range(self.params.p**self.params.r))
-        for tup in product(*ranges):
-            yield PGroupElement(tup[:-1], tup[-1])
-
     def conjugacy_class(self, x):
         """The class of x = (v, j), as the cosets alpha^i(v) + W, i < p^r.
 
@@ -242,7 +225,7 @@ class WitnessGroup:
         if not self.params.enumerable:
             raise ValueError("group too large to enumerate")
         order = self.params.p**self.params.r
-        powers = [list(self._basis_vectors())]
+        powers = [[self.generator(i).vector for i in range(self.params.m)]]
         for _ in range(1, order):
             powers.append([self.alpha_apply(row) for row in powers[-1]])
         moduli = self.moduli
@@ -252,7 +235,7 @@ class WitnessGroup:
             return tuple((s + t) % q for s, t, q in zip(a, b, moduli))
 
         image = {(0,) * len(moduli)}
-        for e, twisted_e in zip(self._basis_vectors(), powers[j]):
+        for e, twisted_e in zip(powers[0], powers[j]):
             w = tuple((s - t) % q for s, t, q in zip(e, twisted_e, moduli))
             layer, shift = list(image), w
             while shift not in image:

@@ -284,17 +284,6 @@ class Element:
         # relative order and adjacency are inherited, so the word stays canonical
         return Element(subgraph, tuple(mapped), canonical=True)
 
-    def embed(self, supergraph):
-        """Rewrite over a graph that induces self.graph on our vertex names."""
-        mapped = []
-        for lt in self.letters:
-            name = self.graph.vertices[abs(lt) - 1]
-            if name not in supergraph.index:
-                raise ValueError(f"letter {name!r} missing from supergraph")
-            j = supergraph.index[name] + 1
-            mapped.append(j if lt > 0 else -j)
-        return Element(supergraph, tuple(mapped))
-
     def __str__(self):
         if not self.letters:
             return "1"

@@ -333,6 +333,18 @@ def reference_cyclic_normal_form(g):
 # decision procedures, not the word arithmetic underneath.
 
 
+def embed(x, supergraph):
+    """x rewritten over a graph that induces x.graph on its vertex names."""
+    from raag.words import Element
+
+    names = x.graph.vertices
+    mapped = []
+    for lt in x.letters:
+        j = supergraph.index[names[abs(lt) - 1]] + 1
+        mapped.append(j if lt > 0 else -j)
+    return Element(supergraph, mapped)
+
+
 def cayley_ball(graph, radius):
     """Set of all elements of reduced length at most `radius`.
 
@@ -379,7 +391,7 @@ def subgroup_ball(graph, gens, max_len, slack=4, cap=400_000):
     verts = frozenset().union(*(g.support() for g in gens))
     if all(Element(graph, (v + 1,)) in step for v in verts):
         sub = graph.full_subgraph(verts)
-        return {w.embed(graph) for w in cayley_ball(sub, max_len)}
+        return {embed(w, graph) for w in cayley_ball(sub, max_len)}
     limit = max_len + slack + max(len(g) for g in gens)
     seen = {one}
     frontier = [one]
@@ -737,7 +749,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
         s_sub = frozenset(sub.index[graph.vertices[i]] for i in s)
         res = hnn_conjugate_under(g.restrict(sub), h.restrict(sub), s_sub, search_bound)
         if isinstance(res, Conjugate):
-            sigma = res.conjugator.embed(graph)
+            sigma = embed(res.conjugator, graph)
             if sigma * g * sigma.inverse() != h:
                 raise AssertionError("HNN-route conjugator fails to conjugate")
             return Conjugate(sigma)
@@ -779,7 +791,7 @@ def fold_centralizer_in_special(graph, verts, elems):
     if not outside:
         sub = graph.full_subgraph(verts)
         inner = _fold_full_centralizer(sub, [y.restrict(sub) for y in elems])
-        return [x.embed(graph) for x in inner]
+        return [embed(x, graph) for x in inner]
     t = max(outside)
     target = next(y for y in elems if t in y.support())
     rest = [y for y in elems if y is not target]
@@ -828,7 +840,7 @@ def _fold_full_centralizer(graph, elems):
         for comp in factors:
             sub = graph.full_subgraph(comp)
             inner = _fold_full_centralizer(sub, [y.retract(comp).restrict(sub) for y in elems])
-            gens += [x.embed(graph) for x in inner]
+            gens += [embed(x, graph) for x in inner]
         return gens
     first = max(elems, key=lambda y: len(y.cyclic_support()))
     conj, core = first.cyclic_normal_form()
@@ -1428,6 +1440,16 @@ def echelon_center_trivial_upto(graph, max_degree, p):
 # inverse, which apply alpha one power at a time.
 
 
+def group_elements(group):
+    """Every element of a WitnessGroup, vector residues then alpha power."""
+    from raag.pgroup import PGroupElement
+
+    if not group.params.enumerable:
+        raise ValueError("group too large to enumerate")
+    ranges = [range(q) for q in group.moduli] + [range(group.params.p**group.params.r)]
+    return [PGroupElement(t[:-1], t[-1]) for t in itertools.product(*ranges)]
+
+
 def enumerated_conjugacy_class(group, x):
     """The class of x in a WitnessGroup, conjugating by every element."""
-    return {group.conjugate(x, b) for b in group.elements()}
+    return {group.conjugate(x, b) for b in group_elements(group)}

@@ -416,6 +416,14 @@ def test_search_bound_is_gone(graphs, capsys):
     assert (code, out) == (1, "") and "error:" in err
 
 
+def test_graph_name_that_words_cannot_carry_exits_one(tmp_path, capsys):
+    # a vertex named "a^-1" would print as the inverse of a
+    path = tmp_path / "caret.json"
+    path.write_text(json.dumps({"vertices": ["a", "a^-1"], "edges": [["a", "a^-1"]]}))
+    code, out, err = run(capsys, "centralizer", "--graph", str(path), "a")
+    assert (code, out) == (1, "") and "error: cannot load graph: vertex names must be" in err
+
+
 def test_output_is_stable(graphs, capsys):
     args = ("conjugate", "--graph", graphs["path3"], "a b c", "c b a")
     first = run(capsys, *args)

@@ -21,7 +21,6 @@ from raag.words import Element, gen, parse
 from raag.conjugacy import (
     Conjugate,
     NotConjugate,
-    avoid_subgroup,
     centralizer,
     centralizer_in_special,
     conjugate,
@@ -757,23 +756,3 @@ def test_conjugate_under_refuses_bad_vertex_indices():
         conjugate_under(a, b * a * b.inverse(), {1, 5})
     with pytest.raises(ValueError, match="-1 is not a vertex index"):
         conjugate_under(a, a, {-1})
-
-
-def test_avoid_subgroup_basic():
-    graph = GRAPHS["f2"]
-    assert avoid_subgroup(Element(graph)) is None
-    w = avoid_subgroup(parse(graph, "a"))
-    assert w == frozenset({1})
-    rng = random.Random(131)
-    for gname in ("f3", "p3", "edge_iso"):
-        g2 = GRAPHS[gname]
-        for _ in range(8):
-            g = rand_word(rng, g2, rng.randrange(1, 5))
-            if g.is_identity():
-                continue
-            verts = avoid_subgroup(g)
-            assert verts is not None
-            assert not g.in_special(verts)
-            # conjugating cannot push g into the avoided subgroup
-            for s in cayley_ball(g2, 2):
-                assert not (s * g * s.inverse()).in_special(verts)

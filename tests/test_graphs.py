@@ -65,6 +65,17 @@ def test_edge_must_be_a_list_or_tuple_of_two():
     assert Graph(["a", "b"], [["a", "b"]]) == Graph(["a", "b"], [("a", "b")])
 
 
+def test_names_that_printed_words_cannot_carry():
+    # "a^-1" would print as the inverse of a, and "b c" as the product b c
+    with pytest.raises(ValueError, match="without whitespace or '\\^'"):
+        Graph(["a", "a^-1"], [("a", "a^-1")])
+    with pytest.raises(ValueError, match="without whitespace"):
+        Graph(["b", "c", "b c"], [])
+    for name in ("b\tc", " b", "b\n", "^"):
+        with pytest.raises(ValueError, match="without whitespace"):
+            Graph(["a", name])
+
+
 def test_json_roundtrip(tmp_path):
     g = p3()
     d = g.to_dict()

@@ -1,5 +1,6 @@
 """Truncated algebra, unit embedding, separation levels, and Lie dimensions."""
 
+import gc
 import itertools
 import math
 import random
@@ -295,6 +296,27 @@ def test_magnus_build_stops_at_the_certificate(monkeypatch):
     assert grown == [(1, 3), (2, 7)]
     with pytest.raises(ValueError, match="up to degree 11"):
         TraceAlgebra(F2, 40)
+
+
+def test_magnus_test_leaves_no_cyclic_garbage():
+    # neither a test that finds and checks a unit nor one whose solve stops
+    # early leaves a reference cycle: with the collector off, every object
+    # they make is freed by its reference count alone
+    g = parse(C5, "a c a c^-1 a^-1")
+    x = parse(C5, "c a")
+    u, v = parse(C5, "a c a^-1 c^-1"), parse(C5, "c a c^-1 a^-1")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert isinstance(magnus_conjugate_test(g, x * g * x.inverse(), 5, 2, 2), NotSeparatedAtThisLevel)
+        conjugate_pairs = gc.collect()
+        for _ in range(10):
+            assert magnus_conjugate_test(u, v, 6, 2, 2) == Separated(6, 2, 2)
+        early_exits = gc.collect()
+    finally:
+        gc.enable()
+    assert (conjugate_pairs, early_exits) == (0, 0)
 
 
 @pytest.mark.parametrize(
