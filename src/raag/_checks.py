@@ -5,8 +5,6 @@ vertex indices are checked with these helpers rather than with
 ``assert``, which ``-O`` strips.
 """
 
-from __future__ import annotations
-
 # Miller-Rabin on these bases decides primality exactly below PRIME_BOUND,
 # the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

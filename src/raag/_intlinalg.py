@@ -22,8 +22,6 @@ ends at a row builds nothing after it. The number of unknowns is read
 only after pass 0 has read every row.
 """
 
-from __future__ import annotations
-
 from heapq import heapify, heappop, heappush
 from math import gcd
 

@@ -27,13 +27,11 @@ special subgroup, and of one element, are one fold of such cuts, one per
 element, all exact. Centralizers never call a conjugacy decision.
 """
 
-from __future__ import annotations
-
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from ._checks import check_graph, verify, vertex_set
+from ._record import Record
 from .cosets import abelianization, intersection_vertices, make_gens, vertex_gens
 from .words import Element
 
@@ -49,26 +47,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Conjugate:
+class Conjugate(Record):
     """Positive answer; conjugator * g * conjugator^-1 == h, verified."""
 
-    conjugator: Element
+    __slots__ = ("conjugator",)
 
 
-@dataclass(frozen=True)
-class NotConjugate:
+class NotConjugate(Record):
     """Negative answer, naming the invariant that separates the inputs."""
 
-    reason: str
+    __slots__ = ("reason",)
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(Record):
     """An undecided answer. No decision here returns it any more; the
     class stays only because the benchmark in bench/ still imports it."""
 
-    detail: str
+    __slots__ = ("detail",)
 
 
 def _one(graph):

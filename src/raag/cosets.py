@@ -10,11 +10,8 @@ and linear in the word length, and neither calls a conjugacy decision.
 same strip and the same vertex set Z (`intersection_vertices`).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from ._checks import check_graph, verify
+from ._record import Record
 from .words import Element
 
 __all__ = [
@@ -70,17 +67,14 @@ def abelianization(g):
 # double cosets
 
 
-@dataclass(frozen=True)
-class CosetFactors:
+class CosetFactors(Record):
     """Witness y == left * x * right for double-coset membership."""
 
-    left: Element
-    right: Element
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class NotMember:
-    reason: str
+class NotMember(Record):
+    __slots__ = ("reason",)
 
 
 def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):

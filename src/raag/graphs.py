@@ -1,14 +1,13 @@
 """Finite simplicial graphs with a fixed vertex order.
 
 Vertices are named by nonempty strings without whitespace or '^', which
-split the tokens of a word (see words.parse). The order in which they are
-listed is significant: it fixes the letter order used for canonical words,
-pivot choices, and every other tie-break in the package. All computational
-code refers to a vertex by its index in that order; names only matter at
-the parsing and printing boundary.
+split the tokens of a word (see words.parse), and other than "1", the word
+for the identity. The order in which they are listed is significant: it
+fixes the letter order used for canonical words, pivot choices, and every
+other tie-break in the package. All computational code refers to a vertex
+by its index in that order; names only matter at the parsing and printing
+boundary.
 """
-
-from __future__ import annotations
 
 import json
 from functools import cached_property
@@ -31,6 +30,8 @@ class Graph:
         for name in self.vertices:
             if not isinstance(name, str) or name.split() != [name] or "^" in name:
                 raise ValueError("vertex names must be nonempty strings without whitespace or '^'")
+            if name == "1":
+                raise ValueError("vertex name '1' is the identity word")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex name")
         self.n = len(self.vertices)

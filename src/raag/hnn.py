@@ -19,11 +19,8 @@ decided without it; the paper's HNN routes for both are kept as test
 oracles.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from ._checks import vertex_set, verify
+from ._record import Record
 from .words import Element
 
 __all__ = [
@@ -32,12 +29,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HnnWord:
+class HnnWord(Record):
     """Syllable form x0 t^a1 x1 ... t^an xn. head = x0 may be trivial."""
 
-    head: Element
-    syllables: tuple
+    __slots__ = ("head", "syllables")
 
     @property
     def n(self):

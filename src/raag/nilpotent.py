@@ -29,15 +29,13 @@ clique polynomial C(t) = sum_j c_j t^j, where c_j counts the j-cliques:
 prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from itertools import chain, islice, zip_longest
 from math import comb
 
 from . import conjugacy
 from ._checks import check_graph, require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
+from ._record import Record
 
 __all__ = [
     "TruncatedAlgebraElement",
@@ -322,21 +320,17 @@ def _image_layers(letters, q, one, shift):
         last = layer
 
 
-@dataclass(frozen=True)
-class Separated:
+class Separated(Record):
     """No unit with constant term 1 conjugates one image to the other, so the
     group elements are non-conjugate in the finite p-group of units."""
 
-    degree: int
-    prime: int
-    precision: int
+    __slots__ = ("degree", "prime", "precision")
 
 
-@dataclass(frozen=True)
-class NotSeparatedAtThisLevel:
+class NotSeparatedAtThisLevel(Record):
     """A conjugating unit exists at this truncation level (stored, verified)."""
 
-    unit: TruncatedAlgebraElement
+    __slots__ = ("unit",)
 
 
 class _NotFound:

@@ -19,12 +19,10 @@ mutable integer matrix so tests can corrupt an entry and watch the relation
 checker catch it.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from operator import mul
 
 from ._checks import require_prime
+from ._record import Record
 
 __all__ = [
     "WitnessParams",
@@ -35,16 +33,13 @@ __all__ = [
 ENUMERATION_GUARD = 1 << 20
 
 
-@dataclass(frozen=True)
-class WitnessParams:
+class WitnessParams(Record):
     """Parameters (p, n, r, s) with p prime and r, s in 1..n-1."""
 
-    p: int
-    n: int
-    r: int
-    s: int
+    __slots__ = ("p", "n", "r", "s")
 
-    def __post_init__(self):
+    def __init__(self, p, n, r, s):
+        super().__init__(p, n, r, s)
         require_prime(self.p)
         if self.n < 2:
             raise ValueError("need n >= 2")
@@ -85,12 +80,31 @@ class WitnessParams:
         return e <= limit and self.p**e <= ENUMERATION_GUARD
 
 
-@dataclass(frozen=True)
-class PGroupElement:
-    """(vector, alpha_exp): a point of A and a power of the twisting map."""
+class PGroupElement(Record):
+    """(vector, alpha_exp): a point of A and a power of the twisting map.
 
-    vector: tuple
-    alpha_exp: int
+    `conjugacy_class` builds these in bulk, so construction, hashing and
+    equality name the two fields directly instead of looping over them;
+    construction writes through the slot descriptors, past __setattr__.
+    """
+
+    __slots__ = ("vector", "alpha_exp")
+
+    def __init__(self, vector, alpha_exp):
+        _set_vector(self, vector)
+        _set_alpha_exp(self, alpha_exp)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vector == other.vector and self.alpha_exp == other.alpha_exp
+
+    def __hash__(self):
+        return hash((self.vector, self.alpha_exp))
+
+
+_set_vector = PGroupElement.vector.__set__
+_set_alpha_exp = PGroupElement.alpha_exp.__set__
 
 
 class WitnessGroup:

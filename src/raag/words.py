@@ -29,8 +29,6 @@ the front and then letters of another from the back.
 Letters are signed integers: vertex i appears as +-(i+1).
 """
 
-from __future__ import annotations
-
 from collections import deque
 from heapq import heappop, heappush
 
@@ -318,12 +316,12 @@ def parse(graph, text):
 
     Tokens are whitespace separated, each a generator name with an optional
     nonzero integer exponent. The bare string "1" (or an empty string)
-    denotes the identity, unless a vertex is literally named "1", in which
-    case the vertex wins. A word whose exponents expand to more than
-    MAX_WORD_LENGTH letters raises ValueError before any letter is built.
+    denotes the identity; `Graph` refuses "1" as a vertex name. A word
+    whose exponents expand to more than MAX_WORD_LENGTH letters raises
+    ValueError before any letter is built.
     """
     text = text.strip()
-    if not text or (text == "1" and "1" not in graph.index):
+    if not text or text == "1":
         return Element(graph, (), canonical=True)
     tokens = []
     for tok in text.split():

@@ -424,6 +424,15 @@ def test_graph_name_that_words_cannot_carry_exits_one(tmp_path, capsys):
     assert (code, out) == (1, "") and "error: cannot load graph: vertex names must be" in err
 
 
+def test_graph_vertex_named_one_exits_one(tmp_path, capsys):
+    # the identity witness of `conjugate a a`, printed "1", would read back
+    # as the vertex
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"vertices": ["1", "a"], "edges": []}))
+    code, out, err = run(capsys, "conjugate", "--graph", str(path), "a", "a")
+    assert (code, out) == (1, "") and "error: cannot load graph: vertex name '1'" in err
+
+
 def test_output_is_stable(graphs, capsys):
     args = ("conjugate", "--graph", graphs["path3"], "a b c", "c b a")
     first = run(capsys, *args)

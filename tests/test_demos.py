@@ -26,3 +26,12 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert PINNED[demo] in [line.strip() for line in proc.stdout.splitlines()]
+
+
+def test_readme_quick_start(capsys):
+    # the "Library quick start" block of the README, run as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == ["a c", "a^-1", "b", "a c"]

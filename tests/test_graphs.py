@@ -74,6 +74,9 @@ def test_names_that_printed_words_cannot_carry():
     for name in ("b\tc", " b", "b\n", "^"):
         with pytest.raises(ValueError, match="without whitespace"):
             Graph(["a", name])
+    # "1" would read back as the identity
+    with pytest.raises(ValueError, match="identity"):
+        Graph(["1", "a"])
 
 
 def test_json_roundtrip(tmp_path):

@@ -347,10 +347,14 @@ def test_product_with_identity_returns_the_operand():
             stranger * x
 
 
-def test_vertex_named_one_wins_over_identity():
-    g = Graph(["1", "2"], [])
-    assert parse(g, "1").letters == (1,)
-    assert parse(g, "").is_identity()
+def test_bare_one_is_the_identity():
+    # "1" is the identity on every graph, as no vertex may be named "1"
+    with pytest.raises(ValueError, match="'1'"):
+        Graph(["1", "2"], [])
+    for graph in (F2, P3, C5):
+        assert parse(graph, "1").is_identity()
+        assert parse(graph, " 1 ").is_identity()
+        assert parse(graph, "").is_identity()
 
 
 def test_restrict_embed_roundtrip():
