@@ -160,7 +160,8 @@ def _centralizer_shape(graph, verts, elems):
     The r_i are primitive roots of cyclically reduced pure factors on
     supports U_i, and the blocks U_1, ..., U_k, F of M = F ∪ ⋃U_i commute
     with each other, so A_M is their direct product; conj lies in A_V.
-    The fold starts from (1, [], V) and cuts by one C(y) at a time. In
+    The fold starts from (1, [], V), or from C(y) ∩ A_V when the first
+    y lies in A_V, and cuts by one C(y) at a time. In
     the frame y' = conj^-1 * y * conj the cut is P ∩ C(y'), with
     P = ∏<r_i> x A_F:
 
@@ -190,6 +191,11 @@ def _centralizer_shape(graph, verts, elems):
     surviving r_i and s_j, and Z∩L.
     """
     conj, roots, free = _one(graph), [], frozenset(verts)
+    if elems and elems[0].in_special(free):
+        # the first cut is C(y) ∩ A_V for y in A_V: k and every root lie
+        # in A_V, so the strip of k below leaves rep == b == 1 and Z = V ∩ N
+        conj, factors, link = _servatius(elems[0])
+        roots, free, elems = [s for _, s in factors], free & link, elems[1:]
     for y in elems:
         y = conj.inverse() * y * conj
         roots = [r for r in roots if r * y == y * r]

@@ -64,6 +64,21 @@ class Graph:
             for i in range(self.n)
         ]
 
+    @cached_property
+    def letter_links(self):
+        """Per vertex v, the triple (near, lower, cost) that words._canonical
+        reads when it inserts a letter of v: the signed letters of v's
+        neighbours, those of its neighbours before v, and what piling the
+        letter would cost, 2 * (non-neighbours + 1) deque steps."""
+        return [
+            (
+                frozenset(s * (j + 1) for j in self.adj[i] for s in (1, -1)),
+                frozenset(s * (j + 1) for j in self.adj[i] if j < i for s in (1, -1)),
+                2 * (self.n - len(self.adj[i])),
+            )
+            for i in range(self.n)
+        ]
+
     def adjacent(self, i, j):
         return j in self.adj[i]
 

@@ -80,6 +80,10 @@ def _append(near, w, v):
     smaller than v, against a < b. v = b: u.a lies in y, whose first letter
     y1 is larger than v > a, so u is not empty and starts with y1; then
     y1, the rest of u and a form such a factor in w.
+
+    The words module runs the same rule on group words: a letter whose
+    inverse stands just before s deletes it instead, and the words module
+    docstring proves that step.
     """
     i = len(w)
     while i and w[i - 1] in near:

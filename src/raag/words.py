@@ -7,24 +7,59 @@ defining graph, so reduced words form a trace and the canonical word is a
 well defined normal form: elements are equal iff their canonical words are
 identical tuples.
 
-Canonicalisation is done with a piling construction, the heap of pieces
-of Crisp-Godelle-Wiest. Every vertex carries a deque. Pushing a letter
-appends it to its own vertex's pile and an anonymous marker (0) to the
-pile of every vertex it fails to commute with. If the letter's own pile
-instead exposes the inverse letter at its back, the pair cancels: the back
-of the pile is removed together with one marker from the back of each
-dependent pile (everything above the partner's marker on those piles is
-itself a marker, so the anonymous pop is exact). A vertex is ready when
-its pile has a real letter at the front. Repeatedly emitting the front
-letter of the smallest ready vertex, with one front marker from each
-dependent pile (exact by the same argument), produces the canonical word;
-the ready vertices are kept in a min-heap.
+Canonicalisation is by insertion (`_canonical`). A product g * h keeps
+g's canonical word w and puts in h's letters one at a time; a raw word
+goes into the empty word. For a letter x of vertex v: step back over the
+longest suffix s of w whose letters are adjacent to v, so commute with x.
+If the letter y before s is x^-1, delete it; otherwise step forward past
+the letters of s before v and insert x.
 
-Cyclic reduction peels the same heap from both ends: while some vertex has
-a real front x and a real back x^-1, both go, with one front and one back
-marker from each dependent pile, and x joins the conjugator. The double
-coset strip peels it the same way, letters of one special subgroup from
-the front and then letters of another from the back.
+Proof. The reduced words of an element differ by commutations alone, so
+the canonical word is the lex-least word of a trace over the signed
+letters, and a word is canonical exactly when it is reduced and has no
+factor b.u.a with a < b, a commuting with b and with every letter of u
+(Anisimov-Knuth). Write w = p.y.s.
+- Deletion, y = x^-1. p.s equals w.x, as x commutes with s. A cancelling
+  pair z...z^-1 of p.s (its letters between commuting with z), or a
+  factor b.u.a as above, that w lacks has y between its ends, so its last
+  letter lies in s and commutes with y. Then y does not block it: w holds
+  the same pair, or b.u.a with y in u, against w canonical.
+- Insertion. w.x is reduced: x would cancel an x^-1 reached from the
+  back over letters that commute with x. That x^-1 is not y, nor before
+  y: y does not commute with x unless y = x, and then w would cancel the
+  x^-1 against y. The rest is the rule for positive traces, proved at
+  nilpotent._append, read over signed letters.
+
+The walks are not bounded by themselves: on F2 x F2 (the 4-cycle a b c d)
+every a and a^-1 of (b d)^k (a a^-1)^k steps back over all of (b d)^k,
+about 4k^2 steps in all. So each letter put in is charged what piling it
+would cost, 2 * (non-neighbours of v + 1) deque steps, each letter of w is
+credited 2, the least any letter costs to pile, and the backward steps are
+spent from that budget; a forward walk is never longer than the backward
+walk before it. Once the steps exceed the budget, the word built so far
+and the letters not yet reached are canonicalised through the piles
+below. Either way the work is linear: at most a small multiple of piling
+w and the letters put in.
+
+The piles are the heap of pieces of Crisp-Godelle-Wiest. Every vertex
+carries a deque. Pushing a letter appends it to its own vertex's pile and
+an anonymous marker (0) to the pile of every vertex it fails to commute
+with. If the letter's own pile instead exposes the inverse letter at its
+back, the pair cancels: the back of the pile is removed together with one
+marker from the back of each dependent pile (everything above the
+partner's marker on those piles is itself a marker, so the anonymous pop
+is exact). A vertex is ready when its pile has a real letter at the front.
+Repeatedly emitting the front letter of the smallest ready vertex, with
+one front marker from each dependent pile (exact by the same argument),
+produces the canonical word; the ready vertices are kept in a min-heap.
+
+The piles stay for two jobs insertion cannot do: bounding it, as above,
+and reading a word from both ends. Cyclic reduction peels the heap from
+both ends: while some vertex has a real front x and a real back x^-1, both
+go, with one front and one back marker from each dependent pile, and x
+joins the conjugator. The double coset strip peels it the same way,
+letters of one special subgroup from the front and then letters of
+another from the back.
 
 Letters are signed integers: vertex i appears as +-(i+1).
 """
@@ -101,8 +136,30 @@ def _peel(graph, piles, verts, at_back):
     return peeled
 
 
-def _canonical(graph, letters):
-    return _depile(graph, _pile(graph, letters))
+def _canonical(graph, letters, w=()):
+    """The canonical word of w * letters, for a canonical word w, by
+    insertion, handing over to the piles once the walks have cost more
+    than piling would (see the module docstring)."""
+    out = list(w)
+    links = graph.letter_links
+    budget = 2 * len(out)
+    letters = iter(letters)
+    for x in letters:
+        near, lower, cost = links[x - 1 if x > 0 else -x - 1]
+        i = end = len(out)
+        while i and out[i - 1] in near:
+            i -= 1
+        budget += cost - (end - i)
+        if i and out[i - 1] == -x:
+            del out[i - 1]
+        else:
+            while i < end and out[i] in lower:
+                i += 1
+            out.insert(i, x)
+        if budget < 0:
+            out.extend(letters)
+            return _depile(graph, _pile(graph, out))
+    return tuple(out)
 
 
 class Element:
@@ -122,9 +179,9 @@ class Element:
         if canonical:
             self.letters = tuple(letters)
             return
-        # a letter 0 would index the last vertex's pile, and one past +-n
-        # finds no pile; one scan and the IndexError catch them, with no
-        # per-letter check in the piling loop
+        # a letter 0 would read the last vertex's links or pile, and one
+        # past +-n finds none; one scan and the IndexError catch them, with
+        # no per-letter check in the insertion or piling loop
         if 0 in letters:
             raise ValueError("letter 0 names no vertex")
         try:
@@ -141,7 +198,7 @@ class Element:
         if not self.letters:
             return other
         graph = self.graph
-        return Element(graph, _canonical(graph, self.letters + other.letters), canonical=True)
+        return Element(graph, _canonical(graph, other.letters, self.letters), canonical=True)
 
     def inverse(self):
         graph = self.graph
@@ -154,7 +211,8 @@ class Element:
         if k == 0:
             return Element(self.graph, (), canonical=True)
         base = self if k > 0 else self.inverse()
-        return Element(self.graph, _canonical(self.graph, base.letters * abs(k)), canonical=True)
+        letters = base.letters
+        return Element(self.graph, _canonical(self.graph, letters * (abs(k) - 1), letters), canonical=True)
 
     def __eq__(self, other):
         return (

@@ -1126,10 +1126,11 @@ def full_magnus_system(g, h, d, p, m):
 
 @functools.lru_cache(maxsize=None)
 def piled_trace_canonical(graph, word):
-    """Canonical form of a positive trace word by the group normal form."""
-    from raag.words import _canonical
+    """Canonical form of a positive trace word by the group normal form,
+    read off the piles, not through the insertion rule."""
+    from raag.words import _depile, _pile
 
-    return tuple(lt - 1 for lt in _canonical(graph, tuple(v + 1 for v in word)))
+    return tuple(lt - 1 for lt in _depile(graph, _pile(graph, tuple(v + 1 for v in word))))
 
 
 def piled_trace_monomials(graph, cap):

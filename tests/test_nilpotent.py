@@ -757,7 +757,7 @@ def test_nothing_is_cached_on_the_graph():
     find_separating_level(g, parse(graph, "a c"), 2, max_d=3)
     lie_graded_dims(graph, 5)
     assert "_trace_cache" not in vars(graph)
-    assert set(vars(graph)) - before <= {"dependents"}
+    assert set(vars(graph)) - before <= {"dependents", "letter_links"}
 
 
 # ---------------------------------------------------------------------------

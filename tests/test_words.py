@@ -3,7 +3,7 @@ import random
 import pytest
 
 from raag import Element, Graph, gen, parse
-from raag.words import _canonical, _pile
+from raag.words import _canonical, _depile, _pile
 
 from oracles import (
     embed,
@@ -41,6 +41,12 @@ def _gnp(seed, n):
 
 RAND8 = _gnp(8, 8)
 RAND32 = _gnp(32, 32)
+_V8 = [f"v{i}" for i in range(8)]
+K8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 1:]])
+# the complement of the path v0 - v1 - ... - v7
+CO_P8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 2:]])
+# F2 x F2: a and c commute with b and d
+C4 = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
 
 GRAPHS = {"f2": F2, "k2": K2, "p3": P3, "tri": TRI, "edge_iso": EDGE_ISO, "f3": F3}
 
@@ -191,9 +197,9 @@ def test_cyclic_normal_form_matches_reference():
 def test_cyclic_normal_form_canonicalises_at_most_twice(monkeypatch):
     calls = []
 
-    def counted(graph, letters):
+    def counted(graph, letters, w=()):
         calls.append(len(letters))
-        return _canonical(graph, letters)
+        return _canonical(graph, letters, w)
 
     monkeypatch.setattr("raag.words._canonical", counted)
     rng = random.Random(77)
@@ -250,9 +256,84 @@ def test_heap_depile_matches_scan(graph):
     for length in (100, 1000):
         for _ in range(20):
             word = _raw_word(rng, graph, length)
-            canon = _canonical(graph, word)
+            canon = _depile(graph, _pile(graph, word))
             assert scan_depile(graph, _pile(graph, word)) == canon
-            assert _canonical(graph, canon) == canon
+            assert _depile(graph, _pile(graph, canon)) == canon
+
+
+def _piled(graph, word):
+    return _depile(graph, _pile(graph, word))
+
+
+def _inverse_word(word):
+    return tuple(-x for x in reversed(word))
+
+
+CENSUS_GRAPHS = {"f3": F3, "p4": P4, "c5": C5, "rand8": RAND8, "k8": K8, "co_p8": CO_P8, "c4": C4}
+
+
+@pytest.mark.parametrize("graph", CENSUS_GRAPHS.values(), ids=CENSUS_GRAPHS)
+def test_insertion_matches_the_piles(graph):
+    rng = random.Random(26)
+    for length in (0, 1, 2, 7, 30, 300, 1000):
+        for _ in range(4 if length >= 300 else 12):
+            word = _raw_word(rng, graph, length)
+            x = Element(graph, word)
+            assert x.letters == _piled(graph, word)
+            y = Element(graph, _raw_word(rng, graph, rng.randrange(length + 1)))
+            letter = Element(graph, _raw_word(rng, graph, 1))
+            keep = rng.sample(range(graph.n), rng.randrange(graph.n + 1))
+            pairs = [
+                (x * y, x.letters + y.letters),
+                (x * y.inverse(), x.letters + _inverse_word(y.letters)),
+                (x * letter, x.letters + letter.letters),
+                (letter * x, letter.letters + x.letters),
+                (x.inverse(), _inverse_word(x.letters)),
+                (x.retract(keep), tuple(lt for lt in x.letters if abs(lt) - 1 in keep)),
+                (x**3, x.letters * 3),
+                (x**-2, _inverse_word(x.letters) * 2),
+            ]
+            for got, raw in pairs:
+                assert got.letters == _piled(graph, raw), (graph, word)
+
+
+def test_insertion_hands_a_quadratic_walk_to_the_piles(monkeypatch):
+    # on F2 x F2, each a and a^-1 of (b d)^k (a a^-1)^k walks back over all
+    # of (b d)^k, so the walks would cost about 4k^2 steps in all
+    from raag import words
+
+    piled = []
+
+    def counted(graph, letters):
+        piled.append(len(letters))
+        return _pile(graph, letters)
+
+    monkeypatch.setattr(words, "_pile", counted)
+    k = 1000
+    word = (2, 4) * k + (1, -1) * k
+    assert Element(C4, word).letters == (2, 4) * k
+    # one pile, of the insertion's prefix (2k letters and some a a^-1 pairs
+    # cancelled) and the letters it had not reached
+    assert len(piled) == 1
+    assert 2 * k < piled[0] < 4 * k
+
+
+@pytest.mark.parametrize(
+    "letters,error",
+    [((1.0,), TypeError), ((1, 2.0), TypeError), (("a",), TypeError), ((None,), TypeError),
+     ((1, 0), ValueError), ((9,), ValueError), ((-9,), ValueError), ((10**30,), ValueError)],
+)
+def test_insertion_refuses_what_the_piles_refuse(letters, error):
+    # letters are found by list index, so a float or a string raises as it
+    # did when the piles were indexed by vertex; one past the vertex count
+    # and letter 0 raise the ValueError of Element, also once the walks
+    # have handed the rest of the word to the piles
+    long_walk = (2, 4) * 200 + (1, -1) * 200
+    for graph in (C4, K8):
+        for prefix in ((), long_walk):
+            with pytest.raises(error):
+                Element(graph, prefix + letters)
+    assert Element(C4, (True, -1)).is_identity()
 
 
 def test_parse_and_print():
