@@ -91,6 +91,21 @@ def _pure_factor_supports(graph, supp):
     return sorted(comps, key=min)
 
 
+def _pure_factors(core):
+    """(U, factor) for each pure factor of `core`, its retraction onto a
+    component U of the non-commutation graph on its support, in the order
+    of min(U). Letters of different components commute, so the letters
+    a factor drops form a filter of the heap and the factor's letters,
+    read off core's canonical word in one pass, are canonical."""
+    graph = core.graph
+    comps = _pure_factor_supports(graph, core.support())
+    owner = {v: i for i, comp in enumerate(comps) for v in comp}
+    parts = [[] for _ in comps]
+    for lt in core.letters:
+        parts[owner[abs(lt) - 1]].append(lt)
+    return [(comp, Element(graph, part, canonical=True)) for comp, part in zip(comps, parts)]
+
+
 def _primitive_root(p):
     """The r with p == r^e for the largest e, p a cyclically reduced pure
     factor.
@@ -98,11 +113,12 @@ def _primitive_root(p):
     If p == r^e, the projection of p onto any two non-commuting vertices is
     that of r repeated e times. So the first count/e occurrences of each
     vertex in p project like r onto every such pair, and therefore spell r.
-    Roots are unique in a RAAG, and e = 1 always checks out.
+    Roots are unique in a RAAG, and e divides every vertex count, so when
+    no e > 1 checks out (gcd 1 rules all out) the root is p itself.
     """
     counts = Counter(abs(lt) for lt in p.letters)
     top = gcd(*counts.values())
-    for e in range(top, 0, -1):
+    for e in range(top, 1, -1):
         if top % e:
             continue
         quota = {v: c // e for v, c in counts.items()}
@@ -114,6 +130,7 @@ def _primitive_root(p):
         r = Element(p.graph, letters)
         if r**e == p:
             return r
+    return p
 
 
 def _servatius(y):
@@ -135,8 +152,8 @@ def _servatius(y):
         v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
     )
     factors = []
-    for comp in _pure_factor_supports(graph, supp):
-        r = _primitive_root(core.retract(comp))
+    for comp, factor in _pure_factors(core):
+        r = _primitive_root(factor)
         factors.append((comp, r.inverse() if r.letters[0] < 0 else r))
     return conj, factors, link
 
@@ -412,8 +429,9 @@ def conjugate(g, h):
     if gcore.support() != hcore.support():
         return NotConjugate("cyclic-support")
     sigma = _one(graph)
-    for comp in _pure_factor_supports(graph, gcore.support()):
-        tau = _factor_conjugator(gcore.retract(comp), hcore.retract(comp))
+    # one support, so the factors pair up in order
+    for (_, u), (_, v) in zip(_pure_factors(gcore), _pure_factors(hcore)):
+        tau = _factor_conjugator(u, v)
         if tau is None:
             return NotConjugate("cyclic-normal-form")
         sigma = sigma * tau

@@ -1,8 +1,10 @@
 """Double cosets of special subgroups and exact subgroup intersections.
 
 A double coset A·x·B of special subgroups has one (A, B)-reduced element:
-the word left when letters of A are stripped from the front of x's heap
-and then letters of B from its back (`Element.double_coset_form`). So
+the word left when the largest ideal of letters of A is stripped from the
+front of x's heap and then the largest filter of letters of B from its
+back, each in one scan of the canonical word
+(`Element.double_coset_form`). So
 membership is one comparison of reduced representatives, and the
 intersection of A with a conjugate of B has a closed form. Both are exact
 and linear in the word length, and neither calls a conjugacy decision.

@@ -79,6 +79,13 @@ class Graph:
             for i in range(self.n)
         ]
 
+    @cached_property
+    def adj_masks(self):
+        """Per vertex, its neighbours as a bitmask, bit j for vertex j: the
+        vertices whose letters a letter of it commutes with, read by the
+        heap scans in module words."""
+        return [sum(1 << j for j in s) for s in self.adj]
+
     def adjacent(self, i, j):
         return j in self.adj[i]
 

@@ -53,13 +53,48 @@ Repeatedly emitting the front letter of the smallest ready vertex, with
 one front marker from each dependent pile (exact by the same argument),
 produces the canonical word; the ready vertices are kept in a min-heap.
 
-The piles stay for two jobs insertion cannot do: bounding it, as above,
-and reading a word from both ends. Cyclic reduction peels the heap from
-both ends: while some vertex has a real front x and a real back x^-1, both
-go, with one front and one back marker from each dependent pile, and x
-joins the conjugator. The double coset strip peels it the same way,
-letters of one special subgroup from the front and then letters of
-another from the back.
+The piles stay for two jobs: bounding insertion, as above, and cyclic
+reduction of a word that needs it. A letter is initial when no letter
+before it fails to commute with it, terminal when none after it does. A
+word is cyclically reduced unless some initial x has x^-1 terminal
+(`_cyclically_reduced`). A scan from the front collects the initial
+letters, keeping a bitmask of the vertices whose next letter would still
+be initial; a scan from the back looks for their inverses, keeping one
+of the initial letters' vertices whose next letter would still be
+terminal. Each stops when its mask empties, and a word that passes is
+returned unpiled. Otherwise the heap is peeled from both ends: while
+some vertex has a real front x and a real back x^-1, both go, with one
+front and one back marker from each dependent pile, and x joins the
+conjugator.
+
+The double coset strip reads the canonical word w itself (`_strip`). An
+ideal of the heap is a set of letters closed downwards: with a letter,
+every earlier letter that fails to commute with it. Scan w from the
+front keeping `open`, the vertices of A that no letter kept so far fails
+to commute with; take a letter when its vertex is in open, and otherwise
+keep it and cut open down to the letter's neighbours.
+- The taken letters are exactly the largest ideal I of letters of A.
+  I is the union of all such ideals, so a letter x of A lies in I iff
+  every earlier letter failing to commute with x does: each letter
+  below x in the heap lies below one of those, or is one. By induction
+  along w, that holds iff no earlier kept letter fails to commute with
+  x, iff x's vertex is in open. Once open is empty nothing more is taken.
+- Deleting a filter F (a set closed upwards) from a canonical word
+  leaves it canonical. A cancelling pair z...z^-1 or a factor b.u.a as
+  in the proof above that w less F has and w lacks has letters of F
+  between its ends. One of those failing to commute with the last
+  letter would put that letter above it in the heap, so in F; so they
+  all commute with it, and w holds the same pair, or b.u.a with them in
+  u, against w canonical. So I, which is w less a filter, is canonical.
+- Deleting an ideal does not: on a-b, b-c the canonical word b c a
+  loses its front c and leaves b a, whose canonical word is a b. So the
+  front strip keeps the letters before its first deletion, a prefix of
+  w and canonical, and inserts the kept letters after it with
+  `_canonical`, which keeps the pile-cost bound.
+The back strip runs the same scan backwards over that canonical word:
+the largest ideal of the reversed heap is the largest filter of letters
+of B, and deleting it leaves the representative canonical. The filter's
+own letters are w less an ideal, so they are canonicalised.
 
 Letters are signed integers: vertex i appears as +-(i+1).
 """
@@ -112,28 +147,49 @@ def _depile(graph, piles):
     return tuple(out)
 
 
-def _peel(graph, piles, verts, at_back):
-    """Delete letters of vertices in `verts` from one end of the heap until
-    none is left there; returns them in the order deleted."""
-    dependents = graph.dependents
-    end = -1 if at_back else 0
-    take = deque.pop if at_back else deque.popleft
-    # as in _depile, two ready vertices never depend on each other, so a
-    # vertex is pushed only while absent
-    ready = [v for v in verts if piles[v] and piles[v][end]]
-    peeled = []
-    while ready:
-        v = ready.pop()
-        pile = piles[v]
-        peeled.append(take(pile))
-        if pile and pile[end]:
-            ready.append(v)
-        for j in dependents[v]:
-            other = piles[j]
-            take(other)
-            if j in verts and other and other[end]:
-                ready.append(j)
-    return peeled
+def _strip(adj_masks, letters, verts):
+    """(taken, kept, stop): the letters of the largest ideal of the heap of
+    `letters` whose vertices lie in the bitmask `verts`, in order, and the
+    other letters of letters[:stop], in order; letters[stop:] holds no
+    letter of the ideal. See the module docstring."""
+    taken, kept = [], []
+    for i, x in enumerate(letters):
+        if not verts:
+            return taken, kept, i
+        v = x - 1 if x > 0 else -x - 1
+        if verts >> v & 1:
+            taken.append(x)
+        else:
+            kept.append(x)
+            verts &= adj_masks[v]
+    return taken, kept, len(letters)
+
+
+def _cyclically_reduced(graph, letters):
+    """Whether no initial letter x of the heap has x^-1 terminal (see the
+    module docstring)."""
+    adj_masks = graph.adj_masks
+    heads, open_, ends = set(), (1 << graph.n) - 1, 0
+    for x in letters:
+        v = x - 1 if x > 0 else -x - 1
+        if open_ >> v & 1:
+            heads.add(x)
+            ends |= 1 << v
+        open_ &= adj_masks[v]
+        if not open_:
+            break
+    for x in reversed(letters):
+        v = x - 1 if x > 0 else -x - 1
+        if ends >> v & 1 and -x in heads:
+            return False
+        ends &= adj_masks[v]
+        if not ends:
+            break
+    return True
+
+
+def _mask(verts):
+    return sum(1 << v for v in verts)
 
 
 def _canonical(graph, letters, w=()):
@@ -238,15 +294,20 @@ class Element:
 
     def in_special(self, keep):
         """Membership in the special subgroup generated by the vertex
-        indices `keep`; for reduced words this is a support condition."""
-        keep = frozenset(keep)
+        indices `keep`; for reduced words this is a support condition.
+        Raises ValueError if `keep` holds a non-vertex index."""
+        keep = vertex_set(self.graph, keep)
         return all(abs(lt) - 1 in keep for lt in self.letters)
 
     def retract(self, keep):
-        """Image under the retraction killing every generator outside `keep`."""
-        keep = frozenset(keep)
+        """Image under the retraction killing every generator outside `keep`.
+        Raises ValueError if `keep` holds a non-vertex index."""
+        graph = self.graph
+        keep = vertex_set(graph, keep)
         letters = tuple(lt for lt in self.letters if abs(lt) - 1 in keep)
-        return Element(self.graph, _canonical(self.graph, letters), canonical=True)
+        if len(letters) == len(self.letters):
+            return self
+        return Element(graph, _canonical(graph, letters), canonical=True)
 
     def shortlex_key(self):
         return (
@@ -261,8 +322,12 @@ class Element:
 
         Peeling (see the module docstring) re-examines only the vertices
         whose piles changed. Peelable vertices commute pairwise and stay
-        peelable when another is peeled, so the result is order-free."""
+        peelable when another is peeled, so the result is order-free. A
+        word that is cyclically reduced already is returned as it is,
+        unpiled."""
         graph = self.graph
+        if _cyclically_reduced(graph, self.letters):
+            return Element(graph, (), canonical=True), self
         dependents = graph.dependents
         piles = _pile(graph, self.letters)
         peeled = []
@@ -292,11 +357,12 @@ class Element:
         special subgroup A on the vertex indices `front`, b in B on `back`,
         and rep depending only on the double coset A * self * B.
 
-        The strip deletes letters of A at the front of the heap (real
-        front letters of piles of A) until none is left, then letters of B
-        at its back. Deleting a letter at the back never brings a new letter
-        to the front, so rep is (A, B)-reduced: no letter of A at its front
-        and none of B at its back.
+        The strip deletes the largest ideal of letters of A from the front
+        of the heap, then the largest filter of letters of B from the back
+        of what is left (`_strip`, proofs in the module docstring).
+        Deleting letters at the back never brings a new letter to the
+        front, so rep is (A, B)-reduced: no letter of A at its front and
+        none of B at its back.
 
         Uniqueness. For reduced u, v the product u * v reduces to u1 * v1
         where u = u1 * c and v = c^-1 * v1 (Esyp, Kazachkov and
@@ -316,14 +382,21 @@ class Element:
         Raises ValueError if `front` or `back` holds a non-vertex index.
         """
         graph = self.graph
+        adj_masks = graph.adj_masks
         front, back = vertex_set(graph, front), vertex_set(graph, back)
-        piles = _pile(graph, self.letters)
-        left = _peel(graph, piles, front, at_back=False)
-        right = _peel(graph, piles, back, at_back=True)
-        rep = Element(graph, _depile(graph, piles), canonical=True)
+        letters = self.letters
+        left, kept, stop = _strip(adj_masks, letters, _mask(front))
+        if left:
+            # the first letter taken is its vertex's first letter in the
+            # word: an earlier one would have been kept and blocked it
+            first = letters.index(left[0])
+            kept.extend(letters[stop:])
+            letters = _canonical(graph, kept[first:], letters[:first])
+        right, kept, stop = _strip(adj_masks, letters[::-1], _mask(back))
+        rep = letters[:len(letters) - stop] + tuple(kept[::-1])
         return (
-            Element(graph, _canonical(graph, left), canonical=True),
-            rep,
+            Element(graph, left, canonical=True),
+            Element(graph, rep, canonical=True),
             Element(graph, _canonical(graph, right[::-1]), canonical=True),
         )
 

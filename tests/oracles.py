@@ -273,6 +273,8 @@ def reference_cyclic_class(adj, word, memo=None):
 # The package reads piles through a heap of ready vertices and cyclically
 # reduces by peeling its heap once. These are the direct versions: a scan
 # over every vertex per emitted letter, and one cancelled pair per pass.
+# The package strips double cosets by scanning the canonical word with
+# vertex bitmasks; `piled_double_coset_form` strips them on the piles.
 
 
 def scan_depile(graph, piles):
@@ -324,6 +326,51 @@ def reference_cyclic_normal_form(g):
             if changed:
                 break
     return conj, core
+
+
+def _peel(graph, piles, verts, at_back):
+    """Delete letters of vertices in `verts` from one end of the heap until
+    none is left there; returns them in the order deleted."""
+    from collections import deque
+
+    dependents = graph.dependents
+    end = -1 if at_back else 0
+    take = deque.pop if at_back else deque.popleft
+    # two ready vertices never depend on each other, so a vertex is pushed
+    # only while absent
+    ready = [v for v in verts if piles[v] and piles[v][end]]
+    peeled = []
+    while ready:
+        v = ready.pop()
+        pile = piles[v]
+        peeled.append(take(pile))
+        if pile and pile[end]:
+            ready.append(v)
+        for j in dependents[v]:
+            other = piles[j]
+            take(other)
+            if j in verts and other and other[end]:
+                ready.append(j)
+    return peeled
+
+
+def piled_double_coset_form(x, front, back):
+    """(a, rep, b) of `Element.double_coset_form`, stripped on the piles:
+    letters of `front` peeled from the front of x's heap until none is
+    left there, then letters of `back` from its back, and the rest read
+    off the piles."""
+    from raag.words import Element, _depile, _pile
+
+    graph = x.graph
+    front, back = frozenset(front), frozenset(back)
+    piles = _pile(graph, x.letters)
+    left = _peel(graph, piles, front, at_back=False)
+    right = _peel(graph, piles, back, at_back=True)
+    return (
+        Element(graph, left),
+        Element(graph, _depile(graph, piles), canonical=True),
+        Element(graph, right[::-1]),
+    )
 
 
 # ---------------------------------------------------------------------------

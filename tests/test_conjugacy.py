@@ -16,6 +16,7 @@ from oracles import (
     servatius_centralizer,
     subgroup_ball,
 )
+from raag import conjugacy
 from raag.graphs import Graph
 from raag.words import Element, gen, parse
 from raag.conjugacy import (
@@ -291,6 +292,41 @@ def test_centralizer_matches_servatius_formula():
         for length in [0] + [rng.randrange(1, 20) for _ in range(15)]:
             g = rand_word(rng, graph, length)
             assert list(centralizer(g)) == servatius_centralizer(graph, g)
+
+
+_V8 = [f"v{i}" for i in range(8)]
+# F2 x F2, a and c commuting with b and d; the complement of the path
+# v0 - v1 - ... - v7, whose non-commutation graph is that path
+C4 = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+CO_P8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 2:]])
+
+
+@pytest.mark.parametrize("graph", [C4, CO_P8], ids=["c4", "co_p8"])
+def test_pure_factors_are_the_retractions(graph):
+    rng = random.Random(27)
+    several = 0
+    for _ in range(200):
+        core = rand_word(rng, graph, rng.randrange(1, 40)).cyclic_normal_form()[1]
+        factors = conjugacy._pure_factors(core)
+        assert [u for u, _ in factors] == conjugacy._pure_factor_supports(graph, core.support())
+        for u, factor in factors:
+            assert factor.letters == core.retract(u).letters, (core, u)
+        several += len(factors) > 1
+    assert several >= 100
+
+
+def test_primitive_root_of_a_power_and_of_a_root():
+    f2, c4 = GRAPHS["f2"], C4
+    for graph, word in ((f2, "a b^2 a^-1 b"), (c4, "a c^-1 a"), (c4, "b d b^-1 d")):
+        r = parse(graph, word)
+        assert conjugacy._primitive_root(r**3) == r
+        assert conjugacy._primitive_root(r) is r
+    # vertex counts with gcd 1 rule out every e > 1 unread; with gcd 2 the
+    # square root is tried, fails, and p is its own root
+    p = parse(f2, "a^2 b")
+    assert conjugacy._primitive_root(p) is p
+    p = parse(f2, "a b a^-1 b^-1")
+    assert conjugacy._primitive_root(p) is p
 
 
 def test_set_centralizer_refuses_foreign_input():

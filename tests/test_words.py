@@ -7,6 +7,7 @@ from raag.words import _canonical, _depile, _pile
 
 from oracles import (
     embed,
+    piled_double_coset_form,
     reference_cyclic_normal_form,
     reference_normal_form,
     reference_reduced_words,
@@ -47,6 +48,7 @@ K8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 1:]])
 CO_P8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 2:]])
 # F2 x F2: a and c commute with b and d
 C4 = Graph(["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+CENSUS_GRAPHS = {"f3": F3, "p4": P4, "c5": C5, "rand8": RAND8, "k8": K8, "co_p8": CO_P8, "c4": C4}
 
 GRAPHS = {"f2": F2, "k2": K2, "p3": P3, "tri": TRI, "edge_iso": EDGE_ISO, "f3": F3}
 
@@ -151,6 +153,30 @@ def test_support_and_membership():
     assert parse(P3, "1").in_special(set())
 
 
+def test_retract_and_in_special_refuse_a_non_vertex():
+    # on a - b, c: a set with no vertex in it would retract to 1, and one
+    # with -1 would keep a (abs(a) - 1 == 0)
+    graph = Graph(["a", "b", "c"], [("a", "b")])
+    x = parse(graph, "a b c")
+    for keep, bad in (({99}, "99"), ({-1, 0}, "-1"), ({1.0}, "1.0")):
+        with pytest.raises(ValueError, match=f"{bad} is not a vertex index"):
+            x.retract(keep)
+    for keep, bad in (({7}, "7"), ({0, 3}, "3"), ({-2}, "-2")):
+        with pytest.raises(ValueError, match=f"{bad} is not a vertex index"):
+            x.in_special(keep)
+    # the identity still checks what it is given
+    with pytest.raises(ValueError, match="7 is not a vertex index"):
+        parse(graph, "1").retract({7})
+
+
+def test_retract_returns_self_when_it_drops_nothing():
+    u = parse(P4, "a c b^-1 d a")
+    assert u.retract(range(4)) is u
+    assert u.retract({0, 1, 2, 3}) is u
+    assert u.retract({0, 2}) == Element(P4, (1, 3, 1))
+    assert u.retract(set()).is_identity()
+
+
 def test_cyclic_normal_form():
     rng = random.Random(4242)
     for graph in (F2, K2, P3, TRI, EDGE_ISO):
@@ -250,6 +276,66 @@ def test_double_coset_form_is_invariant_on_long_words():
                 assert again[0].is_identity() and again[2].is_identity()
 
 
+def _subsets(rng, n):
+    """The empty set, every vertex, and four random sets."""
+    return [frozenset(), frozenset(range(n))] + [
+        frozenset(rng.sample(range(n), rng.randrange(n + 1))) for _ in range(4)
+    ]
+
+
+@pytest.mark.parametrize("graph", CENSUS_GRAPHS.values(), ids=CENSUS_GRAPHS)
+def test_double_coset_form_matches_the_piled_strip(graph):
+    # raw words and s x t with s in A, t in B, against the strip on the piles
+    rng = random.Random(27)
+    subsets = _subsets(rng, graph.n)
+    for length in (0, 1, 2, 7, 30, 100, 300):
+        for _ in range(3 if length >= 100 else 8):
+            front, back = rng.choice(subsets), rng.choice(subsets)
+            x = Element(graph, _raw_word(rng, graph, length))
+            k = rng.randrange(length // 4 + 2)
+            s = _raw_word_over(rng, front, k) if front else ()
+            t = _raw_word_over(rng, back, k) if back else ()
+            for y in (x, Element(graph, s + x.letters + t)):
+                got = y.double_coset_form(front, back)
+                want = piled_double_coset_form(y, front, back)
+                assert [z.letters for z in got] == [z.letters for z in want], (graph, y, front, back)
+
+
+def _count_piles(monkeypatch):
+    from raag import words
+
+    piled = []
+
+    def counted(graph, letters):
+        piled.append(len(letters))
+        return _pile(graph, letters)
+
+    monkeypatch.setattr(words, "_pile", counted)
+    return piled
+
+
+@pytest.mark.parametrize("graph", [F3, P4, C5, RAND8], ids=["f3", "p4", "c5", "rand8"])
+def test_strip_and_cyclically_reduced_words_build_no_piles(graph, monkeypatch):
+    # on these sparse graphs the insertion that the front strip runs never
+    # spends its budget (on F2 x F2 it can, and then piles as it should)
+    piled = _count_piles(monkeypatch)
+    rng = random.Random(270)
+    subsets = _subsets(rng, graph.n)
+    for length in (0, 1, 8, 30, 100):
+        for _ in range(10):
+            x = Element(graph, _raw_word(rng, graph, length))
+            x.double_coset_form(rng.choice(subsets), rng.choice(subsets))
+            assert not piled, (graph, x)
+            core = x.cyclic_normal_form()[1]
+            piled.clear()
+            conj, again = core.cyclic_normal_form()
+            assert not piled and again is core and conj.is_identity()
+    # a word s x s^-1 that is not cyclically reduced is peeled on the piles
+    s, x = parse(P4, "a b^-1"), parse(P4, "d c d")
+    conj, core = (s * x * s.inverse()).cyclic_normal_form()
+    assert (conj, core) == (s, x) and len(piled) >= 1
+
+
 @pytest.mark.parametrize("graph", [RAND32, P4], ids=["rand32", "p4"])
 def test_heap_depile_matches_scan(graph):
     rng = random.Random(32)
@@ -268,8 +354,6 @@ def _piled(graph, word):
 def _inverse_word(word):
     return tuple(-x for x in reversed(word))
 
-
-CENSUS_GRAPHS = {"f3": F3, "p4": P4, "c5": C5, "rand8": RAND8, "k8": K8, "co_p8": CO_P8, "c4": C4}
 
 
 @pytest.mark.parametrize("graph", CENSUS_GRAPHS.values(), ids=CENSUS_GRAPHS)
@@ -300,15 +384,7 @@ def test_insertion_matches_the_piles(graph):
 def test_insertion_hands_a_quadratic_walk_to_the_piles(monkeypatch):
     # on F2 x F2, each a and a^-1 of (b d)^k (a a^-1)^k walks back over all
     # of (b d)^k, so the walks would cost about 4k^2 steps in all
-    from raag import words
-
-    piled = []
-
-    def counted(graph, letters):
-        piled.append(len(letters))
-        return _pile(graph, letters)
-
-    monkeypatch.setattr(words, "_pile", counted)
+    piled = _count_piles(monkeypatch)
     k = 1000
     word = (2, 4) * k + (1, -1) * k
     assert Element(C4, word).letters == (2, 4) * k
