@@ -5,6 +5,8 @@ vertex indices are checked with these helpers rather than with
 ``assert``, which ``-O`` strips.
 """
 
+import operator
+
 # Miller-Rabin on these bases decides primality exactly below PRIME_BOUND,
 # the least strong pseudoprime to all of them (Sorenson and Webster 2015)
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -17,14 +19,24 @@ def verify(ok, what):
         raise AssertionError(f"{what} failed verification")
 
 
+def require_int(x, name):
+    """x as an int, for anything with __index__ (numpy integers too);
+    raises ValueError naming it otherwise (2.0 == 2, but is no integer)."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{name} = {x!r} is not an integer") from None
+
+
 def require_prime(p):
-    """Raise ValueError unless p is prime, decided by Miller-Rabin on the
-    13 primes 2..41; p past PRIME_BOUND, where that is not exact, is
-    refused."""
+    """p as an int; raises ValueError unless it is prime, decided by
+    Miller-Rabin on the 13 primes 2..41. p past PRIME_BOUND, where that is
+    not exact, is refused."""
+    p = require_int(p, "p")
     if p >= PRIME_BOUND:
         raise ValueError(f"p = {p} is too large: primality is decided only below {PRIME_BOUND}")
     if p in _BASES:
-        return
+        return p
     if p < 2 or any(p % a == 0 for a in _BASES):
         raise ValueError(f"p = {p} is not prime")
     s = ((p - 1) & (1 - p)).bit_length() - 1
@@ -39,6 +51,7 @@ def require_prime(p):
                 break
         else:
             raise ValueError(f"p = {p} is not prime")
+    return p
 
 
 def check_graph(graph, *elems):

@@ -8,10 +8,11 @@ conjugate pair).
 Graphs come from JSON files, words use the same grammar the parser accepts,
 and every printed witness is a parseable word that re-verifies.
 
-The commands call the library directly. Bad input raises ValueError there,
-as in the argument parser and the vertex lookups here, and `main` turns it
-into the message and exit 1; a failed witness check (AssertionError) is a
-bug and escapes as a traceback.
+`main` loads the `--graph` file before the command runs and hands the
+command the graph; the commands then call the library directly. Bad input
+raises ValueError there, as in the argument parser, the graph load and the
+vertex lookups here, and `main` turns it into the message and exit 1; a
+failed witness check (AssertionError) is a bug and escapes as a traceback.
 """
 
 import argparse
@@ -51,14 +52,12 @@ def _load(path):
 # subcommands
 
 
-def _cmd_normal_form(args):
-    graph = _load(args.graph)
+def _cmd_normal_form(graph, args):
     print(parse(graph, args.word))
     return 0
 
 
-def _cmd_equal(args):
-    graph = _load(args.graph)
+def _cmd_equal(graph, args):
     left = parse(graph, args.left)
     right = parse(graph, args.right)
     print("EQUAL" if left == right else "NOT EQUAL")
@@ -73,23 +72,20 @@ def _print_conjugacy(res):
     return 0
 
 
-def _cmd_conjugate(args):
-    graph = _load(args.graph)
+def _cmd_conjugate(graph, args):
     g = parse(graph, args.left)
     h = parse(graph, args.right)
     return _print_conjugacy(conjugacy.conjugate(g, h))
 
 
-def _cmd_conjugate_under(args):
-    graph = _load(args.graph)
+def _cmd_conjugate_under(graph, args):
     g = parse(graph, args.left)
     h = parse(graph, args.right)
     verts = _vertex_set(graph, args.subgroup)
     return _print_conjugacy(conjugacy.conjugate_under(g, h, verts))
 
 
-def _cmd_centralizer(args):
-    graph = _load(args.graph)
+def _cmd_centralizer(graph, args):
     gens = conjugacy.centralizer(parse(graph, args.word))
     if not gens:
         print("1")
@@ -98,8 +94,7 @@ def _cmd_centralizer(args):
     return 0
 
 
-def _cmd_double_coset(args):
-    graph = _load(args.graph)
+def _cmd_double_coset(graph, args):
     x = parse(graph, args.x)
     y = parse(graph, args.y)
     left = _vertex_set(graph, args.left)
@@ -112,8 +107,7 @@ def _cmd_double_coset(args):
     return 0
 
 
-def _cmd_hnn_decompose(args):
-    graph = _load(args.graph)
+def _cmd_hnn_decompose(graph, args):
     pivot = _vertex(graph, args.pivot)
     w = hnn.decompose(parse(graph, args.word), pivot)
     print(f"head: {w.head}")
@@ -122,8 +116,7 @@ def _cmd_hnn_decompose(args):
     return 0
 
 
-def _cmd_magnus_separate(args):
-    graph = _load(args.graph)
+def _cmd_magnus_separate(graph, args):
     g = parse(graph, args.left)
     h = parse(graph, args.right)
     level = nilpotent.find_separating_level(
@@ -137,15 +130,13 @@ def _cmd_magnus_separate(args):
     return 0
 
 
-def _cmd_lie_dims(args):
-    graph = _load(args.graph)
+def _cmd_lie_dims(graph, args):
     dims = nilpotent.lie_graded_dims(graph, args.max_degree)
     print("d: " + " ".join(str(d) for d in dims))
     return 0
 
 
-def _cmd_center(args):
-    graph = _load(args.graph)
+def _cmd_center(graph, args):
     central = [graph.vertices[i] for i in graph.center_vertices()]
     print("central vertices: " + (" ".join(central) if central else "(none)"))
     trivial = nilpotent.lie_center_trivial(graph)
@@ -153,7 +144,7 @@ def _cmd_center(args):
     return 0
 
 
-def _cmd_pgroup_witness(args):
+def _cmd_pgroup_witness(_, args):
     params = WitnessParams(args.prime, args.n, args.r, args.s)
     if not params.enumerable:
         raise ValueError(f"|B| exceeds {ENUMERATION_GUARD}, too large to enumerate")
@@ -178,75 +169,49 @@ def build_parser():
     parser = _Parser(prog="raag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_graph(p):
+    def graph_command(name, func, help, *words):
+        # a subcommand on a graph: --graph, then its word positionals in order
+        p = sub.add_parser(name, help=help)
         p.add_argument("--graph", required=True, help="graph JSON file")
+        for word in words:
+            p.add_argument(word)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("normal-form", help="canonical form of a word")
-    with_graph(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_normal_form)
+    graph_command("normal-form", _cmd_normal_form, "canonical form of a word", "word")
 
-    p = sub.add_parser("equal", help="decide equality of two words")
-    with_graph(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_equal)
+    graph_command("equal", _cmd_equal, "decide equality of two words", "left", "right")
 
-    p = sub.add_parser("conjugate", help="decide conjugacy with a witness")
-    with_graph(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_conjugate)
+    graph_command("conjugate", _cmd_conjugate, "decide conjugacy with a witness",
+                  "left", "right")
 
-    p = sub.add_parser("conjugate-under",
-                       help="conjugacy by an element of a special subgroup")
-    with_graph(p)
-    p.add_argument("left")
-    p.add_argument("right")
+    p = graph_command("conjugate-under", _cmd_conjugate_under,
+                      "conjugacy by an element of a special subgroup", "left", "right")
     p.add_argument("--subgroup", required=True,
                    help="comma-separated vertex names")
-    p.set_defaults(func=_cmd_conjugate_under)
 
-    p = sub.add_parser("centralizer", help="generators of a centralizer")
-    with_graph(p)
-    p.add_argument("word")
-    p.set_defaults(func=_cmd_centralizer)
+    graph_command("centralizer", _cmd_centralizer, "generators of a centralizer", "word")
 
-    p = sub.add_parser("double-coset",
-                       help="is y in <left> x <right>? prints factors")
-    with_graph(p)
-    p.add_argument("x")
-    p.add_argument("y")
+    p = graph_command("double-coset", _cmd_double_coset,
+                      "is y in <left> x <right>? prints factors", "x", "y")
     p.add_argument("--left", required=True, help="comma-separated vertex names")
     p.add_argument("--right", required=True, help="comma-separated vertex names")
-    p.set_defaults(func=_cmd_double_coset)
 
-    p = sub.add_parser("hnn-decompose",
-                       help="syllable decomposition along a pivot vertex")
-    with_graph(p)
-    p.add_argument("word")
+    p = graph_command("hnn-decompose", _cmd_hnn_decompose,
+                      "syllable decomposition along a pivot vertex", "word")
     p.add_argument("--pivot", required=True, help="pivot vertex name")
-    p.set_defaults(func=_cmd_hnn_decompose)
 
-    p = sub.add_parser("magnus-separate",
-                       help="scan truncation levels for a separation")
-    with_graph(p)
-    p.add_argument("left")
-    p.add_argument("right")
+    p = graph_command("magnus-separate", _cmd_magnus_separate,
+                      "scan truncation levels for a separation", "left", "right")
     p.add_argument("-p", dest="prime", type=int, default=2, help="prime")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("-m", "--max-precision", dest="max_precision", type=int,
                    default=2)
-    p.set_defaults(func=_cmd_magnus_separate)
 
-    p = sub.add_parser("lie-dims", help="graded Lie dimensions")
-    with_graph(p)
+    p = graph_command("lie-dims", _cmd_lie_dims, "graded Lie dimensions")
     p.add_argument("--max-degree", type=int, default=5)
-    p.set_defaults(func=_cmd_lie_dims)
 
-    p = sub.add_parser("center", help="central vertices and Lie center check")
-    with_graph(p)
-    p.set_defaults(func=_cmd_center)
+    graph_command("center", _cmd_center, "central vertices and Lie center check")
 
     p = sub.add_parser("pgroup-witness",
                        help="build and check the finite p-group witness")
@@ -263,7 +228,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        graph = _load(args.graph) if "graph" in args else None
+        return args.func(graph, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -91,14 +91,15 @@ def _pure_factor_supports(graph, supp):
     return sorted(comps, key=min)
 
 
-def _pure_factors(core):
+def _pure_factors(core, supp):
     """(U, factor) for each pure factor of `core`, its retraction onto a
-    component U of the non-commutation graph on its support, in the order
-    of min(U). Letters of different components commute, so the letters
-    a factor drops form a filter of the heap and the factor's letters,
-    read off core's canonical word in one pass, are canonical."""
+    component U of the non-commutation graph on its support `supp`, which
+    the caller has at hand, in the order of min(U). Letters of different
+    components commute, so the letters a factor drops form a filter of
+    the heap and the factor's letters, read off core's canonical word in
+    one pass, are canonical."""
     graph = core.graph
-    comps = _pure_factor_supports(graph, core.support())
+    comps = _pure_factor_supports(graph, supp)
     owner = {v: i for i, comp in enumerate(comps) for v in comp}
     parts = [[] for _ in comps]
     for lt in core.letters:
@@ -152,7 +153,7 @@ def _servatius(y):
         v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
     )
     factors = []
-    for comp, factor in _pure_factors(core):
+    for comp, factor in _pure_factors(core, supp):
         r = _primitive_root(factor)
         factors.append((comp, r.inverse() if r.letters[0] < 0 else r))
     return conj, factors, link
@@ -426,11 +427,12 @@ def conjugate(g, h):
         return NotConjugate("abelianization")
     cg, gcore = g.cyclic_normal_form()
     ch, hcore = h.cyclic_normal_form()
-    if gcore.support() != hcore.support():
+    supp = gcore.support()
+    if supp != hcore.support():
         return NotConjugate("cyclic-support")
     sigma = _one(graph)
     # one support, so the factors pair up in order
-    for (_, u), (_, v) in zip(_pure_factors(gcore), _pure_factors(hcore)):
+    for (_, u), (_, v) in zip(_pure_factors(gcore, supp), _pure_factors(hcore, supp)):
         tau = _factor_conjugator(u, v)
         if tau is None:
             return NotConjugate("cyclic-normal-form")

@@ -33,7 +33,7 @@ from itertools import chain, islice, zip_longest
 from math import comb
 
 from . import conjugacy
-from ._checks import check_graph, require_prime, verify
+from ._checks import check_graph, require_int, require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
 from ._record import Record
 
@@ -264,11 +264,13 @@ class TruncatedAlgebraElement:
 # the unit embedding
 
 
-def _modulus(d, p, m):
-    require_prime(p)
+def _level(d, p, m):
+    """(d, p, m) as ints, after checking that p is prime and d, m >= 1."""
+    p = require_prime(p)
+    d, m = require_int(d, "d"), require_int(m, "m")
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
-    return p**m
+    return d, p, m
 
 
 def magnus_image(x, d, p, m):
@@ -282,7 +284,8 @@ def magnus_image(x, d, p, m):
     (see _append); the Magnus test runs the same recurrence on the indices
     of a TraceAlgebra, which is cheaper once the tables exist.
     """
-    q = _modulus(d, p, m)
+    d, p, m = _level(d, p, m)
+    q = p**m
     adj = x.graph.adj
     coeffs = {}
     for layer in islice(_image_layers(x.letters, q, (), lambda term, v: {
@@ -390,7 +393,8 @@ def magnus_conjugate_test(g, h, d, p, m):
     """
     graph = g.graph
     check_graph(graph, h)
-    q = _modulus(d, p, m)
+    d, p, m = _level(d, p, m)
+    q = p**m
     support = sorted(g.support() | h.support())
     if len(support) < graph.n:
         sub = graph.full_subgraph(support)
@@ -568,7 +572,8 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     magnus_conjugate_test); the message names them when they are fewer
     than the graph's, and names the invariant that ruled the pair out.
     """
-    require_prime(p)
+    p = require_prime(p)
+    max_d, max_m = require_int(max_d, "max_d"), require_int(max_m, "max_m")
     if max_d < 1 or max_m < 1:
         raise ValueError("need max_d >= 1 and max_m >= 1")
     if max_m > MAX_PRECISION:

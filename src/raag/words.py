@@ -232,8 +232,11 @@ class Element:
 
     def __init__(self, graph, letters=(), canonical=False):
         self.graph = graph
+        # an iterator is read once, here: the check below would consume it.
+        # tuple() hands a tuple back uncopied
+        letters = tuple(letters)
         if canonical:
-            self.letters = tuple(letters)
+            self.letters = letters
             return
         # a letter 0 would read the last vertex's links or pile, and one
         # past +-n finds none; one scan and the IndexError catch them, with

@@ -7,6 +7,7 @@ import time
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from raag._checks import PRIME_BOUND, require_prime
@@ -154,6 +155,16 @@ def test_require_prime_accepts_large_primes_fast():
     for p in (2**31 - 1, 2**61 - 1, 2**79 - 67):
         require_prime(p)
     assert time.perf_counter() - start < 0.05
+
+
+def test_require_prime_wants_an_integer():
+    # 2.0 == 2 is one of the bases, and used to pass
+    for p in (2.0, 3.0, 7.5, "2", None):
+        with pytest.raises(ValueError, match=f"p = {p!r} is not an integer"):
+            require_prime(p)
+    # numpy integers carry __index__, and come back as ints
+    for p in (np.int64(2), np.int32(2**31 - 1)):
+        assert require_prime(p) == p and type(require_prime(p)) is int
 
 
 def test_require_prime_refuses_past_its_bound():

@@ -534,3 +534,28 @@ def test_magnus_separate_large_prime(graphs, capsys):
     assert code == 0 and out.startswith("SEPARATED AT ")
     assert time.perf_counter() - start < 2
 
+
+HELP_COMMANDS = (
+    "normal-form", "equal", "conjugate", "conjugate-under", "centralizer",
+    "double-coset", "hnn-decompose", "magnus-separate", "lie-dims", "center",
+    "pgroup-witness",
+)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="argparse lays out help differently in other Python versions",
+)
+def test_help_text_is_pinned(monkeypatch, capsys):
+    # the whole command-line interface, as `--help` shows it; cli_help.txt
+    # holds each help text after its `$ raag` line. argparse wraps to the
+    # terminal width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    parts = []
+    for argv in [("--help",)] + [(cmd, "--help") for cmd in HELP_COMMANDS]:
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.err) == (0, ""), argv
+        parts.append(f"$ raag {' '.join(argv)}\n{captured.out}")
+    assert "".join(parts) == Path(__file__).with_name("cli_help.txt").read_text()

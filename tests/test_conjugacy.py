@@ -307,7 +307,7 @@ def test_pure_factors_are_the_retractions(graph):
     several = 0
     for _ in range(200):
         core = rand_word(rng, graph, rng.randrange(1, 40)).cyclic_normal_form()[1]
-        factors = conjugacy._pure_factors(core)
+        factors = conjugacy._pure_factors(core, core.support())
         assert [u for u, _ in factors] == conjugacy._pure_factor_supports(graph, core.support())
         for u, factor in factors:
             assert factor.letters == core.retract(u).letters, (core, u)

@@ -594,6 +594,27 @@ def test_non_prime_p_rejected(p):
         find_separating_level(g, g, p, max_d=0)
 
 
+@pytest.mark.parametrize("d, p, m", [(2.0, 2, 2), (2, 2.0, 2), (2, 2, 2.0), (2, "2", 2)])
+def test_levels_that_are_not_integers_rejected(d, p, m):
+    # 2.0 == 2, and an image over "Z/4.0" had float coefficients
+    g, h = parse(F2, "a b"), parse(F2, "b a^-1")
+    with pytest.raises(ValueError, match="is not an integer"):
+        magnus_image(g, d, p, m)
+    with pytest.raises(ValueError, match="is not an integer"):
+        magnus_conjugate_test(g, h, d + 1, p, m)
+    with pytest.raises(ValueError, match="is not an integer"):
+        find_separating_level(g, h, p, max_d=d, max_m=m)
+
+
+def test_numpy_integer_levels_pass():
+    g, h = parse(P3, "a c b"), parse(P3, "c a b^-1")
+    d, p, m = np.int64(3), np.int64(3), np.int64(2)
+    image = magnus_image(g, d, p, m)
+    assert image == magnus_image(g, 3, 3, 2) and type(image.modulus) is int
+    assert magnus_conjugate_test(g, h, d, p, m) == magnus_conjugate_test(g, h, 3, 3, 2)
+    assert find_separating_level(g, h, p, max_d=d, max_m=m) == find_separating_level(g, h, 3, 3, 2)
+
+
 def test_separation_refuses_elements_over_different_graphs():
     # F3's "c a" against F2's "a b" used to come back Separated(3, 2, 1)
     f2, f3 = Graph(["a", "b"]), Graph(["a", "b", "c"])

@@ -458,6 +458,17 @@ def test_letters_outside_the_graph_are_refused(letters):
         Element(F2, letters)
 
 
+def test_letters_from_an_iterator():
+    # the letter check must not consume the only pass over the letters
+    expected = Element(F2, [1, 2])
+    assert str(expected) == "a b"
+    for letters in (iter([1, 2]), (x for x in (1, 2)), {1: None, 2: None}.keys()):
+        assert Element(F2, letters) == expected
+    # a tuple is kept as it is
+    letters = (1, 2)
+    assert Element(F2, letters, canonical=True).letters is letters
+
+
 def test_operations_on_elements_skip_the_letter_checks(monkeypatch):
     # their letters come from elements, so only outside callers are scanned
     checked = []
