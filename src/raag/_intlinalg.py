@@ -8,7 +8,8 @@ so far, in the order they were made. If an entry of valuation exactly v
 is left, the row pivots on its last one; otherwise it stays free for the
 next pass. A free row whose right-hand side is not divisible by the
 largest power of p that divides all its entries ends the solve at once:
-nothing solves it, and no later row is read. Every row that pass v reads
+nothing solves it, and no later row is read; one with no entries left
+that passes is 0 = 0, and is dropped. Every row that pass v reads
 is divisible by p^v (the induction is in `solve_mod_prime_power`), so
 each pivot has the least valuation of all free entries, as with global
 pivoting, every pivot divides what it clears, and back-substitution
@@ -57,7 +58,9 @@ def solve_mod_prime_power(matrix, rhs, p, m):
     valuation exactly v is left, the row is scaled by a unit so that its
     last one (highest column) is p^v, and becomes the next pivot there.
     Otherwise the row is free, and stays as it is until the next pass
-    reads it. Pivot k's row is 0 in the columns of the pivots made before
+    reads it, unless it has no entries: once it passes the check below,
+    where gcd(q) = q, it is 0 = 0, no pivot can change it, and it is
+    dropped. Pivot k's row is 0 in the columns of the pivots made before
     it, which reduced it, so its fill-in lands only in later pivots'
     columns, and reducing by the pivots in order leaves every pivot
     column 0.
@@ -137,7 +140,9 @@ def solve_mod_prime_power(matrix, rhs, p, m):
             if not hits:
                 if t % gcd(q, *row.values()):
                     return None
-                free.append((row, t))
+                # a row with no entries is now 0 = 0, and stays so
+                if row:
+                    free.append((row, t))
                 continue
             c = max(hits)
             inv = pow(row[c] // pv, -1, q)

@@ -695,6 +695,7 @@ def lie_graded_dims(graph, max_degree):
     Returns the tuple (d_1, ..., d_max_degree); max_degree must lie between
     1 and MAX_LIE_DEGREE.
     """
+    max_degree = require_int(max_degree, "max_degree")
     if max_degree < 1:
         raise ValueError("need at least degree 1")
     if max_degree > MAX_LIE_DEGREE:

@@ -21,7 +21,7 @@ checker catch it.
 
 from operator import mul
 
-from ._checks import require_prime
+from ._checks import require_int, require_prime
 from ._record import Record
 
 __all__ = [
@@ -34,13 +34,15 @@ ENUMERATION_GUARD = 1 << 20
 
 
 class WitnessParams(Record):
-    """Parameters (p, n, r, s) with p prime and r, s in 1..n-1."""
+    """Integer parameters (p, n, r, s) with p prime, n >= 2 and r, s in
+    1..n-1; anything with __index__ is stored as an int."""
 
     __slots__ = ("p", "n", "r", "s")
 
     def __init__(self, p, n, r, s):
-        super().__init__(p, n, r, s)
-        require_prime(self.p)
+        super().__init__(
+            require_prime(p), require_int(n, "n"), require_int(r, "r"), require_int(s, "s")
+        )
         if self.n < 2:
             raise ValueError("need n >= 2")
         if not 1 <= self.r <= self.n - 1:

@@ -8,11 +8,17 @@ well defined normal form: elements are equal iff their canonical words are
 identical tuples.
 
 Canonicalisation is by insertion (`_canonical`). A product g * h keeps
-g's canonical word w and puts in h's letters one at a time; a raw word
-goes into the empty word. For a letter x of vertex v: step back over the
-longest suffix s of w whose letters are adjacent to v, so commute with x.
-If the letter y before s is x^-1, delete it; otherwise step forward past
-the letters of s before v and insert x.
+g's canonical word w and puts in the letters of a reduced word of h one
+at a time: its canonical word, or for an inverse not yet read, the
+canonical word it inverts, reversed and negated (see `Element`). The rule
+needs w canonical and nothing of the letters; a raw word goes into the
+empty word. For a letter x of vertex v: step back over the longest
+suffix s of w whose letters are adjacent to v, so commute with x. If the
+letter y before s is x^-1, delete it; otherwise step forward past the
+letters of s before v and insert x. When the last letter of w fails to
+commute with x, s is empty and no step is taken: the last letter goes
+if it is x^-1, and otherwise x is appended. So g * g^-1 cancels each
+letter at the back.
 
 Proof. The reduced words of an element differ by commutations alone, so
 the canonical word is the lex-least word of a trace over the signed
@@ -36,10 +42,11 @@ about 4k^2 steps in all. So each letter put in is charged what piling it
 would cost, 2 * (non-neighbours of v + 1) deque steps, each letter of w is
 credited 2, the least any letter costs to pile, and the backward steps are
 spent from that budget; a forward walk is never longer than the backward
-walk before it. Once the steps exceed the budget, the word built so far
-and the letters not yet reached are canonicalised through the piles
-below. Either way the work is linear: at most a small multiple of piling
-w and the letters put in.
+walk before it, and a letter that takes no step only adds to the budget.
+Once the steps exceed the budget, the word built so far and the letters
+not yet reached are canonicalised through the piles below. Either way
+the work is linear: at most a small multiple of piling w and the letters
+put in.
 
 The piles are the heap of pieces of Crisp-Godelle-Wiest. Every vertex
 carries a deque. Pushing a letter appends it to its own vertex's pile and
@@ -102,7 +109,7 @@ Letters are signed integers: vertex i appears as +-(i+1).
 from collections import deque
 from heapq import heappop, heappush
 
-from ._checks import vertex_set
+from ._checks import require_int, vertex_set
 
 __all__ = ["Element", "parse", "gen", "MAX_WORD_LENGTH"]
 
@@ -193,19 +200,28 @@ def _mask(verts):
 
 
 def _canonical(graph, letters, w=()):
-    """The canonical word of w * letters, for a canonical word w, by
-    insertion, handing over to the piles once the walks have cost more
-    than piling would (see the module docstring)."""
+    """The canonical word of w * letters, for a canonical word w and any
+    word `letters`, by insertion, handing over to the piles once the walks
+    have cost more than piling would (see the module docstring)."""
     out = list(w)
     links = graph.letter_links
     budget = 2 * len(out)
     letters = iter(letters)
     for x in letters:
         near, lower, cost = links[x - 1 if x > 0 else -x - 1]
+        budget += cost
+        # s is empty, as no letter of near is 0: delete or append, no step
+        y = out[-1] if out else 0
+        if y not in near:
+            if y == -x:
+                out.pop()
+            else:
+                out.append(x)
+            continue
         i = end = len(out)
         while i and out[i - 1] in near:
             i -= 1
-        budget += cost - (end - i)
+        budget -= end - i
         if i and out[i - 1] == -x:
             del out[i - 1]
         else:
@@ -221,6 +237,14 @@ def _canonical(graph, letters, w=()):
 class Element:
     """A group element over a fixed graph.
 
+    `letters` is the canonical word once read. An inverse holds its
+    operand's reduced word reversed and negated, a reduced word of the
+    inverse as long as its canonical word, until something reads
+    `letters` (`==`, `hash`, `str`, use as a left factor): that read
+    canonicalises it, once. A right factor puts its reduced word in as it
+    is. Length, truthiness, support and retraction read that word, as the
+    reduced words of an element have the same letters up to order.
+
     Do not pass canonical=True unless the letters are already known to be
     a canonical word; every public operation maintains that invariant.
     Operations canonicalise letters taken from elements themselves and pass
@@ -228,41 +252,50 @@ class Element:
     callers' letters.
     """
 
-    __slots__ = ("graph", "letters")
+    # _word: a reduced word of the element, `letters` itself once set
+    __slots__ = ("graph", "letters", "_word")
 
     def __init__(self, graph, letters=(), canonical=False):
         self.graph = graph
         # an iterator is read once, here: the check below would consume it.
         # tuple() hands a tuple back uncopied
         letters = tuple(letters)
-        if canonical:
-            self.letters = letters
-            return
-        # a letter 0 would read the last vertex's links or pile, and one
-        # past +-n finds none; one scan and the IndexError catch them, with
-        # no per-letter check in the insertion or piling loop
-        if 0 in letters:
-            raise ValueError("letter 0 names no vertex")
-        try:
-            self.letters = _canonical(graph, letters)
-        except IndexError:
-            raise ValueError(f"a letter lies outside ±1..±{graph.n}") from None
+        if not canonical:
+            # a letter 0 would read the last vertex's links or pile, and
+            # one past +-n finds none; one scan and the IndexError catch
+            # them, with no per-letter check in the insertion or piling loop
+            if 0 in letters:
+                raise ValueError("letter 0 names no vertex")
+            try:
+                letters = _canonical(graph, letters)
+            except IndexError:
+                raise ValueError(f"a letter lies outside ±1..±{graph.n}") from None
+        self.letters = self._word = letters
+
+    def __getattr__(self, name):
+        # called only for an unset slot: `letters` of an inverse not read yet
+        if name != "letters":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.letters = self._word = letters = _canonical(self.graph, self._word)
+        return letters
 
     def __mul__(self, other):
         if self.graph is not other.graph and self.graph != other.graph:
             raise ValueError("elements live on different graphs")
         # elements are immutable, so a product with 1 can share its operand
-        if not other.letters:
+        word = other._word
+        if not word:
             return self
-        if not self.letters:
+        if not self._word:
             return other
         graph = self.graph
-        return Element(graph, _canonical(graph, other.letters, self.letters), canonical=True)
+        return Element(graph, _canonical(graph, word, self.letters), canonical=True)
 
     def inverse(self):
-        graph = self.graph
-        letters = tuple(-x for x in reversed(self.letters))
-        return Element(graph, _canonical(graph, letters), canonical=True)
+        inv = Element.__new__(Element)
+        inv.graph = self.graph
+        inv._word = tuple(-x for x in reversed(self._word))
+        return inv
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -284,31 +317,31 @@ class Element:
         return hash(self.letters)
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self._word)
 
     def __len__(self):
-        return len(self.letters)
+        return len(self._word)
 
     def is_identity(self):
-        return not self.letters
+        return not self._word
 
     def support(self):
-        return frozenset(abs(lt) - 1 for lt in self.letters)
+        return frozenset(abs(lt) - 1 for lt in self._word)
 
     def in_special(self, keep):
         """Membership in the special subgroup generated by the vertex
         indices `keep`; for reduced words this is a support condition.
         Raises ValueError if `keep` holds a non-vertex index."""
         keep = vertex_set(self.graph, keep)
-        return all(abs(lt) - 1 in keep for lt in self.letters)
+        return all(abs(lt) - 1 in keep for lt in self._word)
 
     def retract(self, keep):
         """Image under the retraction killing every generator outside `keep`.
         Raises ValueError if `keep` holds a non-vertex index."""
         graph = self.graph
         keep = vertex_set(graph, keep)
-        letters = tuple(lt for lt in self.letters if abs(lt) - 1 in keep)
-        if len(letters) == len(self.letters):
+        letters = tuple(lt for lt in self._word if abs(lt) - 1 in keep)
+        if len(letters) == len(self._word):
             return self
         return Element(graph, _canonical(graph, letters), canonical=True)
 
@@ -439,6 +472,7 @@ def gen(graph, name, power=1):
     """The generator `name` raised to an integer power."""
     if name not in graph.index:
         raise ValueError(f"unknown generator {name!r}")
+    power = require_int(power, "power")
     if power == 0:
         return Element(graph, (), canonical=True)
     lt = graph.index[name] + 1

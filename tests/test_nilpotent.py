@@ -606,6 +606,18 @@ def test_levels_that_are_not_integers_rejected(d, p, m):
         find_separating_level(g, h, p, max_d=d, max_m=m)
 
 
+@pytest.mark.parametrize("degree", [3.0, "3"])
+def test_lie_degree_that_is_not_an_integer_rejected(degree):
+    # 3.0 == 3, and range(1, 3.0 + 1) raised a TypeError
+    with pytest.raises(ValueError, match="max_degree = .* is not an integer"):
+        lie_graded_dims(F3, degree)
+
+
+def test_numpy_integer_lie_degree_passes():
+    dims = lie_graded_dims(F3, np.int64(4))
+    assert dims == lie_graded_dims(F3, 4) and all(type(d) is int for d in dims)
+
+
 def test_numpy_integer_levels_pass():
     g, h = parse(P3, "a c b"), parse(P3, "c a b^-1")
     d, p, m = np.int64(3), np.int64(3), np.int64(2)

@@ -31,6 +31,24 @@ def test_invalid_params_rejected():
         WitnessParams(2, 2, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [((2, 3.0, 1, 1), "n"), ((2, 3, 1.0, 1), "r"), ((2, 3, 1, 1.0), "s"), ((2.0, 3, 1, 1), "p")],
+)
+def test_params_that_are_not_integers_rejected(args, name):
+    # 3.0 == 3, and n = 3.0 gave the moduli (8.0, 2, 2)
+    with pytest.raises(ValueError, match=f"{name} = .* is not an integer"):
+        WitnessParams(*args)
+
+
+def test_numpy_integer_params_are_stored_as_ints():
+    import numpy as np
+
+    params = WitnessParams(*map(np.int64, (2, 3, 1, 2)))
+    assert params == WitnessParams(2, 3, 1, 2)
+    assert all(type(getattr(params, f)) is int for f in ("p", "n", "r", "s"))
+
+
 def test_orders(group):
     p = group.params
     assert p.order_a == p.p ** (p.n + p.s * (p.p**p.r - 1) + p.r)

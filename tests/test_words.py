@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -394,6 +396,81 @@ def test_insertion_hands_a_quadratic_walk_to_the_piles(monkeypatch):
     assert 2 * k < piled[0] < 4 * k
 
 
+@pytest.mark.parametrize("graph", CENSUS_GRAPHS.values(), ids=CENSUS_GRAPHS)
+def test_inverses_match_the_piles(graph):
+    # an inverse holds a reversed word until its letters are read; each use
+    # of one gives the canonical word that the piles give
+    rng = random.Random(29)
+    for length in (0, 1, 2, 7, 30, 300, 1000):
+        for _ in range(3 if length >= 300 else 10):
+            word = _raw_word(rng, graph, length)
+            x = Element(graph, word)
+            y = Element(graph, _raw_word(rng, graph, rng.randrange(length + 1)))
+            inv = _inverse_word(y.letters)
+            pairs = [
+                (x * y.inverse(), x.letters + inv),
+                (y.inverse(), inv),
+                (y.inverse() * x, inv + x.letters),
+                (y.inverse() * x.inverse(), inv + _inverse_word(x.letters)),
+                (y.inverse().inverse(), y.letters),
+                (y**-3, inv * 3),
+            ]
+            for got, raw in pairs:
+                assert got.letters == _piled(graph, raw), (graph, word)
+            # x from another raw word: the product cancels at the back
+            letter = _raw_word(rng, graph, 1)
+            twin = Element(graph, letter + _inverse_word(letter) + word)
+            assert (x * twin.inverse()).is_identity()
+            # equality and hash of inverses nobody has read
+            canon = Element(graph, inv)
+            assert y.inverse() == canon and canon == y.inverse()
+            assert hash(y.inverse()) == hash(canon)
+            z = y.inverse()
+            assert (len(z), bool(z), z.support(), z.is_identity()) == (
+                len(canon), bool(canon), canon.support(), canon.is_identity()
+            )
+
+
+def test_an_unread_inverse_pickles_and_copies():
+    y = parse(P4, "a c b^-1 d a")
+    want = _piled(P4, _inverse_word(y.letters))
+    for clone in (lambda z: pickle.loads(pickle.dumps(z)), copy.copy, copy.deepcopy):
+        inv = y.inverse()
+        got = clone(inv)
+        assert got == inv and hash(got) == hash(inv)
+        assert got.letters == want and got.graph == P4
+        assert (got * y).is_identity()
+
+
+def test_an_inverse_canonicalises_once_when_read(monkeypatch):
+    calls = []
+
+    def counted(graph, letters, w=()):
+        calls.append(len(letters))
+        return _canonical(graph, letters, w)
+
+    x, y = parse(P4, "a c b^-1 d"), parse(P4, "d^-1 b a^2 c")
+    monkeypatch.setattr("raag.words._canonical", counted)
+    inv = y.inverse()
+    assert calls == []
+    # length, truthiness, support and retraction read the reversed word
+    assert len(inv) == len(y) and inv and not inv.is_identity()
+    assert inv.support() == y.support() and inv.in_special(range(4))
+    assert inv.retract(range(4)) is inv
+    assert calls == []
+    # x * y^-1 is one insertion pass, over y's letters
+    product = x * inv
+    assert calls == [len(y)]
+    calls.clear()
+    letters = inv.letters
+    assert calls == [len(y)] and letters == _piled(P4, _inverse_word(y.letters))
+    # read once: later reads, printing and hashing canonicalise nothing
+    assert inv.letters is letters and str(inv) == "b^-1 c^-1 a^-2 d" and hash(inv)
+    assert calls == [len(y)]
+    monkeypatch.undo()
+    assert product == Element(P4, x.letters + _inverse_word(y.letters))
+
+
 @pytest.mark.parametrize(
     "letters,error",
     [((1.0,), TypeError), ((1, 2.0), TypeError), (("a",), TypeError), ((None,), TypeError),
@@ -436,6 +513,15 @@ def test_parse_and_print():
         parse(P3, "a^x")
     with pytest.raises(ValueError):
         gen(P3, "nope")
+
+
+def test_gen_power_must_be_an_integer():
+    import numpy as np
+
+    # 2.0 == 2, and (lt,) * 2.0 raised a TypeError
+    with pytest.raises(ValueError, match="power = 2.0 is not an integer"):
+        gen(P3, "a", 2.0)
+    assert gen(P3, "a", np.int64(-2)) == parse(P3, "a^-2")
 
 
 def test_parse_refuses_oversized_words(monkeypatch):
