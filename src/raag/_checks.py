@@ -62,11 +62,17 @@ def check_graph(graph, *elems):
 
 
 def vertex_set(graph, verts):
-    """frozenset(verts), after checking that each is a vertex index of
-    `graph`, an int in range(graph.n); raises ValueError naming one that
-    is not (1.0 == 1, but it cannot index a list)."""
-    verts = frozenset(verts)
+    """The vertex indices `verts` as a frozenset of ints, after checking
+    that each is an integer (anything with __index__, numpy integers too)
+    in range(graph.n); raises ValueError naming one that is not (1.0 == 1,
+    but it cannot index a list)."""
+    out = []
     for v in verts:
-        if not isinstance(v, int) or not 0 <= v < graph.n:
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1  # fails the range check below
+        if not 0 <= i < graph.n:
             raise ValueError(f"{v!r} is not a vertex index of this {graph.n}-vertex graph")
-    return verts
+        out.append(i)
+    return frozenset(out)

@@ -1,14 +1,18 @@
 """Conjugacy decisions with certificates, and centralizers.
 
 `conjugate` is exact. After the cheap invariants (identity,
-abelianization, support of the cyclic normal form) it splits both cyclic
-cores into their pure factors, the retractions onto the components of
-the non-commutation graph on the common support, and decides each pair
-of factors by comparing anchored cyclic cuts of their periodic heaps.
+abelianization, support of the cyclic normal form) equal cyclic cores
+answer at once. Otherwise it splits both cores into their pure factors,
+the retractions onto the components of the non-commutation graph on the
+common support, found once for both in one pass over the vertices'
+neighbour bitmasks, and decides each pair of factors by comparing
+anchored cyclic cuts of their periodic heaps.
 `conjugate_under` is exact too: the conjugators taking g to h form the
 coset x0 * C(g) of the centralizer, with x0 from `conjugate`, and
 whether that coset meets the special subgroup comes down to two
 double-coset strips, one cut Z and one integer exponent per pure factor.
+C(g) is read off the cyclic normal form and pure factors that deciding
+x0 already computed for g.
 Every positive answer carries a conjugator
 verified by multiplication; every negative answer names the invariant
 that separates the inputs.
@@ -83,23 +87,39 @@ def _tester(u, v, verts):
 
 
 def _pure_factor_supports(graph, supp):
-    """Connected components of the non-commutation graph on `supp`."""
+    """Connected components of the non-commutation graph on `supp`, in the
+    order of their least vertex, in one pass over bitmasks: a component
+    takes in, for each vertex it reaches, the vertices of supp left
+    outside that vertex's neighbours."""
+    adj_masks = graph.adj_masks
+    rest = sum(1 << v for v in supp)
     comps = []
-    for v in supp:
-        touched = [c for c in comps if not c.isdisjoint(graph.dependents[v])]
-        comps = [c for c in comps if c not in touched] + [{v}.union(*touched)]
-    return sorted(comps, key=min)
+    while rest:
+        comp = todo = rest & -rest
+        rest ^= comp
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            new = rest & ~adj_masks[bit.bit_length() - 1]
+            rest ^= new
+            comp |= new
+            todo |= new
+        comps.append(frozenset(v for v in supp if comp >> v & 1))
+    return comps
 
 
-def _pure_factors(core, supp):
+def _pure_factors(core, comps):
     """(U, factor) for each pure factor of `core`, its retraction onto a
-    component U of the non-commutation graph on its support `supp`, which
-    the caller has at hand, in the order of min(U). Letters of different
+    component U of the non-commutation graph on its support, `comps`
+    being those components in the order of min(U)
+    (`_pure_factor_supports`), which the caller has at hand. A core with
+    one component is its own factor. Otherwise letters of different
     components commute, so the letters a factor drops form a filter of
     the heap and the factor's letters, read off core's canonical word in
     one pass, are canonical."""
+    if len(comps) == 1:
+        return [(comps[0], core)]
     graph = core.graph
-    comps = _pure_factor_supports(graph, supp)
     owner = {v: i for i, comp in enumerate(comps) for v in comp}
     parts = [[] for _ in comps]
     for lt in core.letters:
@@ -134,26 +154,33 @@ def _primitive_root(p):
     return p
 
 
-def _servatius(y):
+def _servatius(y, parts=None):
     """(conj, factors, link) with y == conj * core * conj^-1, core
     cyclically reduced, factors the pairs (U_i, r_i) of the supports and
     primitive roots of the pure factors of core (its retractions onto the
     components of the non-commutation graph on its support U), each root
     flipped to start with a positive letter, and link L every vertex
-    outside U adjacent to all of it.
+    outside U adjacent to all of it. `parts`, when given, is y's
+    (conj, core, U, pure factors or None) from `_conjugate_cores`, which
+    are not computed again.
 
     Servatius' centralizer theorem: for y nontrivial,
     C(y) == conj * (<r_1> x ... x <r_m> x <L>) * conj^-1, inside
     conj * A_M * conj^-1 with A_M == A_{U_1} x ... x A_{U_m} x A_L.
     """
     graph = y.graph
-    conj, core = y.cyclic_normal_form()
-    supp = core.support()
+    if parts is None:
+        conj, core = y.cyclic_normal_form()
+        supp, pure = core.support(), None
+    else:
+        conj, core, supp, pure = parts
+    if pure is None:
+        pure = _pure_factors(core, _pure_factor_supports(graph, supp))
     link = frozenset(
         v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
     )
     factors = []
-    for comp, factor in _pure_factors(core, supp):
+    for comp, factor in pure:
         r = _primitive_root(factor)
         factors.append((comp, r.inverse() if r.letters[0] < 0 else r))
     return conj, factors, link
@@ -289,8 +316,10 @@ def conjugate_under(g, h, s_verts):
     conjugates g to h; witnesses are verified before being returned.
 
     Killing S must leave g and h equal. Past that, the conjugators taking
-    g to h form the coset x0 * C(g), x0 from `conjugate`, and with
-    (k, U_i, r_i, L) from `_servatius(g)` and M = U ∪ L, C(g) is k * P * k^-1
+    g to h form the coset x0 * C(g), x0 from `conjugate`'s decision
+    (`_conjugate_cores`), and with (k, U_i, r_i, L) from `_servatius(g)`,
+    built from the cyclic normal form and pure factors of g that the
+    decision computed, and M = U ∪ L, C(g) is k * P * k^-1
     for P = <r_1> x ... x <r_m> x A_L inside A_M. So sigma exists iff
     x0 * k * p * k^-1 lies in A_S for some p in P:
 
@@ -321,13 +350,15 @@ def conjugate_under(g, h, s_verts):
     if abelianization(g) != abelianization(h):
         return NotConjugate("abelianization")
     # conjugating by A_S fixes the image killing S; this spares most
-    # negatives the cyclic normal forms of `conjugate`
+    # negatives the cyclic normal forms of `_conjugate_cores`
     if g.retract(everything - s) != h.retract(everything - s):
         return NotConjugate("retraction")
-    res = conjugate(g, h)
+    if g.is_identity() != h.is_identity():
+        return NotConjugate("identity")
+    res, parts = _conjugate_cores(g, h)
     if not isinstance(res, Conjugate):
         return res
-    k, factors, link = _servatius(g)
+    k, factors, link = _servatius(g, parts)
     m_verts = link.union(*(u for u, _ in factors))
     _, rep, b = k.double_coset_form(s, m_verts)
     _, rep_x, b_x = (res.conjugator * k).double_coset_form(s, m_verts)
@@ -409,13 +440,46 @@ def _factor_conjugator(u, v):
     return min(found, key=Element.shortlex_key, default=None)
 
 
+def _conjugate_cores(g, h):
+    """(`conjugate(g, h)`, parts) for g != h, both nontrivial, with equal
+    abelianizations; parts is g's (conj, core, support, pure factors) for
+    `_servatius`, the pure factors None when equal cores spared them, and
+    parts is None for a negative answer."""
+    graph = g.graph
+    cg, gcore = g.cyclic_normal_form()
+    ch, hcore = h.cyclic_normal_form()
+    supp = gcore.support()
+    if supp != hcore.support():
+        return NotConjugate("cyclic-support"), None
+    pure = None
+    if gcore == hcore:
+        # then every pair of pure factors is equal, with conjugator 1
+        sigma = ch * cg.inverse()
+    else:
+        comps = _pure_factor_supports(graph, supp)
+        pure = _pure_factors(gcore, comps)
+        sigma = _one(graph)
+        # one support, so the factors pair up in order
+        for (_, u), (_, v) in zip(pure, _pure_factors(hcore, comps)):
+            tau = _factor_conjugator(u, v)
+            if tau is None:
+                return NotConjugate("cyclic-normal-form"), None
+            sigma = sigma * tau
+        sigma = ch * sigma * cg.inverse()
+    verify(sigma * g * sigma.inverse() == h, "conjugator")
+    return Conjugate(sigma), (cg, gcore, supp, pure)
+
+
 def conjugate(g, h):
     """Decide conjugacy of g and h.
 
     Returns Conjugate (verified witness) or NotConjugate (naming the
-    separating invariant). Cyclically reduced conjugates have one support;
-    its pure factors commute with each other, and each pair of factors is
-    decided by anchored cuts (Servatius 1989; Crisp-Godelle-Wiest 2009).
+    separating invariant). Cyclically reduced conjugates have one support.
+    Equal cyclic cores are conjugate by the cyclic conjugators alone.
+    Otherwise the components of the non-commutation graph on the support,
+    found once in one bitmask pass, split both cores into pure factors;
+    these commute with each other, and each pair of factors is decided by
+    anchored cuts (Servatius 1989; Crisp-Godelle-Wiest 2009).
     """
     graph = g.graph
     check_graph(graph, h)
@@ -425,18 +489,4 @@ def conjugate(g, h):
         return NotConjugate("identity")
     if abelianization(g) != abelianization(h):
         return NotConjugate("abelianization")
-    cg, gcore = g.cyclic_normal_form()
-    ch, hcore = h.cyclic_normal_form()
-    supp = gcore.support()
-    if supp != hcore.support():
-        return NotConjugate("cyclic-support")
-    sigma = _one(graph)
-    # one support, so the factors pair up in order
-    for (_, u), (_, v) in zip(_pure_factors(gcore, supp), _pure_factors(hcore, supp)):
-        tau = _factor_conjugator(u, v)
-        if tau is None:
-            return NotConjugate("cyclic-normal-form")
-        sigma = sigma * tau
-    sigma = ch * sigma * cg.inverse()
-    verify(sigma * g * sigma.inverse() == h, "conjugator")
-    return Conjugate(sigma)
+    return _conjugate_cores(g, h)[0]

@@ -58,9 +58,11 @@ def vertex_gens(graph, verts):
 
 
 def abelianization(g):
-    """Exponent-sum vector of g, indexed by vertex."""
+    """Exponent-sum vector of g, indexed by vertex. Every reduced word of
+    g has the same exponent sums, so the word g holds is read as it is:
+    an inverse nobody has read is not canonicalised for it."""
     out = [0] * g.graph.n
-    for lt in g.letters:
+    for lt in g._word:
         out[abs(lt) - 1] += 1 if lt > 0 else -1
     return tuple(out)
 

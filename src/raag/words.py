@@ -326,7 +326,7 @@ class Element:
         return not self._word
 
     def support(self):
-        return frozenset(abs(lt) - 1 for lt in self._word)
+        return frozenset([abs(x) - 1 for x in set(self._word)])
 
     def in_special(self, keep):
         """Membership in the special subgroup generated by the vertex

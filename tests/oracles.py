@@ -9,8 +9,9 @@ full Magnus system, the piled Magnus test and the Magnus system built
 whole, which reuse the group normal form and the trace basis, the
 whole-graph Magnus test and the Magnus level grid, which run the
 package's own test, the Lie
-bracket echelon, which reuse its truncated algebra, and the
-p-group class, which reuses the witness group's law) is
+bracket echelon, which reuse its truncated algebra, the full factor
+loop for conjugacy, which reuses its cut decision and primitive roots,
+and the p-group class, which reuses the witness group's law) is
 deliberately written with
 machinery different from the package: rewriting closures over raw tuples,
 generating function recurrences, and brute force enumeration. Agreement
@@ -873,7 +874,6 @@ def _fold_full_centralizer(graph, elems):
     into its factors; otherwise the element of widest cyclic support y has
     C(y) inside conj * <supp + link> * conj^-1, or is the cyclic group on
     its root when supp(core) is every vertex."""
-    from raag.conjugacy import _pure_factor_supports
     from raag.cosets import vertex_gens
 
     elems = list(dict.fromkeys(y for y in elems if y))
@@ -881,7 +881,7 @@ def _fold_full_centralizer(graph, elems):
         return vertex_gens(graph, range(graph.n))
     if len(elems) == 1:
         return servatius_centralizer(graph, elems[0])
-    factors = _pure_factor_supports(graph, range(graph.n))
+    factors = union_pure_factor_supports(graph, range(graph.n))
     if len(factors) > 1:
         gens = []
         for comp in factors:
@@ -916,6 +916,87 @@ def in_centralizer_shape(x, conj, roots, free):
         if part not in (r**n, r**-n):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# conjugacy by the full factor loop
+#
+# The package answers equal cyclic cores at once, finds the pure-factor
+# supports in one bitmask pass shared by both cores, and hands g's cyclic
+# normal form and pure factors from `conjugate` on to `conjugate_under`.
+# This is the route it replaced: supports by set union, every core split
+# letter by letter, every pair of factors through `_factor_conjugator`,
+# and g's Servatius data computed again from scratch.
+
+
+def union_pure_factor_supports(graph, supp):
+    """Connected components of the non-commutation graph on `supp`, merged
+    one vertex at a time, sorted by their least vertex."""
+    comps = []
+    for v in supp:
+        touched = [c for c in comps if not c.isdisjoint(graph.dependents[v])]
+        comps = [c for c in comps if c not in touched] + [{v}.union(*touched)]
+    return sorted(comps, key=min)
+
+
+def loop_pure_factors(core, supp):
+    """(U, factor) for each pure factor of the cyclically reduced `core`,
+    its letters read off core's canonical word one by one."""
+    from raag.words import Element
+
+    comps = union_pure_factor_supports(core.graph, supp)
+    owner = {v: i for i, comp in enumerate(comps) for v in comp}
+    parts = [[] for _ in comps]
+    for lt in core.letters:
+        parts[owner[abs(lt) - 1]].append(lt)
+    return [(comp, Element(core.graph, part, canonical=True)) for comp, part in zip(comps, parts)]
+
+
+def factor_loop_conjugate(g, h):
+    """Conjugate or NotConjugate, with the package's invariants in its
+    order, every pair of pure factors decided by `_factor_conjugator`."""
+    from raag.conjugacy import Conjugate, NotConjugate, _factor_conjugator
+    from raag.cosets import abelianization
+    from raag.words import Element
+
+    one = Element(g.graph)
+    if g == h:
+        return Conjugate(one)
+    if g.is_identity() != h.is_identity():
+        return NotConjugate("identity")
+    if abelianization(g) != abelianization(h):
+        return NotConjugate("abelianization")
+    cg, gcore = g.cyclic_normal_form()
+    ch, hcore = h.cyclic_normal_form()
+    supp = gcore.support()
+    if supp != hcore.support():
+        return NotConjugate("cyclic-support")
+    sigma = one
+    for (_, u), (_, v) in zip(loop_pure_factors(gcore, supp), loop_pure_factors(hcore, supp)):
+        tau = _factor_conjugator(u, v)
+        if tau is None:
+            return NotConjugate("cyclic-normal-form")
+        sigma = sigma * tau
+    sigma = ch * sigma * cg.inverse()
+    if sigma * g * sigma.inverse() != h:
+        raise AssertionError("factor-loop conjugator fails to conjugate")
+    return Conjugate(sigma)
+
+
+def factor_loop_servatius(y):
+    """(conj, factors, link) of `raag.conjugacy._servatius`, from y's
+    cyclic normal form and `loop_pure_factors`."""
+    from raag.conjugacy import _primitive_root
+
+    graph = y.graph
+    conj, core = y.cyclic_normal_form()
+    supp = core.support()
+    link = frozenset(v for v in range(graph.n) if v not in supp and supp <= graph.adj[v])
+    factors = []
+    for comp, factor in loop_pure_factors(core, supp):
+        r = _primitive_root(factor)
+        factors.append((comp, r.inverse() if r.letters[0] < 0 else r))
+    return conj, factors, link
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,12 @@ with mock.patch.object(Element, "double_coset_form", lambda self, front, back: (
     # conjugator a in the double coset <b> 1 <b>, and a comes back
     corrupted("conjugate under strip", lambda: conjugacy.conjugate_under(b, a * b * a.inverse(), {1}))
 # a bogus x0 = a^5 survives every step of conjugate_under's coset algebra
-with mock.patch.object(conjugacy, "conjugate", lambda g, h: conjugacy.Conjugate(a**5)):
+cores = conjugacy._conjugate_cores
+with mock.patch.object(conjugacy, "_conjugate_cores", lambda g, h: (conjugacy.Conjugate(a**5), cores(g, h)[1])):
     corrupted("conjugate under", lambda: conjugacy.conjugate_under(ab, ba, {0}))
+# a lying cyclic normal form gives a b and b a one core and conjugator 1
+with mock.patch.object(Element, "cyclic_normal_form", lambda self: (one, ab)):
+    corrupted("conjugate equal cores", lambda: conjugacy.conjugate(ab, ba))
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
 with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
@@ -107,6 +111,7 @@ def test_corrupted_witnesses_raise_under_optimize():
         "double coset raised",
         "conjugate under strip raised",
         "conjugate under raised",
+        "conjugate equal cores raised",
         "conjugate raised",
         "centralizer raised",
         "set centralizer raised",

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -9,12 +10,15 @@ from oracles import (
     Undecided,
     ball_oracle_conjugate,
     cayley_ball,
+    factor_loop_conjugate,
+    factor_loop_servatius,
     fold_centralizer_in_special,
     hnn_conjugate_under,
     in_centralizer_shape,
     reference_cyclic_class,
     servatius_centralizer,
     subgroup_ball,
+    union_pure_factor_supports,
 )
 from raag import conjugacy
 from raag.graphs import Graph
@@ -140,6 +144,7 @@ def test_centralizer_never_decides_conjugacy(monkeypatch):
 
     monkeypatch.setattr(conjugacy, "conjugate_under", refuse)
     monkeypatch.setattr(conjugacy, "conjugate", refuse)
+    monkeypatch.setattr(conjugacy, "_conjugate_cores", refuse)
     rng = random.Random(7)
     for gname in ("p4", "c5"):
         graph = GRAPHS[gname]
@@ -304,15 +309,21 @@ CO_P8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 2:]])
 @pytest.mark.parametrize("graph", [C4, CO_P8], ids=["c4", "co_p8"])
 def test_pure_factors_are_the_retractions(graph):
     rng = random.Random(27)
-    several = 0
+    several = single = 0
     for _ in range(200):
         core = rand_word(rng, graph, rng.randrange(1, 40)).cyclic_normal_form()[1]
-        factors = conjugacy._pure_factors(core, core.support())
-        assert [u for u, _ in factors] == conjugacy._pure_factor_supports(graph, core.support())
+        comps = conjugacy._pure_factor_supports(graph, core.support())
+        assert comps == union_pure_factor_supports(graph, core.support())
+        factors = conjugacy._pure_factors(core, comps)
+        assert [u for u, _ in factors] == comps
         for u, factor in factors:
             assert factor.letters == core.retract(u).letters, (core, u)
+        if len(factors) == 1:
+            # a core with one component is its own factor, not a copy
+            assert factors[0][1] is core
+            single += 1
         several += len(factors) > 1
-    assert several >= 100
+    assert several >= 100 and single >= 10
 
 
 def test_primitive_root_of_a_power_and_of_a_root():
@@ -693,15 +704,15 @@ def test_conjugate_under_independent_of_x0(monkeypatch):
     from raag import conjugacy
 
     rng = random.Random(577)
-    exact = conjugacy.conjugate
+    exact = conjugacy._conjugate_cores
     shift = {}
 
     def shifted(g, h):
-        res = exact(g, h)
+        res, parts = exact(g, h)
         if isinstance(res, Conjugate):
             res = Conjugate(res.conjugator * shift["z"])
             assert res.conjugator * g * res.conjugator.inverse() == h
-        return res
+        return res, parts
 
     for gname in ("p3", "p4", "c5", "cone_p4", "p4_join_p3", "half8"):
         graph = GRAPHS[gname]
@@ -713,7 +724,7 @@ def test_conjugate_under_independent_of_x0(monkeypatch):
                 z = z * rng.choice(gens) ** rng.choice((-2, -1, 1, 2))
             shift["z"] = z
             with monkeypatch.context() as m:
-                m.setattr(conjugacy, "conjugate", shifted)
+                m.setattr(conjugacy, "_conjugate_cores", shifted)
                 res = conjugate_under(g, h, verts)
             _check_under(res, g, h, verts)
             assert type(res) is type(want), (gname, str(g), str(h), sorted(verts), str(z))
@@ -735,6 +746,111 @@ def test_conjugate_under_never_folds(monkeypatch):
             _check_under(res, g, h, verts)
             seen.add(type(res))
     assert seen == {Conjugate, NotConjugate}
+
+
+# ---------------------------------------------------------------------------
+# the full factor loop as reference
+
+
+K8 = Graph(_V8, [(u, v) for i, u in enumerate(_V8) for v in _V8[i + 1:]])
+CENSUS_GRAPHS = {
+    "f3": GRAPHS["f3"], "p4": GRAPHS["p4"], "c5": GRAPHS["c5"],
+    "half8": GRAPHS["half8"], "k8": K8, "c4": C4, "co_p8": CO_P8,
+}
+
+
+def _census_queries(rng, graph):
+    """(g, h, S) at each length 0..40: h a conjugate of g, by a word in
+    <S> every other time, then a shuffle of g's letters, which keeps the
+    abelianization; S any subset, the empty set and everything included."""
+    for length in range(41):
+        g = rand_word(rng, graph, length)
+        for shuffle in (False, True):
+            verts = frozenset(rng.sample(range(graph.n), rng.randrange(graph.n + 1)))
+            if shuffle:
+                letters = list(g.letters)
+                rng.shuffle(letters)
+                h = Element(graph, letters)
+            else:
+                t = (_special_word(rng, graph, verts, rng.randrange(6)) if verts and length % 2
+                     else rand_word(rng, graph, rng.randrange(6)))
+                h = t * g * t.inverse()
+            yield g, h, verts
+
+
+def _census(queries):
+    return [
+        (conjugate(g, h), conjugate_under(g, h, verts), [x.letters for x in centralizer(g)])
+        for g, h, verts in queries
+    ]
+
+
+def test_conjugacy_matches_the_factor_loop(monkeypatch):
+    # every answer letter for letter as the full factor loop gives it, with
+    # g's Servatius data computed again from scratch
+    rng = random.Random(3101)
+    queries = [q for graph in CENSUS_GRAPHS.values() for q in _census_queries(rng, graph)]
+    got = _census(queries)
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "_conjugate_cores", lambda g, h: (factor_loop_conjugate(g, h), None))
+        m.setattr(conjugacy, "_servatius", lambda y, parts=None: factor_loop_servatius(y))
+        want = _census(queries)
+    for (g, h, verts), a, b in zip(queries, got, want):
+        assert a == b, (str(g), str(h), sorted(verts))
+    seen = {
+        (type(res).__name__, getattr(res, "reason", None))
+        for answers in got for res in answers[:2]
+    }
+    assert {
+        ("Conjugate", None), ("NotConjugate", "cyclic-normal-form"),
+        ("NotConjugate", "double-coset"), ("NotConjugate", "retraction"),
+    } <= seen, seen
+
+
+def test_equal_cores_split_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("equal cores were split into pure factors")
+
+    rng = random.Random(3102)
+    pairs = []
+    for graph in CENSUS_GRAPHS.values():
+        for _ in range(40):
+            core = rand_word(rng, graph, rng.randrange(1, 30)).cyclic_normal_form()[1]
+            s, t = rand_word(rng, graph, 4), rand_word(rng, graph, 4)
+            g, h = s * core * s.inverse(), t * core * t.inverse()
+            if g != h and g.cyclic_normal_form()[1] == h.cyclic_normal_form()[1]:
+                pairs.append((g, h))
+    assert len(pairs) >= 100
+    monkeypatch.setattr(conjugacy, "_pure_factors", refuse)
+    monkeypatch.setattr(conjugacy, "_factor_conjugator", refuse)
+    for g, h in pairs:
+        res = conjugate(g, h)
+        assert isinstance(res, Conjugate)
+        assert res.conjugator * g * res.conjugator.inverse() == h
+
+
+def test_conjugate_under_reduces_each_element_once(monkeypatch):
+    # conjugate_under reads C(g) off the cyclic normal form that deciding
+    # conjugacy computed for g, and computes no other
+    calls = []
+    reduce = Element.cyclic_normal_form
+
+    def counted(self):
+        calls.append(self)
+        return reduce(self)
+
+    monkeypatch.setattr(Element, "cyclic_normal_form", counted)
+    rng = random.Random(3103)
+    positives = 0
+    for gname in ("p4", "c5", "half8"):
+        graph = GRAPHS[gname]
+        for g, h, verts in _under_queries(rng, graph, 40, 12):
+            calls.clear()
+            res = conjugate_under(g, h, verts)
+            if isinstance(res, Conjugate) and g != h:
+                assert calls == [g, h]
+                positives += 1
+    assert positives >= 30
 
 
 # ---------------------------------------------------------------------------
@@ -792,3 +908,22 @@ def test_conjugate_under_refuses_bad_vertex_indices():
         conjugate_under(a, b * a * b.inverse(), {1, 5})
     with pytest.raises(ValueError, match="-1 is not a vertex index"):
         conjugate_under(a, a, {-1})
+
+
+def test_vertex_indices_may_be_numpy_integers():
+    # numpy integers index lists; they used to be refused as non-vertices
+    p3 = GRAPHS["p3"]
+    a, b, c = (parse(p3, x) for x in "abc")
+    res = conjugate_under(a, b * a * b.inverse(), {np.int64(1)})
+    assert res == conjugate_under(a, b * a * b.inverse(), {1})
+    assert isinstance(res, Conjugate)
+    x = parse(p3, "a b c")
+    assert x.retract({np.int32(0), np.int64(2)}) == x.retract({0, 2})
+    assert x.double_coset_form({np.int64(0)}, [np.uint8(2)]) == x.double_coset_form({0}, {2})
+    for bad in (np.float64(1.0), "a", np.int64(3)):
+        with pytest.raises(ValueError, match="is not a vertex index"):
+            conjugate_under(a, a, {bad})
+        with pytest.raises(ValueError, match="is not a vertex index"):
+            x.retract({bad})
+        with pytest.raises(ValueError, match="is not a vertex index"):
+            x.double_coset_form({0}, {bad})

@@ -224,6 +224,7 @@ def test_membership_never_decides_conjugacy(monkeypatch):
 
     monkeypatch.setattr(conjugacy, "conjugate_under", refuse)
     monkeypatch.setattr(conjugacy, "conjugate", refuse)
+    monkeypatch.setattr(conjugacy, "_conjugate_cores", refuse)
     rng = random.Random(5)
     for graph in (P4, C5, RAND8):
         for k in range(20):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from raag import Element, Graph, gen, parse
+from raag.cosets import abelianization
 from raag.words import _canonical, _depile, _pile
 
 from oracles import (
@@ -453,9 +454,11 @@ def test_an_inverse_canonicalises_once_when_read(monkeypatch):
     monkeypatch.setattr("raag.words._canonical", counted)
     inv = y.inverse()
     assert calls == []
-    # length, truthiness, support and retraction read the reversed word
+    # length, truthiness, support, abelianization and retraction read the
+    # reversed word
     assert len(inv) == len(y) and inv and not inv.is_identity()
     assert inv.support() == y.support() and inv.in_special(range(4))
+    assert abelianization(inv) == tuple(-e for e in abelianization(y))
     assert inv.retract(range(4)) is inv
     assert calls == []
     # x * y^-1 is one insertion pass, over y's letters
