@@ -1,5 +1,5 @@
 """Immutable result records, the value semantics of a frozen dataclass on
-__slots__.
+__slots__, and named sentinels.
 
 A subclass names its fields, in order, in a tuple `__slots__`. A record is
 built positionally, refuses assignment and deletion, equals only a record
@@ -49,3 +49,13 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+class Sentinel:
+    """A unique marker value that prints as its name."""
+
+    def __init__(self, name):
+        self._name = name
+
+    def __repr__(self):
+        return self._name

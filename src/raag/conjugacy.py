@@ -37,7 +37,7 @@ from math import gcd
 from ._checks import check_graph, verify, vertex_set
 from ._record import Record
 from .cosets import abelianization, intersection_vertices, make_gens, vertex_gens
-from .words import Element
+from .words import Element, _mask
 
 __all__ = [
     "Conjugate",
@@ -92,7 +92,7 @@ def _pure_factor_supports(graph, supp):
     takes in, for each vertex it reaches, the vertices of supp left
     outside that vertex's neighbours."""
     adj_masks = graph.adj_masks
-    rest = sum(1 << v for v in supp)
+    rest = _mask(supp)
     comps = []
     while rest:
         comp = todo = rest & -rest
@@ -176,9 +176,8 @@ def _servatius(y, parts=None):
         conj, core, supp, pure = parts
     if pure is None:
         pure = _pure_factors(core, _pure_factor_supports(graph, supp))
-    link = frozenset(
-        v for v in range(graph.n) if v not in supp and supp <= graph.adj[v]
-    )
+    # no vertex of supp is adjacent to itself, so the link misses supp
+    link = intersection_vertices(range(graph.n), core)
     factors = []
     for comp, factor in pure:
         r = _primitive_root(factor)

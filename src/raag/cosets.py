@@ -12,8 +12,8 @@ and linear in the word length, and neither calls a conjugacy decision.
 same strip and the same vertex set Z (`intersection_vertices`).
 """
 
-from ._checks import check_graph, verify
-from ._record import Record
+from ._checks import check_graph, verify, vertex_set
+from ._record import Record, Sentinel
 from .words import Element
 
 __all__ = [
@@ -26,17 +26,9 @@ __all__ = [
 ]
 
 
-class _Sentinel:
-    def __init__(self, name):
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-
 # no decision returns it any more; it stays only because the benchmark in
 # bench/ still imports it
-INCONCLUSIVE = _Sentinel("INCONCLUSIVE")
+INCONCLUSIVE = Sentinel("INCONCLUSIVE")
 
 
 class Gens(list):
@@ -88,10 +80,12 @@ def in_double_coset(y, x, a_verts, b_verts, conj_tester=None):
     (`Element.double_coset_form`); the factors y == a*x*b then come from
     the stripped letters and are verified before being returned. Returns
     CosetFactors or NotMember, never INCONCLUSIVE. `conj_tester` is
-    accepted for older callers and ignored.
+    accepted for older callers and ignored. Raises ValueError if a vertex
+    set holds a non-vertex index.
     """
-    check_graph(x.graph, y)
-    a_verts, b_verts = frozenset(a_verts), frozenset(b_verts)
+    graph = x.graph
+    check_graph(graph, y)
+    a_verts, b_verts = vertex_set(graph, a_verts), vertex_set(graph, b_verts)
     a_x, rep_x, b_x = x.double_coset_form(a_verts, b_verts)
     a_y, rep_y, b_y = y.double_coset_form(a_verts, b_verts)
     if rep_x != rep_y:
@@ -125,10 +119,11 @@ def intersect_conjugated(a_verts, x, b_verts):
     the cancellation argument of `double_coset_form` the letters of alpha
     all cancel against beta^-1 while commuting with every letter of r, so
     they lie in A∩B and in the link of each vertex of r. So gamma = a^-1
-    and gens are the vertices of Z.
+    and gens are the vertices of Z. Raises ValueError if a vertex set
+    holds a non-vertex index.
     """
     graph = x.graph
-    a_verts, b_verts = frozenset(a_verts), frozenset(b_verts)
+    a_verts, b_verts = vertex_set(graph, a_verts), vertex_set(graph, b_verts)
     a_x, r, _ = x.double_coset_form(a_verts, b_verts)
     z = intersection_vertices(a_verts & b_verts, r)
     return a_x.inverse(), make_gens(vertex_gens(graph, z))

@@ -12,6 +12,8 @@ boundary.
 import json
 from functools import cached_property
 
+from ._checks import vertex_set
+
 __all__ = ["Graph", "load_graph"]
 
 
@@ -105,8 +107,9 @@ class Graph:
         return [i for i in range(self.n) if len(self.adj[i]) == self.n - 1]
 
     def full_subgraph(self, keep):
-        """Induced subgraph on the vertex indices `keep`, order inherited."""
-        keep = sorted(set(keep))
+        """Induced subgraph on the vertex indices `keep`, order inherited.
+        Raises ValueError if `keep` holds a non-vertex index."""
+        keep = sorted(vertex_set(self, keep))
         names = [self.vertices[i] for i in keep]
         edges = [
             (self.vertices[i], self.vertices[j])

@@ -14,6 +14,8 @@ and solved on its nonzero entries, exactly, in Python integers.
 A monomial is the lex-least word of its trace. Appending a letter v to one
 is an insertion: step back over the longest suffix of letters adjacent to
 v, forward past those smaller than v, and put v there (Anisimov-Knuth).
+It is the rule `words._canonical` runs on group words, and the words
+module docstring proves it.
 `TraceAlgebra(graph, d)` lists the monomials of degree <= d and tabulates
 that insertion once, as integer append tables, one degree at a time;
 images, the columns of the Magnus system and the check of a found unit
@@ -32,10 +34,10 @@ prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 from itertools import chain, islice, zip_longest
 from math import comb
 
-from . import conjugacy
+from . import conjugacy, words
 from ._checks import check_graph, require_int, require_prime, verify
 from ._intlinalg import SparseMatrix, solve_mod_prime_power
-from ._record import Record
+from ._record import Record, Sentinel
 
 __all__ = [
     "TruncatedAlgebraElement",
@@ -62,37 +64,6 @@ __all__ = [
 # restricted to positive letters
 
 
-def _append(near, w, v):
-    """The canonical form of w.v for a canonical w; near is v's link.
-
-    The insertion rule: step back over the longest suffix s of w whose
-    letters are adjacent to v, step forward past the letters of s smaller
-    than v, and insert v there.
-
-    Proof. A word is the lex-least one of its trace exactly when it has no
-    factor b.u.a with a < b, where a commutes with b and with every letter
-    of u (Anisimov-Knuth). Write the result as x.v.y: y is the rest of s,
-    every letter of s before v is smaller than v, and the letter before s,
-    if any, does not commute with v. The word is equivalent to w.v, since v
-    commutes with y, and a factor b.u.a as above would have to involve v.
-    v inside u: deleting v leaves such a factor in w. v = a: b.u commutes
-    with v, so it lies in the part of s before v, whose letters are all
-    smaller than v, against a < b. v = b: u.a lies in y, whose first letter
-    y1 is larger than v > a, so u is not empty and starts with y1; then
-    y1, the rest of u and a form such a factor in w.
-
-    The words module runs the same rule on group words: a letter whose
-    inverse stands just before s deletes it instead, and the words module
-    docstring proves that step.
-    """
-    i = len(w)
-    while i and w[i - 1] in near:
-        i -= 1
-    while i < len(w) and w[i] < v:
-        i += 1
-    return w[:i] + (v,) + w[i:]
-
-
 # the Magnus system has one equation per monomial of degree 1..d and one
 # unknown per monomial of degree 1..d-1; a free group of rank 2 has 2047
 # monomials at degree 10 and 4095 at degree 11, where the test of a
@@ -116,12 +87,12 @@ class TraceAlgebra:
     from the algebra of degree 0, so a caller that needs the degrees one at
     a time builds each once. A step walks the rows of degree d in order:
     each letter v of row w either names a monomial already listed or
-    appends w.v as a new one. By the insertion rule (see _append), w.v is
-    canonical exactly when every letter of the longest suffix of w
-    adjacent to v is smaller than v. For w = w'.u that holds when v is not
-    adjacent to u, or when it is adjacent, larger than u, and w'.v is
-    canonical, that is when row w' created its own entry for v; then w.v
-    is appended. Otherwise v commutes with u, and w.v is the canonical
+    appends w.v as a new one. By the insertion rule (proved in the words
+    module docstring), w.v is canonical exactly when every letter of the
+    longest suffix of w adjacent to v is smaller than v. For w = w'.u
+    that holds when v is not adjacent to u, or when it is adjacent, larger
+    than u, and w'.v is canonical, that is when row w' created its own
+    entry for v; then w.v is appended. Otherwise v commutes with u, and w.v is the canonical
     form of canonical(w'.v).u. That word precedes w in lex order (it is
     w'.v with v < u, or inserts v before a larger letter of w'), so its
     row is built already. The monomials that row w appends all have
@@ -130,11 +101,15 @@ class TraceAlgebra:
     every lower one. The left table follows from v.w'.u = (v.w').u, and
     the tail from w[1:] = w'[1:].u, both canonical.
 
-    Raises ValueError as soon as more than MAX_TRACE_MONOMIALS monomials
-    have been created, without building the rest of the basis.
+    Raises ValueError for d < 0, and as soon as more than
+    MAX_TRACE_MONOMIALS monomials have been created, without building the
+    rest of the basis.
     """
 
     def __init__(self, graph, d):
+        d = require_int(d, "d")
+        if d < 0:
+            raise ValueError("need d >= 0")
         self.graph = graph
         self.d = self.rows = 0
         self.basis = [()]
@@ -281,18 +256,21 @@ def magnus_image(x, d, p, m):
     inverse multiply to exactly 1 in the truncation and the whole map is a
     homomorphism into the units with constant term 1. p must be prime.
     Only the monomials the image reaches are built, each by one insertion
-    (see _append); the Magnus test runs the same recurrence on the indices
-    of a TraceAlgebra, which is cheaper once the tables exist.
+    of a positive letter (`words._canonical`); the Magnus test runs the
+    same recurrence on the indices of a TraceAlgebra, which is cheaper once
+    the tables exist.
     """
     d, p, m = _level(d, p, m)
     q = p**m
-    adj = x.graph.adj
+    graph = x.graph
     coeffs = {}
+    # keys are positive group words, vertex v as the letter v + 1
     for layer in islice(_image_layers(x.letters, q, (), lambda term, v: {
-        _append(adj[v], w, v): c for w, c in term.items()
+        words._canonical(graph, (v + 1,), w): c for w, c in term.items()
     }), d + 1):
         coeffs.update(layer)
-    return TruncatedAlgebraElement(x.graph, d, q, coeffs)
+    coeffs = {tuple(v - 1 for v in w): c for w, c in coeffs.items()}
+    return TruncatedAlgebraElement(graph, d, q, coeffs)
 
 
 def _image_layers(letters, q, one, shift):
@@ -340,14 +318,7 @@ class NotSeparatedAtThisLevel(Record):
     __slots__ = ("unit",)
 
 
-class _NotFound:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "NOT_FOUND"
-
-
-NOT_FOUND = _NotFound()
+NOT_FOUND = Sentinel("NOT_FOUND")
 
 
 def magnus_conjugate_test(g, h, d, p, m):
@@ -398,7 +369,13 @@ def magnus_conjugate_test(g, h, d, p, m):
     support = sorted(g.support() | h.support())
     if len(support) < graph.n:
         sub = graph.full_subgraph(support)
-        unit = _conjugating_unit(g.restrict(sub), h.restrict(sub), d, p, m)
+        # vertex support[i] is vertex i of sub; the order is kept, so a
+        # canonical word stays canonical
+        index = {s * (v + 1): s * (i + 1) for i, v in enumerate(support) for s in (1, -1)}
+        g, h = (
+            words.Element(sub, [index[x] for x in y.letters], canonical=True) for y in (g, h)
+        )
+        unit = _conjugating_unit(g, h, d, p, m)
         if unit is not None:
             unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
     else:

@@ -83,30 +83,9 @@ class WitnessParams(Record):
 
 
 class PGroupElement(Record):
-    """(vector, alpha_exp): a point of A and a power of the twisting map.
-
-    `conjugacy_class` builds these in bulk, so construction, hashing and
-    equality name the two fields directly instead of looping over them;
-    construction writes through the slot descriptors, past __setattr__.
-    """
+    """(vector, alpha_exp): a point of A and a power of the twisting map."""
 
     __slots__ = ("vector", "alpha_exp")
-
-    def __init__(self, vector, alpha_exp):
-        _set_vector(self, vector)
-        _set_alpha_exp(self, alpha_exp)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.vector == other.vector and self.alpha_exp == other.alpha_exp
-
-    def __hash__(self):
-        return hash((self.vector, self.alpha_exp))
-
-
-_set_vector = PGroupElement.vector.__set__
-_set_alpha_exp = PGroupElement.alpha_exp.__set__
 
 
 class WitnessGroup:

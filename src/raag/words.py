@@ -33,8 +33,21 @@ factor b.u.a with a < b, a commuting with b and with every letter of u
 - Insertion. w.x is reduced: x would cancel an x^-1 reached from the
   back over letters that commute with x. That x^-1 is not y, nor before
   y: y does not commute with x unless y = x, and then w would cancel the
-  x^-1 against y. The rest is the rule for positive traces, proved at
-  nilpotent._append, read over signed letters.
+  x^-1 against y. A letter is smaller than another when its vertex is.
+  Write the result as p.y.s1.x.s2 with s = s1.s2: every letter of s1 is
+  smaller than x, the first letter z of s2, if any, is larger, and y, if
+  any, does not commute with x. It equals w.x, as x commutes with s2,
+  and a factor b.u.a as above that w lacks involves x. x inside u:
+  deleting x leaves such a factor in w. x = a: b.u commutes with x, so
+  it lies in s1, whose letters are all smaller than x, against a < b.
+  x = b: u.a lies in s2, whose first letter z is larger than x > a, so u
+  is not empty and starts with z; then z, the rest of u and a form such
+  a factor in w.
+  On positive letters no step deletes, and this is the rule for positive
+  traces: the monomials of `nilpotent.TraceAlgebra` are the lex-least
+  words it builds. `nilpotent.magnus_image` puts in one positive letter
+  per call, which never spends the budget below: w is credited 2 per
+  letter, and the walk passes each at most once.
 
 The walks are not bounded by themselves: on F2 x F2 (the 4-cycle a b c d)
 every a and a^-1 of (b d)^k (a a^-1)^k steps back over all of (b d)^k,
@@ -385,9 +398,6 @@ class Element:
         core = Element(graph, _depile(graph, piles), canonical=True)
         return Element(graph, _canonical(graph, peeled), canonical=True), core
 
-    def cyclic_support(self):
-        return self.cyclic_normal_form()[1].support()
-
     def double_coset_form(self, front, back):
         """Split self as (a, rep, b) with self == a * rep * b, a in the
         special subgroup A on the vertex indices `front`, b in B on `back`,
@@ -436,19 +446,6 @@ class Element:
             Element(graph, _canonical(graph, right[::-1]), canonical=True),
         )
 
-    def restrict(self, subgraph):
-        """Rewrite over an induced subgraph of self.graph (same names, same
-        relative order); support must lie inside it."""
-        mapped = []
-        for lt in self.letters:
-            name = self.graph.vertices[abs(lt) - 1]
-            if name not in subgraph.index:
-                raise ValueError(f"letter {name!r} missing from subgraph")
-            j = subgraph.index[name] + 1
-            mapped.append(j if lt > 0 else -j)
-        # relative order and adjacency are inherited, so the word stays canonical
-        return Element(subgraph, tuple(mapped), canonical=True)
-
     def __str__(self):
         if not self.letters:
             return "1"
@@ -469,10 +466,13 @@ class Element:
 
 
 def gen(graph, name, power=1):
-    """The generator `name` raised to an integer power."""
+    """The generator `name` raised to an integer power; a power past
+    MAX_WORD_LENGTH raises ValueError before any letter is built."""
     if name not in graph.index:
         raise ValueError(f"unknown generator {name!r}")
     power = require_int(power, "power")
+    if abs(power) > MAX_WORD_LENGTH:
+        raise ValueError(f"word expands to more than {MAX_WORD_LENGTH} letters")
     if power == 0:
         return Element(graph, (), canonical=True)
     lt = graph.index[name] + 1

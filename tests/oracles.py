@@ -393,6 +393,23 @@ def embed(x, supergraph):
     return Element(supergraph, mapped)
 
 
+def restrict(x, subgraph):
+    """x rewritten over a graph that x.graph induces on the names of its
+    vertices, in any order; raises ValueError if a letter of x is not one
+    of them. The word is canonicalised again, as the order may differ."""
+    from raag.words import Element
+
+    names = x.graph.vertices
+    mapped = []
+    for lt in x.letters:
+        name = names[abs(lt) - 1]
+        if name not in subgraph.index:
+            raise ValueError(f"letter {name!r} missing from subgraph")
+        j = subgraph.index[name] + 1
+        mapped.append(j if lt > 0 else -j)
+    return Element(subgraph, mapped)
+
+
 def cayley_ball(graph, radius):
     """Set of all elements of reduced length at most `radius`.
 
@@ -795,7 +812,7 @@ def hnn_conjugate_under(g, h, s_verts, search_bound=None):
         keep = [i for i in range(graph.n) if i != t]
         sub = graph.full_subgraph(keep)
         s_sub = frozenset(sub.index[graph.vertices[i]] for i in s)
-        res = hnn_conjugate_under(g.restrict(sub), h.restrict(sub), s_sub, search_bound)
+        res = hnn_conjugate_under(restrict(g, sub), restrict(h, sub), s_sub, search_bound)
         if isinstance(res, Conjugate):
             sigma = embed(res.conjugator, graph)
             if sigma * g * sigma.inverse() != h:
@@ -838,7 +855,7 @@ def fold_centralizer_in_special(graph, verts, elems):
     outside = frozenset().union(*[y.support() for y in elems]) - verts
     if not outside:
         sub = graph.full_subgraph(verts)
-        inner = _fold_full_centralizer(sub, [y.restrict(sub) for y in elems])
+        inner = _fold_full_centralizer(sub, [restrict(y, sub) for y in elems])
         return [embed(x, graph) for x in inner]
     t = max(outside)
     target = next(y for y in elems if t in y.support())
@@ -886,10 +903,10 @@ def _fold_full_centralizer(graph, elems):
         gens = []
         for comp in factors:
             sub = graph.full_subgraph(comp)
-            inner = _fold_full_centralizer(sub, [y.retract(comp).restrict(sub) for y in elems])
+            inner = _fold_full_centralizer(sub, [restrict(y.retract(comp), sub) for y in elems])
             gens += [embed(x, graph) for x in inner]
         return gens
-    first = max(elems, key=lambda y: len(y.cyclic_support()))
+    first = max(elems, key=lambda y: len(y.cyclic_normal_form()[1].support()))
     conj, core = first.cyclic_normal_form()
     supp = core.support()
     if len(supp) == graph.n:

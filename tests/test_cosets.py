@@ -266,6 +266,20 @@ def test_coset_calls_refuse_bad_vertex_indices():
         in_double_coset(a, a, {1.0}, {0})
     with pytest.raises(ValueError, match="1.0 is not a vertex index"):
         intersect_conjugated({0}, a, {1.0})
+    # an unhashable member raised TypeError in frozenset()
+    with pytest.raises(ValueError, match=r"\[0\] is not a vertex index"):
+        in_double_coset(a, a, [[0]], [1])
+    with pytest.raises(ValueError, match=r"\[0\] is not a vertex index"):
+        intersect_conjugated([[0]], a, [1])
+
+
+def test_coset_calls_take_numpy_vertex_indices():
+    import numpy as np
+
+    x, y = parse(P3, "b a c"), parse(P3, "a b c b^-1")
+    zero, one = np.int64(0), np.int64(1)
+    assert in_double_coset(y, x, [zero, one], [one]) == in_double_coset(y, x, [0, 1], [1])
+    assert intersect_conjugated([zero, one], x, [one]) == intersect_conjugated([0, 1], x, [1])
 
 
 def test_in_double_coset_refuses_elements_over_different_graphs():

@@ -33,6 +33,16 @@ def test_full_subgraph_inherits_order():
     assert sub.edges() == [("b", "c"), ("c", "d")]
 
 
+def test_full_subgraph_refuses_bad_vertex_indices():
+    g = Graph(["a", "b", "c"], [("a", "b")])
+    # 99 raised IndexError, and -1 quietly kept the last vertex
+    with pytest.raises(ValueError, match="99 is not a vertex index"):
+        g.full_subgraph([0, 99])
+    with pytest.raises(ValueError, match="-1 is not a vertex index"):
+        g.full_subgraph([-1])
+    assert g.full_subgraph(iter([0, 2])).vertices == ["a", "c"]
+
+
 def test_validation_errors():
     with pytest.raises(ValueError):
         Graph(["a", "a"], [])

@@ -3,13 +3,14 @@
 import gc
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
 from raag.graphs import Graph
-from raag.words import Element, parse
+from raag.words import Element, _canonical, parse
 from raag.conjugacy import Conjugate, NotConjugate, conjugate
 from raag import nilpotent
 from raag.nilpotent import (
@@ -91,11 +92,13 @@ def indexed(algebra, coeffs, q):
 
 
 def inserted(graph, word):
-    """The canonical form of a positive word, one insertion per letter."""
+    """The canonical form of a positive word of vertex indices, one
+    `words._canonical` call per letter, so that every letter goes in by
+    insertion and none through the piles."""
     out = ()
     for v in word:
-        out = nilpotent._append(graph.adj[v], out, v)
-    return out
+        out = _canonical(graph, (v + 1,), out)
+    return tuple(v - 1 for v in out)
 
 
 def is_one(x):
@@ -189,6 +192,15 @@ def test_grown_algebra_matches_piles_at_every_degree():
             algebra.grow()
             assert algebra.d == d
             assert_tables_match_piles(algebra)
+
+
+def test_trace_algebra_degree_must_be_a_nonnegative_integer():
+    # 2.0 raised a TypeError in range(), and -1 quietly built degree 0
+    with pytest.raises(ValueError, match="d = 2.0 is not an integer"):
+        TraceAlgebra(P3, 2.0)
+    with pytest.raises(ValueError, match="need d >= 0"):
+        TraceAlgebra(P3, -1)
+    assert TraceAlgebra(P3, np.int64(2)).basis == TraceAlgebra(P3, 2).basis
 
 
 def test_trace_basis_bound_refuses_before_building(monkeypatch):
@@ -484,6 +496,18 @@ def test_distinct_abelianizations_separate_at_degree_one():
     assert res == Separated(1, 2, 1)
     # equal mod 2 but not mod 4: precision matters
     assert find_separating_level(parse(F2, "a"), parse(F2, "a^3"), 2) == (1, 2)
+
+
+def test_sentinels_share_one_class():
+    # NOT_FOUND and INCONCLUSIVE are markers of one class, each printing as
+    # its name, in a pickle of any protocol too
+    from raag.cosets import INCONCLUSIVE
+
+    assert type(NOT_FOUND) is type(INCONCLUSIVE)
+    for sentinel, name in ((NOT_FOUND, "NOT_FOUND"), (INCONCLUSIVE, "INCONCLUSIVE")):
+        assert repr(sentinel) == name
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert repr(pickle.loads(pickle.dumps(sentinel, protocol))) == name
 
 
 def test_classic_commutator_pair_levels():

@@ -14,6 +14,7 @@ from oracles import (
     reference_cyclic_normal_form,
     reference_normal_form,
     reference_reduced_words,
+    restrict,
     scan_depile,
 )
 
@@ -539,6 +540,19 @@ def test_parse_refuses_oversized_words(monkeypatch):
         parse(P3, "a^5 c^-4")
 
 
+def test_gen_refuses_oversized_powers(monkeypatch):
+    from raag import words
+
+    # 10**12 letters raised MemoryError while the tuple was built
+    for power in (10**12, -10**12, words.MAX_WORD_LENGTH + 1):
+        with pytest.raises(ValueError, match=f"more than {words.MAX_WORD_LENGTH} letters"):
+            gen(F2, "a", power)
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 8)
+    assert gen(F2, "a", -8) == parse(F2, "a^-8")
+    with pytest.raises(ValueError, match="more than 8"):
+        gen(F2, "a", 9)
+
+
 @pytest.mark.parametrize("letters", [(1, 0, 2), (0,), (3,), (-3,), (1, 2, -7)])
 def test_letters_outside_the_graph_are_refused(letters):
     # a letter 0 would index b's pile on F2 and cancel there, turning
@@ -617,10 +631,13 @@ def test_bare_one_is_the_identity():
 def test_restrict_embed_roundtrip():
     sub = P3.full_subgraph({0, 1})
     u = parse(P3, "b a b^-1 a")
-    r = u.restrict(sub)
+    r = restrict(u, sub)
     assert r.graph == sub and embed(r, P3) == u
     with pytest.raises(ValueError):
-        parse(P3, "c").restrict(sub)
+        restrict(parse(P3, "c"), sub)
+    # the names may come in another order: the word is canonicalised again
+    ba = Graph(["b", "a"], [("b", "a")])
+    assert restrict(parse(EDGE_ISO, "a b"), ba) == parse(ba, "a b")
 
 
 def test_reference_reduced_words_agree_with_engine():
