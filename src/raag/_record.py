@@ -52,10 +52,18 @@ class Record:
 
 
 class Sentinel:
-    """A unique marker value that prints as its name."""
+    """A unique marker value that prints as its name.
 
-    def __init__(self, name):
+    `name` must be the module-level name it is bound to in `module`:
+    pickling and copying hand back that one object.
+    """
+
+    def __init__(self, name, module):
         self._name = name
+        self.__module__ = module  # where pickle looks the name up
 
     def __repr__(self):
+        return self._name
+
+    def __reduce__(self):
         return self._name

@@ -13,15 +13,54 @@ command the graph; the commands then call the library directly. Bad input
 raises ValueError there, as in the argument parser, the graph load and the
 vertex lookups here, and `main` turns it into the message and exit 1; a
 failed witness check (AssertionError) is a bug and escapes as a traceback.
+
+Each command compiles only the layers it calls. `graphs` and `words` load
+with the package, since every graph command needs them. `conjugacy`,
+`cosets`, `hnn`, `nilpotent`, `pgroup` and `_intlinalg` are registered
+through `importlib.util.LazyLoader`: `import raag.cli` puts each in
+`sys.modules` and on the `raag` package, and its source is compiled and run
+when a command first reads one of its attributes. A layer that runs loads
+what it imports. So `normal-form` and `equal` load no layer; `conjugate`,
+`conjugate-under` and `centralizer` load `conjugacy` and its `cosets`;
+`double-coset` loads `cosets`; `hnn-decompose` loads `hnn`; `lie-dims` and
+`center` load `nilpotent` and its `_intlinalg`; `magnus-separate` loads
+those and, for its conjugacy pre-check, `conjugacy` and `cosets`; and
+`pgroup-witness` loads `pgroup`.
+The registration is not function-level imports because the benchmark's
+tracer (bench/tracer.py) patches every layer it finds in `sys.modules`
+right after `import raag.cli`. Once library-owned traces retire that
+tracer (ROADMAP item 12), it can become function-level imports. Before
+Python 3.12 a lazy module has no lock, so the first read of each layer
+must come from one thread; the CLI runs on one.
 """
 
 import argparse
+import importlib.util
 import sys
 
-from . import conjugacy, cosets, hnn, nilpotent
 from .graphs import load_graph
-from .pgroup import ENUMERATION_GUARD, WitnessGroup, WitnessParams
 from .words import parse
+
+
+def _register(name):
+    """raag.<name>, in sys.modules and on the package; a module not yet
+    imported is run on the first read of one of its attributes."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+conjugacy, cosets, hnn, nilpotent, pgroup = map(
+    _register, ("conjugacy", "cosets", "hnn", "nilpotent", "pgroup")
+)
+_register("_intlinalg")  # no command reads it, but the tracer looks it up
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,10 +184,10 @@ def _cmd_center(graph, args):
 
 
 def _cmd_pgroup_witness(_, args):
-    params = WitnessParams(args.prime, args.n, args.r, args.s)
+    params = pgroup.WitnessParams(args.prime, args.n, args.r, args.s)
     if not params.enumerable:
-        raise ValueError(f"|B| exceeds {ENUMERATION_GUARD}, too large to enumerate")
-    group = WitnessGroup(params)
+        raise ValueError(f"|B| exceeds {pgroup.ENUMERATION_GUARD}, too large to enumerate")
+    group = pgroup.WitnessGroup(params)
     print(f"params: p={params.p} n={params.n} r={params.r} s={params.s}")
     print(f"|A| = {params.order_a}")
     print(f"|B| = {params.order_b}")

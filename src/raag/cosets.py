@@ -28,7 +28,7 @@ __all__ = [
 
 # no decision returns it any more; it stays only because the benchmark in
 # bench/ still imports it
-INCONCLUSIVE = Sentinel("INCONCLUSIVE")
+INCONCLUSIVE = Sentinel("INCONCLUSIVE", __name__)
 
 
 class Gens(list):

@@ -318,7 +318,7 @@ class NotSeparatedAtThisLevel(Record):
     __slots__ = ("unit",)
 
 
-NOT_FOUND = Sentinel("NOT_FOUND")
+NOT_FOUND = Sentinel("NOT_FOUND", __name__)
 
 
 def magnus_conjugate_test(g, h, d, p, m):

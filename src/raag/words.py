@@ -311,12 +311,16 @@ class Element:
         return inv
 
     def __pow__(self, k):
+        """A power whose abs(k) copies of the canonical word pass
+        MAX_WORD_LENGTH letters raises ValueError before any is built."""
         if not isinstance(k, int):
             return NotImplemented
         if k == 0:
             return Element(self.graph, (), canonical=True)
         base = self if k > 0 else self.inverse()
         letters = base.letters
+        if abs(k) * len(letters) > MAX_WORD_LENGTH:
+            raise ValueError(f"word expands to more than {MAX_WORD_LENGTH} letters")
         return Element(self.graph, _canonical(self.graph, letters * (abs(k) - 1), letters), canonical=True)
 
     def __eq__(self, other):

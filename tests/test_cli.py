@@ -305,6 +305,38 @@ def test_no_command_loads_numpy(graphs):
     assert out == f"False {sorted(here['res'].unit.coeffs.items())}\n"
 
 
+LAZY_LAYERS = ("conjugacy", "cosets", "hnn", "nilpotent", "pgroup", "_intlinalg")
+
+
+def test_cli_import_registers_layers_lazily(graphs):
+    # `import raag.cli` puts every layer in sys.modules (the benchmark's
+    # tracer patches them from there) but runs none; `type` reads no
+    # attribute, so it does not set off the load it checks for
+    code = (
+        "import sys, types\nimport raag, raag.cli\n"
+        f"names = {LAZY_LAYERS!r}\n"
+        "layers = [sys.modules['raag.' + name] for name in names]\n"
+        "def loaded():\n"
+        "    print('loaded', [type(m) is types.ModuleType for m in layers])\n"
+        "print(all(vars(raag)[n] is m for n, m in zip(names, layers)))\n"
+        "loaded()\n"
+        f"raag.cli.main(['normal-form', '--graph', {graphs['path3']!r}, 'b a b^-1 c'])\n"
+        f"raag.cli.main(['equal', '--graph', {graphs['path3']!r}, 'a b', 'b a'])\n"
+        "loaded()\n"
+        f"raag.cli.main(['magnus-separate', '--graph', {graphs['discrete2']!r}, 'a b', 'a'])\n"
+        "loaded()\n"
+    )
+    lines = fresh_python(code).splitlines()
+    assert lines[0] == "True"
+    lazy = [False] * 6
+    # magnus-separate runs nilpotent, which loads _intlinalg, and its
+    # conjugacy pre-check, which loads cosets; hnn and pgroup stay lazy
+    after_magnus = [True, True, False, True, False, True]
+    assert [line for line in lines if line.startswith("loaded")] == [
+        f"loaded {lazy}", f"loaded {lazy}", f"loaded {after_magnus}"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -13,9 +13,9 @@ import pytest
 
 from raag import Graph, parse
 from raag.conjugacy import Conjugate, Inconclusive, NotConjugate
-from raag.cosets import CosetFactors, NotMember
+from raag.cosets import INCONCLUSIVE, CosetFactors, NotMember
 from raag.hnn import HnnWord
-from raag.nilpotent import NotSeparatedAtThisLevel, Separated, magnus_image
+from raag.nilpotent import NOT_FOUND, NotSeparatedAtThisLevel, Separated, magnus_image
 from raag.pgroup import PGroupElement, WitnessParams
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -93,3 +93,12 @@ def test_cli_import_loads_no_dataclasses():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("sentinel", [NOT_FOUND, INCONCLUSIVE], ids=repr)
+def test_sentinels_keep_identity(sentinel):
+    # a sentinel is compared with `is`, so every pickle protocol and both
+    # copies must hand back the module-level object
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(sentinel, proto)) is sentinel
+    assert copy.copy(sentinel) is sentinel and copy.deepcopy(sentinel) is sentinel

@@ -553,6 +553,22 @@ def test_gen_refuses_oversized_powers(monkeypatch):
         gen(F2, "a", 9)
 
 
+def test_pow_refuses_oversized_powers(monkeypatch):
+    from raag import words
+
+    # 10**12 copies of a two-letter word raised MemoryError while the tuple was built
+    ab = Element(F2, [1, 2])
+    for k in (10**12, -10**12, words.MAX_WORD_LENGTH // 2 + 1):
+        with pytest.raises(ValueError, match=f"more than {words.MAX_WORD_LENGTH} letters"):
+            ab ** k
+    # the bound is on the canonical base times abs(k); the identity has no letters
+    assert Element(F2, [1, -1]) ** 10**12 == Element(F2)
+    monkeypatch.setattr(words, "MAX_WORD_LENGTH", 8)
+    assert ab ** -4 == parse(F2, "b^-1 a^-1 " * 4)
+    with pytest.raises(ValueError, match="more than 8"):
+        ab ** 5
+
+
 @pytest.mark.parametrize("letters", [(1, 0, 2), (0,), (3,), (-3,), (1, 2, -7)])
 def test_letters_outside_the_graph_are_refused(letters):
     # a letter 0 would index b's pile on F2 and cancel there, turning
