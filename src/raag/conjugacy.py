@@ -439,6 +439,16 @@ def _factor_conjugator(u, v):
     return min(found, key=Element.shortlex_key, default=None)
 
 
+def _core_conjugator(g, h, cg, ch, tau=None):
+    """ch * tau * cg^-1, for cg and ch the cyclic conjugators of g and h
+    and tau taking g's core to h's (1 when None, for equal cores),
+    verified to conjugate g to h. `nilpotent.magnus_conjugate_test`
+    certifies its equal-core units by it too."""
+    sigma = ch * cg.inverse() if tau is None else ch * tau * cg.inverse()
+    verify(sigma * g * sigma.inverse() == h, "conjugator")
+    return sigma
+
+
 def _conjugate_cores(g, h):
     """(`conjugate(g, h)`, parts) for g != h, both nontrivial, with equal
     abelianizations; parts is g's (conj, core, support, pure factors) for
@@ -450,23 +460,19 @@ def _conjugate_cores(g, h):
     supp = gcore.support()
     if supp != hcore.support():
         return NotConjugate("cyclic-support"), None
-    pure = None
-    if gcore == hcore:
-        # then every pair of pure factors is equal, with conjugator 1
-        sigma = ch * cg.inverse()
-    else:
+    pure = tau = None
+    # equal cores have every pair of pure factors equal, with conjugator 1
+    if gcore != hcore:
         comps = _pure_factor_supports(graph, supp)
         pure = _pure_factors(gcore, comps)
-        sigma = _one(graph)
+        tau = _one(graph)
         # one support, so the factors pair up in order
         for (_, u), (_, v) in zip(pure, _pure_factors(hcore, comps)):
-            tau = _factor_conjugator(u, v)
-            if tau is None:
+            factor = _factor_conjugator(u, v)
+            if factor is None:
                 return NotConjugate("cyclic-normal-form"), None
-            sigma = sigma * tau
-        sigma = ch * sigma * cg.inverse()
-    verify(sigma * g * sigma.inverse() == h, "conjugator")
-    return Conjugate(sigma), (cg, gcore, supp, pure)
+            tau = tau * factor
+    return Conjugate(_core_conjugator(g, h, cg, ch, tau)), (cg, gcore, supp, pure)
 
 
 def conjugate(g, h):

@@ -19,10 +19,12 @@ module docstring proves it.
 `TraceAlgebra(graph, d)` lists the monomials of degree <= d and tabulates
 that insertion once, as integer append tables, one degree at a time;
 images, the columns of the Magnus system and the check of a found unit
-then run on integer indices. The Magnus test builds them on the full
-subgraph on the letters its pair uses, which decides as the whole graph
-does, and one degree at a time, as its solver reads the rows: a solve that
-stops at a row of degree k builds nothing past degree k.
+then run on integer indices. The Magnus test decides on the cyclic
+cores of its pair, which decide as the pair does: equal cores answer with
+the image of their conjugator and build nothing, and other cores build
+these on the full subgraph on the letters the cores use, which decides as
+the whole graph does, and one degree at a time, as the solver reads the
+rows: a solve that stops at a row of degree k builds nothing past degree k.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -263,14 +265,21 @@ def magnus_image(x, d, p, m):
     d, p, m = _level(d, p, m)
     q = p**m
     graph = x.graph
-    coeffs = {}
     # keys are positive group words, vertex v as the letter v + 1
-    for layer in islice(_image_layers(x.letters, q, (), lambda term, v: {
+    coeffs = _truncated_image(x.letters, q, d, (), lambda term, v: {
         words._canonical(graph, (v + 1,), w): c for w, c in term.items()
-    }), d + 1):
-        coeffs.update(layer)
+    })
     coeffs = {tuple(v - 1 for v in w): c for w, c in coeffs.items()}
     return TruncatedAlgebraElement(graph, d, q, coeffs)
+
+
+def _truncated_image(letters, q, d, one, shift):
+    """The image over Z/q of the word `letters` up to degree d, as one
+    {key: coefficient} map (see _image_layers)."""
+    coeffs = {}
+    for layer in islice(_image_layers(letters, q, one, shift), d + 1):
+        coeffs.update(layer)
+    return coeffs
 
 
 def _image_layers(letters, q, one, shift):
@@ -313,7 +322,15 @@ class Separated(Record):
 
 
 class NotSeparatedAtThisLevel(Record):
-    """A conjugating unit exists at this truncation level (stored, verified)."""
+    """A conjugating unit exists at this truncation level (stored, verified).
+
+    When g and h have equal cyclic cores, the unit is M(x^-1) for the
+    conjugator x = ch * cg^-1 of their cyclic normal forms, and what is
+    verified is x * g * x^-1 == h, by multiplication in the group; M is
+    a homomorphism. Otherwise it is a solution of the Magnus system of
+    the cores, moved to g and h, and verified by multiplication against
+    M(g) and M(h) in the truncated algebra. Either way it has constant
+    term 1 and no monomial of the truncation degree."""
 
     __slots__ = ("unit",)
 
@@ -324,16 +341,35 @@ NOT_FOUND = Sentinel("NOT_FOUND", __name__)
 def magnus_conjugate_test(g, h, d, p, m):
     """Decide conjugacy of the images of g and h in the truncated unit group.
 
-    Solvability of M(g)*u = u*M(h) in u with constant term 1 is one exact
-    linear system over Z/p^m. Write it as (M(g) - 1)*u - u*(M(h) - 1) = 0:
+    The test runs on cyclic cores. With g = cg * gc * cg^-1 and h = ch *
+    hc * ch^-1 from `Element.cyclic_normal_form`, every image M(x) is a
+    unit with constant term 1, and u -> M(cg) * u * M(ch)^-1 maps the
+    units with constant term 1 conjugating M(gc) to M(hc) one to one onto
+    those conjugating M(g) to M(h): if M(gc) * u = u * M(hc), then
+    M(g) * M(cg) u M(ch)^-1 = M(cg) M(gc) u M(ch)^-1
+    = M(cg) u M(hc) M(ch)^-1 = M(cg) u M(ch)^-1 * M(h), and the inverse
+    map is u -> M(cg)^-1 * u * M(ch). So the verdict at every (d, p, m)
+    is the cores'.
+
+    Equal cores build no system: x = ch * cg^-1 conjugates g to h, which
+    `conjugacy._core_conjugator` verifies by multiplication in the group,
+    as `conjugate` does, and M(x^-1) is the unit. It is
+    taken at degree d - 1, 1 at d = 1: the degree-d coefficients of a
+    unit are free (below), and a unit here has them 0.
+
+    Other cores are decided by their Magnus system. Solvability of
+    M(g)*u = u*M(h) in u with constant term 1 is one exact linear system
+    over Z/p^m. Write it as (M(g) - 1)*u - u*(M(h) - 1) = 0:
     both factors lack a constant term, so the operator raises degree by at
     least one. The degree-0 equation is then identically zero, and so is
     the column of every degree-d unknown: those coefficients are free, and
     the returned unit has them 0. What is left has one unknown per monomial
     of degree 1..d-1 and one equation per monomial of degree 1..d; the
     constant term 1 moves to the right-hand side, and the rest is
-    elimination. A found unit is verified by multiplication before being
-    returned.
+    elimination. A found unit u' is verified by multiplication; unless
+    both cyclic conjugators are 1, it is moved to M(cg) * u' * M(ch)^-1 at
+    degree d - 1 and verified again, against M(g) and M(h) at degree d
+    (_lifted_unit), before it is returned.
 
     The equation at a monomial of degree k involves only the unknowns of
     degree below k and the coefficients of the images up to degree k, so
@@ -348,41 +384,82 @@ def magnus_conjugate_test(g, h, d, p, m):
     refers back to it, and the unit check multiplies in plain loops, so
     no answer leaves a reference cycle for the collector.
 
-    The system is built on S = supp(g) | supp(h) alone, the full subgraph
-    on the letters the pair uses, and the verdict is the one on the whole
-    graph. Killing the letters outside S is a ring map from the truncated
-    algebra over the graph onto the one over S: the monomials holding such
-    a letter span a two-sided ideal. It sends units with constant term 1
-    to such units and fixes M(g) and M(h), so a unit conjugating the images
-    over the graph gives one over S, and a Separated verdict on S holds on
-    the graph. Conversely the algebra over S is a subalgebra of the one
-    over the graph: two words over S are equivalent there exactly when
-    they are over S, and the subgraph keeps the vertex order, so a
-    lex-least word over S is lex-least over the graph too. A unit found on
-    S is therefore, with its monomials renamed back through S, a unit over
-    g.graph that conjugates the images there.
+    The system is built on S = supp(gc) | supp(hc) alone, the full
+    subgraph on the letters the cores use, and the verdict is the one on
+    the whole graph. Killing the letters outside S is a ring map from the
+    truncated algebra over the graph onto the one over S: the monomials
+    holding such a letter span a two-sided ideal. It sends units with
+    constant term 1 to such units and fixes M(gc) and M(hc), so a unit
+    conjugating the images over the graph gives one over S, and a
+    Separated verdict on S holds on the graph. Conversely the algebra
+    over S is a subalgebra of the one over the graph: two words over S
+    are equivalent there exactly when they are over S, and the subgraph
+    keeps the vertex order, so a lex-least word over S is lex-least over
+    the graph too. A unit found on S is therefore, with its monomials
+    renamed back through S, a unit over g.graph that conjugates the
+    images there.
     """
     graph = g.graph
     check_graph(graph, h)
     d, p, m = _level(d, p, m)
-    q = p**m
-    support = sorted(g.support() | h.support())
-    if len(support) < graph.n:
-        sub = graph.full_subgraph(support)
-        # vertex support[i] is vertex i of sub; the order is kept, so a
-        # canonical word stays canonical
-        index = {s * (v + 1): s * (i + 1) for i, v in enumerate(support) for s in (1, -1)}
-        g, h = (
-            words.Element(sub, [index[x] for x in y.letters], canonical=True) for y in (g, h)
-        )
-        unit = _conjugating_unit(g, h, d, p, m)
-        if unit is not None:
-            unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
+    cg, gc = g.cyclic_normal_form()
+    ch, hc = h.cyclic_normal_form()
+    if gc == hc:
+        x = conjugacy._core_conjugator(g, h, cg, ch)
+        unit = magnus_image(x.inverse(), d - 1, p, m).coeffs if d > 1 else {(): 1}
     else:
-        unit = _conjugating_unit(g, h, d, p, m)
-    if unit is None:
-        return Separated(d, p, m)
-    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(graph, d, q, unit))
+        support, (gc, hc) = _on_support(gc, hc)
+        unit = _conjugating_unit(gc, hc, d, p, m)
+        if unit is None:
+            return Separated(d, p, m)
+        unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
+        if cg or ch:
+            unit = _lifted_unit(unit, g, h, cg, ch, d, p, m)
+    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(graph, d, p**m, unit))
+
+
+def _on_support(*elements):
+    """(support, elements'): the vertices the elements use, in order, and
+    the elements on the full subgraph on them, where vertex support[i] is
+    vertex i. The subgraph keeps the vertex order, so a canonical word
+    stays canonical."""
+    graph = elements[0].graph
+    support = sorted(frozenset().union(*(x.support() for x in elements)))
+    if len(support) == graph.n:
+        return support, elements
+    sub = graph.full_subgraph(support)
+    index = {s * (v + 1): s * (i + 1) for i, v in enumerate(support) for s in (1, -1)}
+    return support, [
+        words.Element(sub, [index[x] for x in y.letters], canonical=True) for y in elements
+    ]
+
+
+def _lifted_unit(unit, g, h, cg, ch, d, p, m):
+    """M(cg) * unit * M(ch)^-1 at degree d - 1, for a unit conjugating
+    the images of the cyclic cores of g and h at degree d, verified by
+    multiplication to conjugate M(g) to M(h) at degree d; monomials on
+    g.graph. Both products run on a TraceAlgebra over the letters g and h
+    use, grown to degree d for the check."""
+    q = p**m
+    support, (g, h, cg, ch_inv) = _on_support(g, h, cg, ch.inverse())
+    algebra = TraceAlgebra(g.graph, d - 1)
+    right = algebra.right
+
+    def image(x):
+        return _truncated_image(
+            x.letters, q, algebra.d, 0, lambda t, v: {right[i][v]: c for i, c in t.items()}
+        )
+
+    where = {v: i for i, v in enumerate(support)}
+    index = {w: i for i, w in enumerate(algebra.basis)}
+    lifted = {index[tuple(where[v] for v in w)]: c for w, c in unit.items()}
+    lifted = algebra.mul(algebra.mul(image(cg), lifted, q), image(ch_inv), q)
+    algebra.grow()
+    verify(
+        algebra.mul(image(g), lifted, q) == algebra.mul(lifted, image(h), q),
+        "conjugating unit",
+    )
+    return {tuple(support[v] for v in algebra.basis[i]): c for i, c in lifted.items()}
 
 
 def _conjugating_unit(g, h, d, p, m):
@@ -545,9 +622,12 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     so a test at d after d - 1 did not separate reads every row below d,
     and builds the basis of degree d: the bound ends the scan at the same
     degree, with the same message, as building each basis whole would.
-    Each basis is built on the letters the pair uses (see
-    magnus_conjugate_test); the message names them when they are fewer
-    than the graph's, and names the invariant that ruled the pair out.
+    The grid is scanned on the cyclic cores of g and h, computed once:
+    they separate at exactly the levels the pair does (see
+    magnus_conjugate_test), and no level moves a unit to the pair only to
+    drop it. Each basis is built on the letters the cores use; the
+    message names them when they are fewer than the graph's, and names
+    the invariant that ruled the pair out.
     """
     p = require_prime(p)
     max_d, max_m = require_int(max_d, "max_d"), require_int(max_m, "max_m")
@@ -558,6 +638,7 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     verdict = conjugacy.conjugate(g, h)
     if isinstance(verdict, conjugacy.Conjugate):
         return NOT_FOUND
+    g, h = g.cyclic_normal_form()[1], h.cyclic_normal_form()[1]
 
     def separates(d, m):
         return isinstance(magnus_conjugate_test(g, h, d, p, m), Separated)

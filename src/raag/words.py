@@ -24,7 +24,9 @@ Proof. The reduced words of an element differ by commutations alone, so
 the canonical word is the lex-least word of a trace over the signed
 letters, and a word is canonical exactly when it is reduced and has no
 factor b.u.a with a < b, a commuting with b and with every letter of u
-(Anisimov-Knuth). Write w = p.y.s.
+(Anisimov-Knuth). So every factor of a canonical word is canonical: a
+cancelling pair or a factor b.u.a inside it would be one of the word.
+Write w = p.y.s.
 - Deletion, y = x^-1. p.s equals w.x, as x commutes with s. A cancelling
   pair z...z^-1 of p.s (its letters between commuting with z), or a
   factor b.u.a as above, that w lacks has y between its ends, so its last
@@ -375,14 +377,28 @@ class Element:
 
         Peeling (see the module docstring) re-examines only the vertices
         whose piles changed. Peelable vertices commute pairwise and stay
-        peelable when another is peeled, so the result is order-free. A
-        word that is cyclically reduced already is returned as it is,
-        unpiled."""
+        peelable when another is peeled, so the result is order-free.
+
+        Most words need no piles. Strip the canonical word w = p.c.p^-1
+        of the longest p whose letters meet their inverses at the two
+        ends, letter by letter. Each letter of p is then at the front of
+        the heap with its inverse at the back when it is peeled, so
+        peeling p first is one order of peeling; if c is cyclically
+        reduced nothing more peels, and (p, c) is the split. Both are
+        factors of a canonical word, so canonical (see the module
+        docstring), and a cyclically reduced word comes back as it is.
+        Otherwise, when a peelable letter hides behind letters it
+        commutes with, the piles peel the whole word."""
         graph = self.graph
-        if _cyclically_reduced(graph, self.letters):
-            return Element(graph, (), canonical=True), self
+        letters = self.letters
+        i, j = 0, len(letters)
+        while i < j and letters[i] == -letters[j - 1]:
+            i, j = i + 1, j - 1
+        if _cyclically_reduced(graph, letters[i:j]):
+            core = Element(graph, letters[i:j], canonical=True) if i else self
+            return Element(graph, letters[:i], canonical=True), core
         dependents = graph.dependents
-        piles = _pile(graph, self.letters)
+        piles = _pile(graph, letters)
         peeled = []
         work = list(range(graph.n))
         while work:

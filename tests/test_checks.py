@@ -56,6 +56,8 @@ with mock.patch.object(conjugacy, "_conjugate_cores", lambda g, h: (conjugacy.Co
 # a lying cyclic normal form gives a b and b a one core and conjugator 1
 with mock.patch.object(Element, "cyclic_normal_form", lambda self: (one, ab)):
     corrupted("conjugate equal cores", lambda: conjugacy.conjugate(ab, ba))
+    # the Magnus test takes M(1) as the unit only once 1 * ab * 1 == ba
+    corrupted("magnus equal cores", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
 with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
@@ -69,6 +71,10 @@ ac, ca = parse(c5, "a c"), parse(c5, "c a")
 with mock.patch.object(nilpotent, "solve_mod_prime_power", lambda m, r, p, k: [1] * m.shape[1]):
     corrupted("magnus unit", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
     corrupted("magnus unit on the support", lambda: nilpotent.magnus_conjugate_test(ac, ca, 2, 2, 1))
+# a b against a^-1 (b a) a: 1 + b conjugates neither their cores' images
+# nor, moved by M(a), theirs at degree 2 mod 4
+with mock.patch.object(nilpotent, "_conjugating_unit", lambda g, h, d, p, m: {(): 1, (1,): 1}):
+    corrupted("magnus moved unit", lambda: nilpotent.magnus_conjugate_test(ab, a.inverse() * ba * a, 2, 2, 2))
 
 
 # a row that reads {0: 1} to elimination and {0: 2} to the check
@@ -112,11 +118,13 @@ def test_corrupted_witnesses_raise_under_optimize():
         "conjugate under strip raised",
         "conjugate under raised",
         "conjugate equal cores raised",
+        "magnus equal cores raised",
         "conjugate raised",
         "centralizer raised",
         "set centralizer raised",
         "magnus unit raised",
         "magnus unit on the support raised",
+        "magnus moved unit raised",
         "modular solution raised",
         "separating level raised",
         "reduced form raised",

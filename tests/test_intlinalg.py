@@ -172,7 +172,8 @@ def _conjugate_pairs(rng, graph, count):
 
 def capture_magnus_solves(monkeypatch):
     """Record each solve of a Magnus test as (g, h, rows, rhs, unknowns, p,
-    m, x): the pair on its support, the rows the solve built and read,
+    m, x): the pair its kernel, `_conjugating_unit`, was given (the cyclic
+    cores on their support, from `magnus_conjugate_test`), the rows the solve built and read,
     whole degrees up to the one that ended it, their right-hand sides, the
     number of unknowns of the whole system, the modulus and the answer."""
     solves, pair = [], []
@@ -193,6 +194,8 @@ def capture_magnus_solves(monkeypatch):
 
 
 def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypatch):
+    # the kernel is driven on the pairs themselves, on the whole graph: the
+    # public test answers conjugate pairs with equal cores without a solve
     solves = capture_magnus_solves(monkeypatch)
     rng = random.Random(31)
     p3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -204,8 +207,10 @@ def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypat
         for g, h in pairs:
             for p, m in ((2, 2), (3, 2)):
                 del solves[:]
-                nilpotent.magnus_conjugate_test(g, h, d, p, m)
+                nilpotent._conjugating_unit(g, h, d, p, m)
                 (g1, h1, rows, rhs, ncols, _, _, x), = solves
+                res = nilpotent.magnus_conjugate_test(g, h, d, p, m)
+                assert isinstance(res, nilpotent.Separated) == (x is None)
                 # the rows read decide as global pivoting does on them, and
                 # they lead the whole system, which it decides the same way
                 ref = reference_solve_mod_prime_power(dense_matrix(SparseMatrix(rows, ncols)), rhs, p, m)

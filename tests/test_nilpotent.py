@@ -105,6 +105,16 @@ def is_one(x):
     return x.coeffs == {(): 1}
 
 
+def is_checked_unit(unit, g, h, d, p, m):
+    """unit has constant term 1 and no monomial of degree d, and M(g).unit
+    == unit.M(h) by piled products."""
+    return (
+        unit.coeffs[()] == 1
+        and all(len(w) < d for w in unit.coeffs)
+        and conjugates_images(unit, g, h, d, p, m)
+    )
+
+
 def conjugates_images(unit, g, h, d, p, m):
     """M(g).unit == unit.M(h), by piled products."""
     return piled_product(magnus_image(g, d, p, m), unit) == piled_product(unit, magnus_image(h, d, p, m))
@@ -729,10 +739,11 @@ def test_cut_system_decides_as_the_full_one(graph, max_d):
     ("graph", "max_d"), [(P3, 7), (F3, 5), (C5, 4), (F2, 8)], ids=["P3", "F3", "C5", "F2"]
 )
 def test_magnus_test_matches_piled_products(graph, max_d):
-    # the test on append tables against the same test summed from piled
-    # products: the same verdicts, the same units, the same levels, on
-    # nontrivial commutators [u, v] against s [v, u] s^-1 and on distinct
-    # conjugates g, s g s^-1
+    # the kernel on append tables against the same test summed from piled
+    # products: the same verdicts and the same units, on nontrivial
+    # commutators [u, v] against s [v, u] s^-1 and on distinct conjugates
+    # g, s g s^-1; the public test, which decides on cyclic cores, gives
+    # the same verdicts and levels, with units that conjugate the images
     rng = random.Random(100 + max_d)
     pairs = []
     while len(pairs) < 4:
@@ -744,9 +755,13 @@ def test_magnus_test_matches_piled_products(graph, max_d):
             level = NOT_FOUND
             for d in range(1, top + 1):
                 for m in (1, 2):
+                    want = whole_graph_magnus_conjugate_test(g, h, d, p, m)
+                    assert want == piled_magnus_conjugate_test(g, h, d, p, m), (g, h, d, p, m)
                     res = magnus_conjugate_test(g, h, d, p, m)
-                    assert res == piled_magnus_conjugate_test(g, h, d, p, m), (g, h, d, p, m)
-                    if level is NOT_FOUND and isinstance(res, Separated):
+                    assert type(res) is type(want), (g, h, d, p, m)
+                    if isinstance(res, NotSeparatedAtThisLevel):
+                        assert is_checked_unit(res.unit, g, h, d, p, m)
+                    elif level is NOT_FOUND:
                         level = (d, m)
             image = piled_magnus_image(g, top, p, 2)
             system = whole_layered_system(g, h, top, p, 2)
@@ -806,6 +821,107 @@ def test_support_path_decides_as_the_whole_graph(graph, top):
     assert verdicts == {Separated, NotSeparatedAtThisLevel}
 
 
+def lifted_pairs(rng, graph, count):
+    """Pairs whose cyclic cores differ and whose cyclic conjugators are
+    not both 1: g against s rot(g) s^-1, rot(g) a rotation of g's word,
+    which are conjugate, and s g' s^-1 against g, g' a shuffle of g's
+    letters, which conjugacy rules out."""
+    rotated, shuffled = [], []
+    while len(rotated) < count or len(shuffled) < count:
+        g = rand_word(rng, graph, rng.randrange(3, 7))
+        s = rand_word(rng, graph, rng.randrange(1, 4))
+        if len(g) < 2:
+            continue
+        k = rng.randrange(1, len(g))
+        letters = list(g.letters)
+        rng.shuffle(letters)
+        for kind, g, h in (
+            (rotated, g, s * Element(graph, g.letters[k:] + g.letters[:k]) * s.inverse()),
+            (shuffled, s * Element(graph, letters) * s.inverse(), g),
+        ):
+            (cg, gc), (ch, hc) = g.cyclic_normal_form(), h.cyclic_normal_form()
+            if len(kind) < count and gc != hc and (cg or ch):
+                if kind is rotated or isinstance(conjugate(g, h), NotConjugate):
+                    kind.append((g, h))
+    return rotated + shuffled
+
+
+@pytest.mark.parametrize(
+    ("graph", "top", "names", "conj"),
+    [(F2, 5, "aba", "b^2"), (P3, 5, "aca", "c^2"), (C5, 3, "aca", "d")],
+    ids=["F2", "P3", "C5"],
+)
+def test_units_moved_from_the_cores(graph, top, names, conj, monkeypatch):
+    # conjugate pairs with rotated cores, and non-conjugate pairs below
+    # their level, are solved on their cores and the unit moved to the
+    # pair: it conjugates the images by piled products, has constant term
+    # 1 and no monomial of degree d, and is 1 at d = 1; the verdicts are
+    # the whole graph's
+    lifted = nilpotent._lifted_unit
+    moved = []
+    monkeypatch.setattr(nilpotent, "_lifted_unit", lambda *args: moved.append(args[1:3]) or lifted(*args))
+    rng = random.Random(340 + graph.n)
+    pairs = lifted_pairs(rng, graph, 3)
+    # a weight-3 commutator, conjugated, against 1 separates at degree 3
+    s = parse(graph, conj)
+    pairs.append((s * left_normed(graph, names) * s.inverse(), Element(graph)))
+    verdicts = set()
+    for g, h in pairs:
+        for p in (2, 3):
+            for d in range(1, top + 1):
+                for m in (1, 2):
+                    res = magnus_conjugate_test(g, h, d, p, m)
+                    want = whole_graph_magnus_conjugate_test(g, h, d, p, m)
+                    assert type(res) is type(want), (g, h, d, p, m)
+                    verdicts.add(type(res))
+                    if isinstance(res, Separated):
+                        assert res == want
+                        continue
+                    assert is_checked_unit(res.unit, g, h, d, p, m), (g, h, d, p, m)
+                    assert d > 1 or is_one(res.unit)
+    assert verdicts == {Separated, NotSeparatedAtThisLevel}
+    assert {(g, h) for g, h in moved} == set(pairs)
+
+
+def test_equal_cores_build_no_system(monkeypatch):
+    # s g s^-1 against t g t^-1 have the core g and the cyclic conjugators
+    # s and t: the unit is M(x^-1) for x = t s^-1, at degree d - 1, with no
+    # trace basis built and no solve
+    def refuse(*args):
+        raise AssertionError("a Magnus system was built")
+
+    monkeypatch.setattr(nilpotent, "TraceAlgebra", refuse)
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", refuse)
+    g, s, t = parse(P3, "a c^2"), parse(P3, "c a"), parse(P3, "a^-1 c^-1")
+    x, y = s * g * s.inverse(), t * g * t.inverse()
+    assert (x.cyclic_normal_form(), y.cyclic_normal_form()) == ((s, g), (t, g))
+    for d in range(1, 6):
+        res = magnus_conjugate_test(x, y, d, 2, 2)
+        assert res.unit == TruncatedAlgebraElement(
+            P3, d, 4, magnus_image(s * t.inverse(), d - 1, 2, 2).coeffs if d > 1 else {(): 1}
+        )
+        assert is_checked_unit(res.unit, x, y, d, 2, 2)
+
+
+def test_separating_level_scans_the_cores(monkeypatch):
+    # conjugated by b d e, the weight-6 commutator on {a, c} uses all of
+    # C5, whose basis passes the bound below degree 6 (the scan used to
+    # raise there); its core uses {a, c}, where the scan answers (6, 1),
+    # testing the cores alone
+    test = nilpotent.magnus_conjugate_test
+    tried = []
+    monkeypatch.setattr(
+        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((g, h)) or test(g, h, d, p, m)
+    )
+    x, core = parse(C5, "b d e"), left_normed(C5, "acacac")
+    g = x * core * x.inverse()
+    assert g.support() == frozenset(range(5))
+    with pytest.raises(ValueError, match="trace monomials"):
+        TraceAlgebra(C5, 6)
+    assert find_separating_level(g, parse(C5, "1"), 2) == (6, 1)
+    assert set(tried) == {(core, parse(C5, "1"))}
+
+
 def test_nothing_is_cached_on_the_graph():
     graph = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     before = set(vars(graph))
@@ -814,7 +930,8 @@ def test_nothing_is_cached_on_the_graph():
     find_separating_level(g, parse(graph, "a c"), 2, max_d=3)
     lie_graded_dims(graph, 5)
     assert "_trace_cache" not in vars(graph)
-    assert set(vars(graph)) - before <= {"dependents", "letter_links"}
+    # adj_masks is the graph's own table, which cyclic_normal_form reads
+    assert set(vars(graph)) - before <= {"adj_masks", "dependents", "letter_links"}
 
 
 # ---------------------------------------------------------------------------

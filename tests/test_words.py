@@ -6,7 +6,7 @@ import pytest
 
 from raag import Element, Graph, gen, parse
 from raag.cosets import abelianization
-from raag.words import _canonical, _depile, _pile
+from raag.words import _canonical, _cyclically_reduced, _depile, _pile
 
 from oracles import (
     embed,
@@ -222,6 +222,29 @@ def test_cyclic_normal_form_matches_reference():
             ref_conj, ref_core = reference_cyclic_normal_form(g)
             assert conj.letters == ref_conj.letters, g
             assert core.letters == ref_core.letters, g
+    # s w s^-1 of the two kinds that pass the stripped ends to the piles:
+    # ends that cancel down to a middle that is not cyclically reduced, and
+    # canonical words that interleave s with the core
+    for graph in (P3, P4, C5, RAND8):
+        stripped = interleaved = 0
+        for _ in range(600):
+            s = Element(graph, _raw_word(rng, graph, rng.randrange(1, 6)))
+            w = Element(graph, _raw_word(rng, graph, rng.randrange(1, 8)))
+            g = s * w * s.inverse()
+            letters = g.letters
+            i, j = 0, len(letters)
+            while i < j and letters[i] == -letters[j - 1]:
+                i, j = i + 1, j - 1
+            if i and not _cyclically_reduced(graph, letters[i:j]):
+                stripped += 1
+            elif len(g) == 2 * len(s) + len(w) and letters[:len(s)] != s.letters:
+                interleaved += 1
+            else:
+                continue
+            conj, core = g.cyclic_normal_form()
+            ref_conj, ref_core = reference_cyclic_normal_form(g)
+            assert (conj.letters, core.letters) == (ref_conj.letters, ref_core.letters), g
+        assert min(stripped, interleaved) >= 25, (graph, stripped, interleaved)
 
 
 def test_cyclic_normal_form_canonicalises_at_most_twice(monkeypatch):
@@ -334,7 +357,12 @@ def test_strip_and_cyclically_reduced_words_build_no_piles(graph, monkeypatch):
             piled.clear()
             conj, again = core.cyclic_normal_form()
             assert not piled and again is core and conj.is_identity()
-    # a word s x s^-1 that is not cyclically reduced is peeled on the piles
+    # s x s^-1 whose canonical word is s.x.s^-1 letter for letter is split
+    # at its ends, unpiled
+    s, x = parse(P4, "c a"), parse(P4, "d")
+    assert (s * x * s.inverse()).letters == s.letters + x.letters + s.inverse().letters
+    assert (s * x * s.inverse()).cyclic_normal_form() == (s, x) and not piled
+    # one whose canonical word interleaves s with x is peeled on the piles
     s, x = parse(P4, "a b^-1"), parse(P4, "d c d")
     conj, core = (s * x * s.inverse()).cyclic_normal_form()
     assert (conj, core) == (s, x) and len(piled) >= 1
