@@ -14,8 +14,10 @@ is divisible by p^v (the induction is in `solve_mod_prime_power`), so
 each pivot has the least valuation of all free entries, as with global
 pivoting, every pivot divides what it clears, and back-substitution
 divides exactly.
-A system is a `SparseMatrix`: one {column: residue} dict per equation, so
-elimination touches only nonzero entries and the fill-in they create.
+A system is a sequence of rows, one {column: residue} dict per equation,
+with a `shape` of (equations, unknowns), since the rows do not show the
+unknowns that no equation uses; elimination touches only nonzero entries
+and the fill-in they create.
 Python integers keep every modulus exact. Pass 0 iterates the system once
 and reads rhs[i] after row i, so a system may build its rows as they are
 iterated (the Magnus system does, one degree at a time): a solve that
@@ -28,25 +30,14 @@ from math import gcd
 
 from ._checks import verify
 
-__all__ = ["SparseMatrix", "solve_mod_prime_power"]
-
-
-class SparseMatrix(list):
-    """Equation rows as {column: coefficient} dicts; `shape` is
-    (equations, unknowns), since the rows do not show the unknowns that
-    no equation uses."""
-
-    __slots__ = ("shape",)
-
-    def __init__(self, rows, ncols):
-        super().__init__(rows)
-        self.shape = (len(self), ncols)
+__all__ = ["solve_mod_prime_power"]
 
 
 def solve_mod_prime_power(matrix, rhs, p, m):
     """Solve matrix @ x == rhs over Z/p^m; returns a list of ints or None.
 
-    matrix is a SparseMatrix; rhs has one integer per equation. Pass 0
+    matrix is a sequence of {column: coefficient} rows with a `shape` of
+    (equations, unknowns); rhs has one integer per equation. Pass 0
     iterates matrix once, reading rhs[i] after row i; matrix.shape[1] is
     read, and matrix iterated again for the check, only after that.
 

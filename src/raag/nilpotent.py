@@ -35,10 +35,11 @@ prod_n (1 - t^n)^(-d_n) = 1 / C(-t) (Duchamp-Krob).
 
 from itertools import chain, islice, zip_longest
 from math import comb
+from types import MappingProxyType
 
 from . import conjugacy, words
 from ._checks import check_graph, require_int, require_prime, verify
-from ._intlinalg import SparseMatrix, solve_mod_prime_power
+from ._intlinalg import solve_mod_prime_power
 from ._record import Record, Sentinel
 
 __all__ = [
@@ -185,22 +186,22 @@ class TraceAlgebra:
 # the truncated algebra
 
 
-class TruncatedAlgebraElement:
-    """A checked coefficient map on trace monomials of degree <= cap.
+class TruncatedAlgebraElement(Record):
+    """A checked coefficient map on trace monomials of degree <= cap, as an
+    immutable record.
 
     This is the value the library hands out (magnus_image,
     NotSeparatedAtThisLevel.unit); it carries no arithmetic, since the
     algebra's one product is TraceAlgebra.mul. modulus 0 means exact
     integer coefficients; modulus q > 0 means coefficients in Z/q, reduced
     on construction. A monomial longer than the cap raises ValueError.
+    coeffs is a read-only view of {monomial: coefficient}, so the hash
+    over it cannot move; a pickle stores it as a plain dict.
     """
 
     __slots__ = ("graph", "cap", "modulus", "coeffs")
 
     def __init__(self, graph, cap, modulus=0, coeffs=None):
-        self.graph = graph
-        self.cap = cap
-        self.modulus = modulus
         clean = {}
         for mono, c in (coeffs or {}).items():
             if len(mono) > cap:
@@ -209,19 +210,13 @@ class TruncatedAlgebraElement:
                 c %= modulus
             if c:
                 clean[mono] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedAlgebraElement)
-            and self.graph == other.graph
-            and self.cap == other.cap
-            and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
-        )
+        super().__init__(graph, cap, modulus, MappingProxyType(clean))
 
     def __hash__(self):
         return hash((self.cap, self.modulus, frozenset(self.coeffs.items())))
+
+    def __reduce__(self):
+        return type(self), (self.graph, self.cap, self.modulus, dict(self.coeffs))
 
     def __repr__(self):
         names = self.graph.vertices
@@ -322,7 +317,9 @@ class Separated(Record):
 
 
 class NotSeparatedAtThisLevel(Record):
-    """A conjugating unit exists at this truncation level (stored, verified).
+    """A conjugating unit exists at this truncation level: `unit`, a
+    TruncatedAlgebraElement, stored and verified, and as immutable as the
+    verdict that holds it.
 
     When g and h have equal cyclic cores, the unit is M(x^-1) for the
     conjugator x = ch * cg^-1 of their cyclic normal forms, and what is
@@ -485,7 +482,7 @@ def _conjugating_unit(g, h, d, p, m):
     return {algebra.basis[i]: c for i, c in unit.items()}
 
 
-class _MagnusSystem(SparseMatrix):
+class _MagnusSystem(list):
     """The Magnus system of g and h at degree d over Z/q, built one degree
     layer at a time as it is read.
 
@@ -505,7 +502,6 @@ class _MagnusSystem(SparseMatrix):
     __slots__ = ("algebra", "rhs", "image_g", "image_h", "_d", "_q", "_images", "_gw", "_wh")
 
     def __init__(self, g, h, d, q):
-        list.__init__(self)
         self.algebra = TraceAlgebra(g.graph, 0)
         self.rhs = []
         self._d, self._q = d, q

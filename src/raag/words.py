@@ -295,10 +295,14 @@ class Element:
         return letters
 
     def __mul__(self, other):
-        if self.graph is not other.graph and self.graph != other.graph:
+        try:
+            other_graph, word = other.graph, other._word
+        except AttributeError:
+            # not an Element: the product is undefined, a TypeError
+            return NotImplemented
+        if self.graph is not other_graph and self.graph != other_graph:
             raise ValueError("elements live on different graphs")
         # elements are immutable, so a product with 1 can share its operand
-        word = other._word
         if not word:
             return self
         if not self._word:

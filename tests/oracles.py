@@ -1087,10 +1087,20 @@ def exact_dtype(q, ncols):
     return np.int64 if (ncols + 1) * q * q < 2**63 else object
 
 
+class SparseMatrix(list):
+    """Equation rows as {column: coefficient} dicts, the form the package's
+    solver reads; `shape` is (equations, unknowns), since the rows do not
+    show the unknowns that no equation uses."""
+
+    __slots__ = ("shape",)
+
+    def __init__(self, rows, ncols):
+        super().__init__(rows)
+        self.shape = (len(self), ncols)
+
+
 def sparse_matrix(matrix):
     """The package's sparse form of a dense matrix (any nested sequence)."""
-    from raag._intlinalg import SparseMatrix
-
     rows = [[int(x) for x in row] for row in matrix]
     ncols = len(rows[0]) if rows else 0
     return SparseMatrix([{j: x for j, x in enumerate(row) if x} for row in rows], ncols)
@@ -1334,7 +1344,7 @@ def piled_magnus_conjugate_test(g, h, d, p, m):
     unknown per monomial of degree 1..d-1, one equation per monomial of
     degree 1..d, solved by the package's solver; a found unit is checked
     by piled products."""
-    from raag._intlinalg import SparseMatrix, solve_mod_prime_power
+    from raag._intlinalg import solve_mod_prime_power
     from raag.nilpotent import NotSeparatedAtThisLevel, Separated, TruncatedAlgebraElement
 
     graph = g.graph
@@ -1417,7 +1427,6 @@ def whole_magnus_system(g, h, d, p, m):
     degree at once. Column 0, the unit's constant term, moves to the
     right-hand side.
     """
-    from raag._intlinalg import SparseMatrix
     from raag.nilpotent import TraceAlgebra
 
     q = p**m

@@ -12,7 +12,8 @@ import pytest
 
 from raag._checks import PRIME_BOUND, require_prime
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # Each block hands the library a corrupted intermediate result; the check on
 # the witness it returns must raise even though -O strips every assert.
@@ -20,9 +21,10 @@ SCRIPT = r"""
 from unittest import mock
 
 from raag import conjugacy, cosets, hnn, nilpotent
-from raag._intlinalg import SparseMatrix, solve_mod_prime_power
+from raag._intlinalg import solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element, parse
+from oracles import SparseMatrix
 
 f2 = Graph(["a", "b"])
 one, a, b = parse(f2, "1"), parse(f2, "a"), parse(f2, "b")
@@ -104,8 +106,9 @@ corrupted("pivot run", lambda: hnn.decompose(run, 0))
 
 
 def test_corrupted_witnesses_raise_under_optimize():
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    # the script takes SparseMatrix from the test oracles
+    paths = [str(SRC), str(TESTS), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", SCRIPT],
         capture_output=True, text=True, env=env, timeout=120,

@@ -6,10 +6,11 @@ import random
 import numpy as np
 
 from raag import nilpotent
-from raag._intlinalg import SparseMatrix, solve_mod_prime_power
+from raag._intlinalg import solve_mod_prime_power
 from raag.graphs import Graph
 from raag.words import Element
 from oracles import (
+    SparseMatrix,
     dense_matrix,
     dense_solve_mod_prime_power,
     reference_solve_mod_prime_power,

@@ -922,6 +922,24 @@ def test_separating_level_scans_the_cores(monkeypatch):
     assert set(tried) == {(core, parse(C5, "1"))}
 
 
+def test_direct_call_on_a_pair_past_the_bound_decides_on_its_core(monkeypatch):
+    # the pair of test_separating_level_scans_the_cores, called directly:
+    # its own letters, all of C5, pass the bound below degree 6, so the
+    # system is solved on its core's letters {a, c} alone; at degree 6 the
+    # core separates, and at degree 5 the core's unit is moved to the pair
+    lifted = nilpotent._lifted_unit
+    moved = []
+    monkeypatch.setattr(nilpotent, "_lifted_unit", lambda *args: moved.append(args[5]) or lifted(*args))
+    x, core = parse(C5, "b d e"), left_normed(C5, "acacac")
+    g, one = x * core * x.inverse(), parse(C5, "1")
+    with pytest.raises(ValueError, match="trace monomials"):
+        TraceAlgebra(C5, 6)
+    assert magnus_conjugate_test(g, one, 6, 2, 1) == Separated(6, 2, 1)
+    res = magnus_conjugate_test(g, one, 5, 2, 1)
+    assert is_checked_unit(res.unit, g, one, 5, 2, 1)
+    assert moved == [5]
+
+
 def test_nothing_is_cached_on_the_graph():
     graph = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     before = set(vars(graph))

@@ -12,10 +12,17 @@ from dataclasses import make_dataclass
 import pytest
 
 from raag import Graph, parse
+from raag._record import Record
 from raag.conjugacy import Conjugate, Inconclusive, NotConjugate
 from raag.cosets import INCONCLUSIVE, CosetFactors, NotMember
 from raag.hnn import HnnWord
-from raag.nilpotent import NOT_FOUND, NotSeparatedAtThisLevel, Separated, magnus_image
+from raag.nilpotent import (
+    NOT_FOUND,
+    NotSeparatedAtThisLevel,
+    Separated,
+    TruncatedAlgebraElement,
+    magnus_image,
+)
 from raag.pgroup import PGroupElement, WitnessParams
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -76,6 +83,43 @@ def test_record_semantics(cls, values):
 
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
         assert type(clone) is cls and clone == record
+
+
+def test_truncated_algebra_element_is_a_record():
+    # the one record with its own repr, the algebra form, so it is kept out
+    # of test_record_semantics' dataclass-repr case
+    unit = magnus_image(parse(P3, "a b"), 3, 2, 2)
+    values = (P3, 3, 4, {(): 1, (0,): 1, (1,): 1, (0, 1): 1})
+    assert issubclass(TruncatedAlgebraElement, Record)
+    assert "__eq__" not in vars(TruncatedAlgebraElement)
+    assert tuple(getattr(unit, name) for name in TruncatedAlgebraElement.__match_args__) == values
+    twin = TruncatedAlgebraElement(*values)
+    assert twin == unit and hash(twin) == hash(unit)
+    assert unit != values and unit != magnus_image(parse(P3, "a b"), 3, 2, 1)
+    assert repr(unit) == "<1 + 1*a + 1*b + 1*a.b | deg<=3 over Z/4>"
+
+    for name in ("graph", "cap", "modulus", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(unit, name, None)
+        with pytest.raises(AttributeError):
+            delattr(unit, name)
+    # nor can a coefficient, so the hash cannot move and u stays in {u}
+    before = hash(unit)
+    with pytest.raises(TypeError):
+        unit.coeffs[(2,)] = 1
+    with pytest.raises(TypeError):
+        del unit.coeffs[()]
+    assert hash(unit) == before and unit in {unit}
+
+    match unit:
+        case TruncatedAlgebraElement(graph, cap, modulus, coeffs):
+            assert (graph, cap, modulus, coeffs) == values
+
+    for clone in (pickle.loads(pickle.dumps(unit)), copy.copy(unit), copy.deepcopy(unit)):
+        assert type(clone) is TruncatedAlgebraElement
+        assert clone == unit and hash(clone) == hash(unit) and repr(clone) == repr(unit)
+        with pytest.raises(TypeError):
+            clone.coeffs[()] = 2
 
 
 def test_records_with_one_reason_differ_by_type():

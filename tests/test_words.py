@@ -556,6 +556,20 @@ def test_gen_power_must_be_an_integer():
     assert gen(P3, "a", np.int64(-2)) == parse(P3, "a^-2")
 
 
+def test_product_with_a_non_element_is_a_type_error():
+    # x * 2 is a TypeError, as 2 * x is, not an AttributeError on int.graph
+    x = parse(P3, "a b")
+    for other in (2, 2.0, None, "a", (1,)):
+        with pytest.raises(TypeError):
+            x * other
+        with pytest.raises(TypeError):
+            other * x
+    with pytest.raises(TypeError):
+        x ** 2.0
+    with pytest.raises(ValueError, match="different graphs"):
+        x * parse(F2, "a")
+
+
 def test_parse_refuses_oversized_words(monkeypatch):
     from raag import words
 
