@@ -25,6 +25,10 @@ the image of their conjugator and build nothing, and other cores build
 these on the full subgraph on the letters the cores use, which decides as
 the whole graph does, and one degree at a time, as the solver reads the
 rows: a solve that stops at a row of degree k builds nothing past degree k.
+Above degree 2 one system is read in stages: its rows of degree <= 2
+first, which separate most non-conjugate pairs; then `conjugate` on the
+cores, whose verified conjugator answers a conjugate pair with its image;
+and only for a non-conjugate pair, the same system extended to degree d.
 
 The same algebra carries the Lie theory: brackets of the degree-one part
 generate a graded Lie ring whose dimensions d_n are the successive ranks of
@@ -258,14 +262,18 @@ def magnus_image(x, d, p, m):
     the tables exist.
     """
     d, p, m = _level(d, p, m)
-    q = p**m
+    return TruncatedAlgebraElement(x.graph, d, p**m, _image_coeffs(x, d, p**m))
+
+
+def _image_coeffs(x, d, q):
+    """M(x) up to degree d over Z/q, as {monomial: coefficient}, every
+    coefficient reduced and nonzero."""
     graph = x.graph
     # keys are positive group words, vertex v as the letter v + 1
     coeffs = _truncated_image(x.letters, q, d, (), lambda term, v: {
         words._canonical(graph, (v + 1,), w): c for w, c in term.items()
     })
-    coeffs = {tuple(v - 1 for v in w): c for w, c in coeffs.items()}
-    return TruncatedAlgebraElement(graph, d, q, coeffs)
+    return {tuple(v - 1 for v in w): c for w, c in coeffs.items()}
 
 
 def _truncated_image(letters, q, d, one, shift):
@@ -321,13 +329,15 @@ class NotSeparatedAtThisLevel(Record):
     TruncatedAlgebraElement, stored and verified, and as immutable as the
     verdict that holds it.
 
-    When g and h have equal cyclic cores, the unit is M(x^-1) for the
-    conjugator x = ch * cg^-1 of their cyclic normal forms, and what is
-    verified is x * g * x^-1 == h, by multiplication in the group; M is
-    a homomorphism. Otherwise it is a solution of the Magnus system of
-    the cores, moved to g and h, and verified by multiplication against
-    M(g) and M(h) in the truncated algebra. Either way it has constant
-    term 1 and no monomial of the truncation degree."""
+    When g and h are conjugate and either their cyclic cores are equal or
+    the degree is above 2, the unit is M(x^-1) for a conjugator x of g to
+    h: x = ch * cg^-1 from their cyclic normal forms for equal cores,
+    x = ch * tau * cg^-1 with tau from `conjugacy.conjugate` on the cores
+    otherwise. What is verified is x * g * x^-1 == h, by multiplication in
+    the group; M is a homomorphism. Otherwise the unit is a solution of
+    the Magnus system of the cores, moved to g and h, and verified by
+    multiplication against M(g) and M(h) in the truncated algebra. Either
+    way it has constant term 1 and no monomial of the truncation degree."""
 
     __slots__ = ("unit",)
 
@@ -350,9 +360,10 @@ def magnus_conjugate_test(g, h, d, p, m):
 
     Equal cores build no system: x = ch * cg^-1 conjugates g to h, which
     `conjugacy._core_conjugator` verifies by multiplication in the group,
-    as `conjugate` does, and M(x^-1) is the unit. It is
-    taken at degree d - 1, 1 at d = 1: the degree-d coefficients of a
-    unit are free (below), and a unit here has them 0.
+    as `conjugate` does, and M(x^-1) is the unit, since M is a
+    homomorphism: M(g) M(x^-1) = M(x^-1) M(h). It is taken at degree
+    d - 1 (1 at d = 1): the degree-d coefficients of a unit are free
+    (below), and a unit here has them 0.
 
     Other cores are decided by their Magnus system. Solvability of
     M(g)*u = u*M(h) in u with constant term 1 is one exact linear system
@@ -363,10 +374,29 @@ def magnus_conjugate_test(g, h, d, p, m):
     the returned unit has them 0. What is left has one unknown per monomial
     of degree 1..d-1 and one equation per monomial of degree 1..d; the
     constant term 1 moves to the right-hand side, and the rest is
-    elimination. A found unit u' is verified by multiplication; unless
-    both cyclic conjugators are 1, it is moved to M(cg) * u' * M(ch)^-1 at
-    degree d - 1 and verified again, against M(g) and M(h) at degree d
-    (_lifted_unit), before it is returned.
+    elimination.
+
+    At d > 2 one system, _MagnusSystem(gc, hc, d, q), is read in three
+    stages, each exact.
+    1. Its rows of degree <= 2 alone are read and solved. The equation at
+       a monomial of degree k involves only unknowns of degree below k
+       (below), so these rows are the leading rows of the degree-d
+       system, over its unknowns (those of degree 1 are the only ones
+       they touch). Any solution mod p^m of the whole system solves
+       them; when they have none, neither has the system, and the pair
+       is Separated at (d, p, m). The solve sees the degree-d shape.
+    2. Otherwise `conjugacy.conjugate` decides the cores. If
+       tau * gc * tau^-1 == hc, then x = ch * tau * cg^-1 conjugates g
+       to h, verified by `conjugacy._core_conjugator` as for equal cores,
+       and M(x^-1) at degree d - 1 is the unit: no row past degree 2 is
+       built.
+    3. Otherwise the system's reading is extended to degree d, reusing
+       the rows already built, and the whole system is solved.
+    At d <= 2 the rows of stage 1 are the whole system, which is solved
+    at once. A unit u' found by a solve is verified by multiplication;
+    unless both cyclic conjugators are 1, it is moved to
+    M(cg) * u' * M(ch)^-1 at degree d - 1 and verified again, against
+    M(g) and M(h) at degree d (_lifted_unit), before it is returned.
 
     The equation at a monomial of degree k involves only the unknowns of
     degree below k and the coefficients of the images up to degree k, so
@@ -376,8 +406,9 @@ def magnus_conjugate_test(g, h, d, p, m):
     large: the rows read are rows of the degree-d system, and row
     operations on them show that no solution mod p^m satisfies them, so
     none satisfies the whole system. So a pair can be Separated at a
-    degree whose trace basis is past MAX_TRACE_MONOMIALS; the bound is met
-    only when the rows below it are all read. Nothing in the system
+    degree whose trace basis is past MAX_TRACE_MONOMIALS, and a conjugate
+    pair is answered there too, by stage 2 or by equal cores; the bound is
+    met only when a solve reads every row below it. Nothing in the system
     refers back to it, and the unit check multiplies in plain loops, so
     no answer leaves a reference cycle for the collector.
 
@@ -399,20 +430,38 @@ def magnus_conjugate_test(g, h, d, p, m):
     graph = g.graph
     check_graph(graph, h)
     d, p, m = _level(d, p, m)
+    q = p**m
     cg, gc = g.cyclic_normal_form()
     ch, hc = h.cyclic_normal_form()
     if gc == hc:
-        x = conjugacy._core_conjugator(g, h, cg, ch)
-        unit = magnus_image(x.inverse(), d - 1, p, m).coeffs if d > 1 else {(): 1}
-    else:
-        support, (gc, hc) = _on_support(gc, hc)
-        unit = _conjugating_unit(gc, hc, d, p, m)
-        if unit is None:
+        return _conjugator_verdict(conjugacy._core_conjugator(g, h, cg, ch), d, q)
+    support, (sgc, shc) = _on_support(gc, hc)
+    if d > 2:
+        system = _MagnusSystem(sgc, shc, d, q)
+        system.top = 2
+        if solve_mod_prime_power(system, system.rhs, p, m) is None:
             return Separated(d, p, m)
-        unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
-        if cg or ch:
-            unit = _lifted_unit(unit, g, h, cg, ch, d, p, m)
-    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(graph, d, p**m, unit))
+        verdict = conjugacy.conjugate(gc, hc)
+        if isinstance(verdict, conjugacy.Conjugate):
+            x = conjugacy._core_conjugator(g, h, cg, ch, verdict.conjugator)
+            return _conjugator_verdict(x, d, q)
+        system.top = d
+        unit = _solved_unit(system, p, m)
+    else:
+        unit = _conjugating_unit(sgc, shc, d, p, m)
+    if unit is None:
+        return Separated(d, p, m)
+    unit = {tuple(support[v] for v in w): c for w, c in unit.items()}
+    if cg or ch:
+        unit = _lifted_unit(unit, g, h, cg, ch, d, p, m)
+    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(graph, d, q, unit))
+
+
+def _conjugator_verdict(x, d, q):
+    """NotSeparatedAtThisLevel with the unit M(x^-1) at degree d - 1 over
+    Z/q, for a verified conjugator x of the pair."""
+    unit = _image_coeffs(x.inverse(), d - 1, q)
+    return NotSeparatedAtThisLevel(TruncatedAlgebraElement(x.graph, d, q, unit))
 
 
 def _on_support(*elements):
@@ -459,12 +508,25 @@ def _lifted_unit(unit, g, h, cg, ch, d, p, m):
     return {tuple(support[v] for v in algebra.basis[i]): c for i, c in lifted.items()}
 
 
+def _cores_separate(gc, hc, d, p, m):
+    """Whether the Magnus system of the different cyclic cores gc and hc,
+    built on the letters they use, has no solution at (d, p, m): the
+    verdict of magnus_conjugate_test on them, with no conjugacy stage."""
+    return _conjugating_unit(*_on_support(gc, hc)[1], d, p, m) is None
+
+
 def _conjugating_unit(g, h, d, p, m):
     """The Magnus test on the whole of g.graph: a verified unit u with
     M(g)*u = u*M(h), as {monomial: coefficient}, or None when there is
     none."""
+    return _solved_unit(_MagnusSystem(g, h, d, p**m), p, m)
+
+
+def _solved_unit(system, p, m):
+    """Solve a Magnus system read to its degree d (top == d): its
+    verified unit, as {monomial: coefficient}, or None when there is
+    none."""
     q = p**m
-    system = _MagnusSystem(g, h, d, q)
     sol = solve_mod_prime_power(system, system.rhs, p, m)
     if sol is None:
         return None
@@ -484,27 +546,32 @@ def _conjugating_unit(g, h, d, p, m):
 
 class _MagnusSystem(list):
     """The Magnus system of g and h at degree d over Z/q, built one degree
-    layer at a time as it is read.
+    layer at a time as it is read, up to degree top.
 
     Iterating yields the rows built so far and, when they run out, builds
-    the next degree's (see _layer), so a solver that stops at a row of
-    degree k leaves the algebra at degree k and builds no later row.
+    the next degree's (see _layer) until the rows of degree top are
+    built, so a solver that stops at a row of degree k leaves the algebra
+    at degree k and builds no later row. top is d unless a caller lowers
+    it to read only the leading rows, and raising it again extends the
+    same system: the rows built stay, and are read first.
     len() and indexing cover the rows built, and rhs grows with them;
     image_g and image_h are the images up to the degree built. shape is
     the whole system's, one equation per monomial of degree 1..d and one
-    unknown per monomial of degree 1..d-1; before the last layer it is
-    counted from the clique polynomial, without building the rest.
+    unknown per monomial of degree 1..d-1, whatever top is; before the
+    last layer it is counted from the clique polynomial, without building
+    the rest.
 
     The system keeps no iterator over itself, and nothing it holds refers
     back to it, so a solve that stops early leaves no reference cycle.
     """
 
-    __slots__ = ("algebra", "rhs", "image_g", "image_h", "_d", "_q", "_images", "_gw", "_wh")
+    __slots__ = ("algebra", "rhs", "image_g", "image_h", "top", "_d", "_q", "_images", "_gw", "_wh")
 
     def __init__(self, g, h, d, q):
         self.algebra = TraceAlgebra(g.graph, 0)
         self.rhs = []
-        self._d, self._q = d, q
+        self.top = self._d = d
+        self._q = q
         right = self.algebra.right
         self._images = [
             _image_layers(x.letters, q, 0, lambda t, v: {right[i][v]: c for i, c in t.items()})
@@ -528,7 +595,7 @@ class _MagnusSystem(list):
         return sum(count[1:]), sum(count[1:-1])
 
     def __iter__(self):
-        todo = range(self.algebra.d + 1, self._d + 1)
+        todo = range(self.algebra.d + 1, self.top + 1)
         return chain(self[:], chain.from_iterable(map(self._layer, todo)))
 
     def _layer(self, k):
@@ -621,7 +688,9 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     The grid is scanned on the cyclic cores of g and h, computed once:
     they separate at exactly the levels the pair does (see
     magnus_conjugate_test), and no level moves a unit to the pair only to
-    drop it. Each basis is built on the letters the cores use; the
+    drop it. Each level solves the cores' whole system (_cores_separate):
+    conjugacy is decided already, so no level pays a `conjugate` call or
+    a cyclic normal form. Each basis is built on the letters the cores use; the
     message names them when they are fewer than the graph's, and names
     the invariant that ruled the pair out.
     """
@@ -635,14 +704,10 @@ def find_separating_level(g, h, p, max_d=6, max_m=2):
     if isinstance(verdict, conjugacy.Conjugate):
         return NOT_FOUND
     g, h = g.cyclic_normal_form()[1], h.cyclic_normal_form()[1]
-
-    def separates(d, m):
-        return isinstance(magnus_conjugate_test(g, h, d, p, m), Separated)
-
     try:
         for d in range(1, max_d + 1):
-            if separates(d, max_m):
-                return d, next((m for m in range(1, max_m) if separates(d, m)), max_m)
+            if _cores_separate(g, h, d, p, max_m):
+                return d, next((m for m in range(1, max_m) if _cores_separate(g, h, d, p, m)), max_m)
     except ValueError as exc:
         names = [g.graph.vertices[v] for v in sorted(g.support() | h.support())]
         where = f" on {{{', '.join(names)}}}" if len(names) < g.graph.n else ""

@@ -62,6 +62,12 @@ with mock.patch.object(Element, "cyclic_normal_form", lambda self: (one, ab)):
     corrupted("magnus equal cores", lambda: nilpotent.magnus_conjugate_test(ab, ba, 2, 2, 1))
 with mock.patch.object(conjugacy, "_factor_conjugator", lambda u, v: a**5):
     corrupted("conjugate", lambda: conjugacy.conjugate(ab, ba))
+    # above degree 2 the rotated cores a b and b a pass their degree-2
+    # rows, and the unit is M(x^-1) only once x * ab * x^-1 == ba
+    corrupted("magnus rotated cores", lambda: nilpotent.magnus_conjugate_test(ab, ba, 4, 2, 1))
+# the same pair when conjugate itself lies: the Magnus test checks x too
+with mock.patch.object(conjugacy, "conjugate", lambda g, h: conjugacy.Conjugate(a**5)):
+    corrupted("magnus lying conjugate", lambda: nilpotent.magnus_conjugate_test(ab, ba, 4, 2, 1))
 with mock.patch.object(conjugacy, "_primitive_root", lambda p: a):
     corrupted("centralizer", lambda: conjugacy.centralizer(ab))
     # the set fold keeps the bogus root a of a b, which fails its own check
@@ -123,6 +129,8 @@ def test_corrupted_witnesses_raise_under_optimize():
         "conjugate equal cores raised",
         "magnus equal cores raised",
         "conjugate raised",
+        "magnus rotated cores raised",
+        "magnus lying conjugate raised",
         "centralizer raised",
         "set centralizer raised",
         "magnus unit raised",

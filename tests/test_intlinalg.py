@@ -173,23 +173,26 @@ def _conjugate_pairs(rng, graph, count):
 
 def capture_magnus_solves(monkeypatch):
     """Record each solve of a Magnus test as (g, h, rows, rhs, unknowns, p,
-    m, x): the pair its kernel, `_conjugating_unit`, was given (the cyclic
-    cores on their support, from `magnus_conjugate_test`), the rows the solve built and read,
-    whole degrees up to the one that ended it, their right-hand sides, the
-    number of unknowns of the whole system, the modulus and the answer."""
-    solves, pair = [], []
-    unit, solve = nilpotent._conjugating_unit, nilpotent.solve_mod_prime_power
+    m, x): the pair its `_MagnusSystem` was built on (the cyclic cores on
+    their support, from `magnus_conjugate_test`), the rows the solve built
+    and read, whole degrees up to the one that ended it, their right-hand
+    sides, the number of unknowns of the whole system, the modulus and the
+    answer. Above degree 2 the public test may solve one system twice:
+    first its rows of degree <= 2, then all of it."""
+    solves, pairs = [], {}
+    system, solve = nilpotent._MagnusSystem, nilpotent.solve_mod_prime_power
 
-    def conjugating_unit(g, h, d, p, m):
-        pair[:] = [g, h]
-        return unit(g, h, d, p, m)
+    def magnus_system(g, h, d, q):
+        built = system(g, h, d, q)
+        pairs[id(built)] = (built, g, h)
+        return built
 
     def capture(matrix, rhs, p, m):
         x = solve(matrix, rhs, p, m)
-        solves.append((*pair, matrix[:], rhs[:], matrix.shape[1], p, m, x))
+        solves.append((*pairs[id(matrix)][1:], matrix[:], rhs[:], matrix.shape[1], p, m, x))
         return x
 
-    monkeypatch.setattr(nilpotent, "_conjugating_unit", conjugating_unit)
+    monkeypatch.setattr(nilpotent, "_MagnusSystem", magnus_system)
     monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
     return solves
 
@@ -228,7 +231,9 @@ def test_mod_prime_power_agrees_with_global_pivoting_on_magnus_systems(monkeypat
 def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
     # the sparse solver runs the dense elimination on nonzeros only: same
     # pivots, so the same vector (or None on both sides), on the rows the
-    # solve read; a vector comes only from reading every row
+    # solve read; a vector comes only from reading every row it was given,
+    # the whole system or, in the public test's first stage above degree
+    # 2, its rows of degree <= 2, which lead the whole system
     solves = capture_magnus_solves(monkeypatch)
     rng = random.Random(37)
     f2 = Graph(["a", "b"])
@@ -242,9 +247,15 @@ def test_sparse_solve_matches_dense_elimination_on_magnus_systems(monkeypatch):
                     nilpotent.magnus_conjugate_test(g, h, d, p, m)
             for d in range(1, 4):
                 nilpotent.magnus_conjugate_test(g, h, d, 100003, 2)
-    for _, _, rows, rhs, ncols, p, m, x in solves:
+    leading = 0
+    for g, h, rows, rhs, ncols, p, m, x in solves:
         ref = dense_solve_mod_prime_power(dense_matrix(SparseMatrix(rows, ncols)), rhs, p, m)
         assert x == (None if ref is None else [int(v) for v in ref]), (len(rows), ncols, p, m)
+        whole, _ = whole_magnus_system(g, h, 2, p, m)
+        if x is not None and len(rows) == len(whole) and ncols > whole.shape[1]:
+            leading += 1
+            assert rows == whole[:]
+    assert leading > 0
     verdicts = [x is None for *_, x in solves]
     assert 0 < sum(verdicts) < len(verdicts)
 

@@ -268,10 +268,10 @@ def test_separating_level_stops_at_the_basis_bound(monkeypatch):
     # ends the scan
     edgeless5 = Graph(list("abcde"))
     tried = []
-    test = nilpotent.magnus_conjugate_test
+    test = nilpotent._cores_separate
     grown = record_growth(monkeypatch)
     monkeypatch.setattr(
-        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
+        nilpotent, "_cores_separate", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
     )
     g, h = left_normed(edgeless5, "abcde"), parse(edgeless5, "1")
     with pytest.raises(ValueError) as caught:
@@ -542,12 +542,13 @@ def test_conjugate_pairs_return_not_found(monkeypatch):
     assert grid_separating_level(ab, ba, 2) is NOT_FOUND
 
     # find_separating_level decides conjugacy first: a conjugate pair builds
-    # no trace basis and runs no Magnus test, even where its grid passes
-    # the basis bound
+    # no trace basis and solves no Magnus system, even where its grid
+    # passes the basis bound
     def refuse(*args):
         raise AssertionError("the level grid was scanned")
 
     monkeypatch.setattr(nilpotent, "magnus_conjugate_test", refuse)
+    monkeypatch.setattr(nilpotent, "_cores_separate", refuse)
     monkeypatch.setattr(nilpotent, "TraceAlgebra", refuse)
     for g, h in pairs:
         assert find_separating_level(g, h, 2, max_d=3, max_m=2) is NOT_FOUND
@@ -587,10 +588,10 @@ def test_separating_level_scans_precision_only_at_the_separating_degree(monkeypa
     # d* + m* tests, where the whole grid up to (d*, m*) has
     # (d* - 1) max_m + m*
     g, h = parse(F2, "a b^2 a^-2 b^-2"), parse(F2, "a b^-2 a^-2 b^2")
-    test = nilpotent.magnus_conjugate_test
+    test = nilpotent._cores_separate
     tried = []
     monkeypatch.setattr(
-        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
+        nilpotent, "_cores_separate", lambda g, h, d, p, m: tried.append((d, m)) or test(g, h, d, p, m)
     )
     for p, max_m, want in ((2, 2, (7, 2)), (2, MAX_PRECISION, (4, 5)), (2**61 - 1, MAX_PRECISION, (4, 1))):
         tried.clear()
@@ -903,15 +904,90 @@ def test_equal_cores_build_no_system(monkeypatch):
         assert is_checked_unit(res.unit, x, y, d, 2, 2)
 
 
+def capture_solves(monkeypatch):
+    """Patch the Magnus test's solver to record (system, its top, its
+    shape, the rows read, the answer) per solve; returns the list."""
+    solves = []
+    solve = nilpotent.solve_mod_prime_power
+
+    def capture(matrix, rhs, p, m):
+        x = solve(matrix, rhs, p, m)
+        solves.append((matrix, matrix.top, matrix.shape, matrix[:], x))
+        return x
+
+    monkeypatch.setattr(nilpotent, "solve_mod_prime_power", capture)
+    return solves
+
+
+def test_conjugate_cores_answer_with_their_conjugator(monkeypatch):
+    # a b c a c^-1 against c (b c a c^-1 a) c^-1: different cores, and
+    # conjugate. At d = 6 one solve reads the rows of degree <= 2, with the
+    # degree-6 shape, and grows the algebra to degree 2 only; conjugate on
+    # the cores gives tau, and the unit is exactly M(x^-1) at degree 5 for
+    # the verified x = ch tau cg^-1
+    grown = record_growth(monkeypatch)
+    solves = capture_solves(monkeypatch)
+    g, s = parse(P3, "a b c a c^-1"), parse(P3, "c")
+    h = s * parse(P3, "b c a c^-1 a") * s.inverse()
+    (cg, gc), (ch, hc) = g.cyclic_normal_form(), h.cyclic_normal_form()
+    assert gc != hc and (cg, ch) == (Element(P3), s)
+    res = magnus_conjugate_test(g, h, 6, 2, 2)
+    assert grown == [(1, 4), (2, 11)]
+    ((_, top, shape, rows, x),) = solves
+    assert (top, len(rows)) == (2, 10) and x is not None
+    tau = conjugate(gc, hc).conjugator
+    conj = ch * tau * cg.inverse()
+    assert conj * g * conj.inverse() == h
+    unit = TruncatedAlgebraElement(P3, 6, 4, magnus_image(conj.inverse(), 5, 2, 2).coeffs)
+    assert res == NotSeparatedAtThisLevel(unit)
+    assert is_checked_unit(res.unit, g, h, 6, 2, 2)
+    assert shape == whole_magnus_system(gc, hc, 6, 2, 2)[0].shape
+
+
+def test_conjugate_pair_past_the_basis_bound_answers():
+    # five free letters pass the bound at degree 5, where the whole system
+    # of a b c d e against its rotation c d e a b raised ValueError; its
+    # rows of degree <= 2 use 31 monomials, and the conjugator answers
+    free5 = Graph(list("abcde"))
+    g, h = parse(free5, "a b c d e"), parse(free5, "c d e a b")
+    with pytest.raises(ValueError, match="up to degree 5"):
+        TraceAlgebra(free5, 5)
+    for d in (5, 8):
+        res = magnus_conjugate_test(g, h, d, 2, 2)
+        assert is_checked_unit(res.unit, g, h, d, 2, 2)
+
+
+def test_non_conjugate_cores_extend_the_leading_rows(monkeypatch):
+    # a b^2 a^-2 b^-2 against a b^-2 a^-2 b^2 pass their rows of degree
+    # <= 2 and conjugate rules them out, so one system is extended: the
+    # second solve reads the first's rows first, and each degree is grown
+    # once; at d = 6 it finds a unit, at d = 7 it separates
+    grown = record_growth(monkeypatch)
+    solves = capture_solves(monkeypatch)
+    g, h = parse(F2, "a b^2 a^-2 b^-2"), parse(F2, "a b^-2 a^-2 b^2")
+    for d, kind in ((6, NotSeparatedAtThisLevel), (7, Separated)):
+        del grown[:], solves[:]
+        res = magnus_conjugate_test(g, h, d, 2, 2)
+        assert type(res) is kind
+        assert [k for k, _ in grown] == list(range(1, d + 1))
+        (first, top1, shape1, rows1, x1), (second, top2, shape2, rows2, x2) = solves
+        assert first is second and (top1, top2) == (2, d) and shape1 == shape2
+        assert x1 is not None and rows2[:len(rows1)] == rows1 and len(rows1) == 6
+        matrix, _ = whole_magnus_system(g, h, d, 2, 2)
+        assert shape2 == matrix.shape and rows2 == matrix[:len(rows2)]
+        assert (x2 is None) == (kind is Separated)
+    assert is_checked_unit(magnus_conjugate_test(g, h, 6, 2, 2).unit, g, h, 6, 2, 2)
+
+
 def test_separating_level_scans_the_cores(monkeypatch):
     # conjugated by b d e, the weight-6 commutator on {a, c} uses all of
     # C5, whose basis passes the bound below degree 6 (the scan used to
     # raise there); its core uses {a, c}, where the scan answers (6, 1),
     # testing the cores alone
-    test = nilpotent.magnus_conjugate_test
+    test = nilpotent._cores_separate
     tried = []
     monkeypatch.setattr(
-        nilpotent, "magnus_conjugate_test", lambda g, h, d, p, m: tried.append((g, h)) or test(g, h, d, p, m)
+        nilpotent, "_cores_separate", lambda g, h, d, p, m: tried.append((g, h)) or test(g, h, d, p, m)
     )
     x, core = parse(C5, "b d e"), left_normed(C5, "acacac")
     g = x * core * x.inverse()
